@@ -6,6 +6,9 @@ defects found from historical data, and validates predictions with LOOCV,
 MMRE, and exact Wilcoxon tests.
 """
 
+# the only version literal: io's run manifests and pyproject.toml read it
+__version__ = "0.1.0"
+
 from .diagnostics import Diagnostic, InputFormatError, ModelValidationError, Severity
 from .elicitation import (
     RankingAnalysis,
@@ -20,11 +23,8 @@ from .estimation import (
     BaselineEstimate,
     DefectsFoundPrediction,
     baseline_value,
-    defect_content,
-    defect_density,
-    defects_found,
-    effectiveness,
     estimate_baseline,
+    expected_defects_found,
     predict_defects_found,
 )
 from .evaluation import (
@@ -54,9 +54,5 @@ from .planning import RiskChart, RiskPoint, build_risk_chart, risk_chart_svg, ri
 from .simulation import (
     EmpiricalDistribution,
     SimulationConfig,
-    factor_contribution,
-    sample_triangular,
     simulate,
 )
-
-__version__ = "0.1.0"

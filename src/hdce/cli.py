@@ -9,6 +9,7 @@ sidecar manifest recording input digests, seed, and tool version.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .diagnostics import (
     has_errors,
 )
 from .elicitation import analyze_rankings
-from .evaluation import ALL_VARIANTS, Variant, run_validation
+from .evaluation import ALL_VARIANTS, Variant, project_factor_means, run_validation
 from .model import FactorKind, validate_characterization, validate_model
 from .simulation import SimulationConfig, simulate
 
@@ -68,6 +69,16 @@ def _parse_variants(text: str) -> tuple[Variant, ...]:
     return tuple(variants)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _seed_type(text: str) -> int:
     try:
         value = int(text)
@@ -106,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank-analyze", help="analyze expert ranking questionnaires")
     p.add_argument("--rankings", required=True, help="rankings CSV file")
     p.add_argument("--out", required=True, help="analysis report JSON")
-    p.add_argument("--threshold", type=float, default=1.1, help="selection threshold on the minimal mean rank")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level for Kendall's W")
+    p.add_argument("--threshold", type=_finite_float, default=1.1, help="selection threshold on the minimal mean rank")
+    p.add_argument("--alpha", type=_finite_float, default=0.05, help="significance level for Kendall's W")
     p.set_defaults(handler=cmd_rank_analyze)
 
     p = sub.add_parser("model-check", parents=[common_files], help="validate a model (and optionally projects)")
@@ -126,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", parents=[common_files, stochastic], help="build the QA-planning risk chart")
     p.add_argument("--projects", required=True, help="projects JSON file")
-    p.add_argument("--scale-factor", type=float, default=1.0, help="fixed scaling factor f for the chart")
+    p.add_argument("--scale-factor", type=_finite_float, default=1.0, help="fixed scaling factor f for the chart")
     p.add_argument("--out", required=True, help="risk chart CSV")
     p.add_argument("--svg", help="optional standalone SVG chart")
     p.set_defaults(handler=cmd_plan)
@@ -140,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common_files, stochastic], help="run the LOOCV validation harness")
     p.add_argument("--projects", required=True, help="projects JSON file")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level for pairwise Wilcoxon tests")
+    p.add_argument("--alpha", type=_finite_float, default=0.05, help="significance level for pairwise Wilcoxon tests")
     p.add_argument("--variants", type=_parse_variants, default=ALL_VARIANTS, help="all or a comma-separated variant list")
     p.add_argument("--out", required=True, help="validation report JSON")
     p.add_argument("--re-csv", help="per-project RE values CSV (default: <out>.re.csv)")
@@ -269,12 +280,8 @@ def cmd_plan(args) -> int:
     diagnostics: list[Diagnostic] = []
     model, projects = _load_checked(args, diagnostics)
     _print_diagnostics(diagnostics)
-    cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
-    triples = []
-    for p in projects:
-        ddif = simulate(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg)
-        eif = simulate(model, p.characterization, FactorKind.EFFECTIVENESS, cfg)
-        triples.append((p.project_id, ddif.mean, eif.mean))
+    means = project_factor_means(model, projects, SimulationConfig(seed=args.seed, sample_count=args.samples))
+    triples = [(p.project_id, *means[p.project_id]) for p in projects]
     baseline_ids = {p.project_id for p in projects if p.defects_found is not None}
     if not baseline_ids:
         print("error: no historical project (with defects_found) to anchor the chart", file=sys.stderr)
@@ -315,11 +322,7 @@ def cmd_predict(args) -> int:
         return EXIT_VALIDATION
 
     cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
-    ddif_points, eif_points = {}, {}
-    for p in historical:
-        ddif_points[p.project_id] = simulate(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg).mean
-        eif_points[p.project_id] = simulate(model, p.characterization, FactorKind.EFFECTIVENESS, cfg).mean
-    baseline = estimation.estimate_baseline(historical, ddif_points, eif_points, diagnostics)
+    baseline = estimation.estimate_baseline(historical, project_factor_means(model, historical, cfg), diagnostics)
     target_ddif = simulate(model, target.characterization, FactorKind.DEFECT_CONTENT, cfg)
     target_eif = simulate(model, target.characterization, FactorKind.EFFECTIVENESS, cfg)
     prediction = estimation.predict_defects_found(

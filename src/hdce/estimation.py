@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diagnostics import Diagnostic, advisory, warning
+from .diagnostics import Diagnostic, advisory
 from .model import HistoricalProject
 from .simulation import EmpiricalDistribution
 
@@ -41,64 +41,34 @@ class DefectsFoundPrediction:
     inputs_digest: dict
 
 
-def defect_density(defect_content: float, size: float) -> float:
-    """Defects per page: content divided by artifact size."""
-    if not size > 0:
-        raise ValueError(f"size must be > 0, got {size}")
-    return defect_content / size
+def expected_defects_found(size, ddif, eif, baseline=1.0):
+    """DF = Size * (1 + DDIF) * (1 + EIF) * DD_base*Eff_base, on scalars or arrays.
 
-
-def defect_content(size: float, dd_base: float, ddif: float) -> float:
-    """Expected number of defects in the artifact: size * DD_base * (1 + DDIF)."""
-    if not size > 0:
-        raise ValueError(f"size must be > 0, got {size}")
-    if dd_base < 0 or ddif < 0:
-        raise ValueError("dd_base and ddif must be non-negative")
-    return size * dd_base * (1.0 + ddif)
-
-
-def effectiveness(eff_base: float, eif: float, diagnostics: list[Diagnostic] | None = None) -> float:
-    """Actual effectiveness: Eff_base * (1 + EIF).
-
-    Effectiveness is a found/total ratio, so values above 1 are physically
-    impossible; expert multipliers can still overshoot, which yields a warning
-    diagnostic rather than an error.
+    With the default baseline of 1 this is the project's scale, the factor that
+    eq. 5 divides the measured defects found by.
     """
-    if not 0.0 <= eff_base <= 1.0:
-        raise ValueError(f"eff_base must lie in [0, 1], got {eff_base}")
-    if eif < 0:
-        raise ValueError(f"eif must be non-negative, got {eif}")
-    result = eff_base * (1.0 + eif)
-    if result > 1.0 and diagnostics is not None:
-        diagnostics.append(
-            warning("effectiveness-above-one", f"effectiveness {result:.6g} exceeds 1; the multipliers overshoot")
-        )
-    return result
-
-
-def defects_found(defect_content: float, effectiveness: float) -> float:
-    """Defects found = defect content * effectiveness."""
-    if defect_content < 0 or effectiveness < 0:
-        raise ValueError("defect_content and effectiveness must be non-negative")
-    return defect_content * effectiveness
+    return size * (1.0 + ddif) * (1.0 + eif) * baseline
 
 
 def baseline_value(project: HistoricalProject, ddif_point: float, eif_point: float) -> float:
-    """Back out DD_base*Eff_base for one project: DF / (Size*(1+DDIF)*(1+EIF))."""
+    """Eq. 5, the inverse of expected_defects_found: DD_base*Eff_base = DF / (Size*(1+DDIF)*(1+EIF))."""
     if project.defects_found is None:
         raise ValueError(f"project {project.project_id!r} has no defects_found record")
     if ddif_point < 0 or eif_point < 0:
         raise ValueError("ddif and eif points must be non-negative")
-    return project.defects_found / (project.size * (1.0 + ddif_point) * (1.0 + eif_point))
+    return project.defects_found / expected_defects_found(project.size, ddif_point, eif_point)
 
 
 def estimate_baseline(
     historical: Sequence[HistoricalProject],
-    ddif_points: Mapping[str, float],
-    eif_points: Mapping[str, float],
+    means: Mapping[str, tuple[float, float]],
     diagnostics: list[Diagnostic] | None = None,
 ) -> BaselineEstimate:
-    """Median of the per-project backed-out values; even counts average the middle two."""
+    """Median of the per-project eq. 5 values; even counts average the middle two.
+
+    means maps each project id to its (DDIF, EIF) point pair, as returned by
+    evaluation.project_factor_means.
+    """
     if not historical:
         raise ValueError("cannot estimate a baseline from an empty history")
     if len(historical) < RECOMMENDED_MIN_HISTORY and diagnostics is not None:
@@ -109,10 +79,7 @@ def estimate_baseline(
                 f"at least {RECOMMENDED_MIN_HISTORY} are recommended",
             )
         )
-    per_project = {
-        p.project_id: baseline_value(p, ddif_points[p.project_id], eif_points[p.project_id])
-        for p in historical
-    }
+    per_project = {p.project_id: baseline_value(p, *means[p.project_id]) for p in historical}
     return BaselineEstimate(
         per_project_values=dict(sorted(per_project.items())),
         estimate=statistics.median(per_project.values()),
@@ -141,8 +108,8 @@ def predict_defects_found(
     if not 0.0 <= low_q <= high_q <= 1.0:
         raise ValueError(f"quantile pair must satisfy 0 <= low <= high <= 1, got {quantile_pair}")
 
-    point = size * (1.0 + ddif.mean) * (1.0 + eif.mean) * baseline.estimate
-    per_sample = size * (1.0 + ddif.samples) * (1.0 + eif.samples) * baseline.estimate
+    point = expected_defects_found(size, ddif.mean, eif.mean, baseline.estimate)
+    per_sample = expected_defects_found(size, ddif.samples, eif.samples, baseline.estimate)
     low, high = np.quantile(per_sample, [low_q, high_q])
     return DefectsFoundPrediction(
         point=point,

@@ -10,13 +10,14 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
-from typing import Callable, Mapping, Sequence
+from math import isfinite, sqrt
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.stats import norm
 
 from .diagnostics import Diagnostic, error
+from .estimation import expected_defects_found
 from .model import CausalModel, FactorKind, HistoricalProject
 from .simulation import SimulationConfig, simulate
 
@@ -43,6 +44,16 @@ ALL_VARIANTS = (
     Variant.WITHOUT_EIF,
     Variant.WITHOUT_SIZE,
 )
+
+# which of (size, DDIF, EIF) enter each variant's scale; a dropped term counts as 1
+_SCALE_TERMS = {
+    Variant.HDCE: (True, True, True),
+    Variant.DF_ONLY: (False, False, False),
+    Variant.DF_PLUS_SIZE: (True, False, False),
+    Variant.WITHOUT_DDIF: (True, False, True),
+    Variant.WITHOUT_EIF: (True, True, False),
+    Variant.WITHOUT_SIZE: (False, True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -144,6 +155,8 @@ def wilcoxon_signed_rank(
         raise ValueError(f"paired samples must have equal length, got {len(x)} and {len(y)}")
     if not x:
         raise ValueError("paired samples must be non-empty")
+    if not all(isfinite(v) for v in (*x, *y)):
+        raise ValueError("paired samples must be finite")
     differences = [float(a) - float(b) for a, b in zip(x, y)]
     nonzero = [d for d in differences if d != 0.0]
     if not nonzero:
@@ -155,76 +168,27 @@ def wilcoxon_signed_rank(
     return WilcoxonResult(_normal_two_sided(ranks, w_plus), w_plus, len(nonzero), "normal-approximation")
 
 
-def baseline_df_only(train: Sequence[HistoricalProject]) -> Callable[[HistoricalProject], float]:
-    """Constant predictor: the median number of defects found in training."""
-    if not train:
-        raise ValueError("empty training set")
-    constant = statistics.median(p.defects_found for p in train)
-
-    def predict(_target: HistoricalProject) -> float:
-        return float(constant)
-
-    return predict
-
-
-def baseline_df_size(train: Sequence[HistoricalProject]) -> Callable[[HistoricalProject], float]:
-    """Median training defect density times the target's size."""
-    if not train:
-        raise ValueError("empty training set")
-    density = statistics.median(p.defects_found / p.size for p in train)
-
-    def predict(target: HistoricalProject) -> float:
-        return density * target.size
-
-    return predict
-
-
 def project_factor_means(
     model: CausalModel,
     projects: Sequence[HistoricalProject],
     cfg: SimulationConfig,
-    *,
-    workers: int = 1,
 ) -> dict[str, tuple[float, float]]:
     """One simulation pass per project: map project_id -> (mean DDIF, mean EIF)."""
-    means: dict[str, tuple[float, float]] = {}
-    for p in projects:
-        ddif = simulate(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg, workers=workers)
-        eif = simulate(model, p.characterization, FactorKind.EFFECTIVENESS, cfg, workers=workers)
-        means[p.project_id] = (ddif.mean, eif.mean)
-    return means
+    return {
+        p.project_id: (
+            simulate(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg).mean,
+            simulate(model, p.characterization, FactorKind.EFFECTIVENESS, cfg).mean,
+        )
+        for p in projects
+    }
 
 
-def _variant_inputs(
-    variant: Variant, project: HistoricalProject, means: Mapping[str, tuple[float, float]]
-) -> tuple[float, float, float]:
-    """(size, ddif, eif) as seen by the given model variant."""
+def _scale(variant: Variant, project: HistoricalProject, means: Mapping[str, tuple[float, float]]) -> float:
+    keep_size, keep_ddif, keep_eif = _SCALE_TERMS[variant]
     ddif, eif = means[project.project_id]
-    if variant is Variant.WITHOUT_DDIF:
-        ddif = 0.0
-    elif variant is Variant.WITHOUT_EIF:
-        eif = 0.0
-    size = 1.0 if variant is Variant.WITHOUT_SIZE else project.size
-    return size, ddif, eif
-
-
-def _predict_variant(
-    variant: Variant,
-    train: Sequence[HistoricalProject],
-    target: HistoricalProject,
-    means: Mapping[str, tuple[float, float]],
-) -> float:
-    if variant is Variant.DF_ONLY:
-        return baseline_df_only(train)(target)
-    if variant is Variant.DF_PLUS_SIZE:
-        return baseline_df_size(train)(target)
-    values = []
-    for p in train:
-        size, ddif, eif = _variant_inputs(variant, p, means)
-        values.append(p.defects_found / (size * (1.0 + ddif) * (1.0 + eif)))
-    baseline = statistics.median(values)
-    size, ddif, eif = _variant_inputs(variant, target, means)
-    return size * (1.0 + ddif) * (1.0 + eif) * baseline
+    return expected_defects_found(
+        project.size if keep_size else 1.0, ddif if keep_ddif else 0.0, eif if keep_eif else 0.0
+    )
 
 
 def usable_history(
@@ -257,13 +221,17 @@ def loocv(
     cfg: SimulationConfig,
     *,
     means: Mapping[str, tuple[float, float]] | None = None,
-    workers: int = 1,
 ) -> tuple[list[PredictionRecord], list[Diagnostic]]:
     """Leave-one-out records for one variant, ordered by project id.
 
-    Each fold rebuilds the variant's baseline from the remaining projects, so no
-    target leaks into its own prediction. Simulation means can be passed in to
-    share one pass across variants (the default computes them here).
+    Every variant predicts scale(target) * median over the training fold of
+    DF / scale, with scale = Size * (1 + DDIF) * (1 + EIF) and the terms the
+    variant drops set to 1: DF_only uses scale 1, DF_plus_Size the size alone,
+    w/o_Size, w/o_DDIF and w/o_EIF drop their term, HDCE keeps all three. For
+    HDCE the median is the eq. 5 baseline. Each fold takes its median over the
+    remaining projects only, so no target leaks into its own prediction.
+    Simulation means can be passed in to share one pass across variants (the
+    default computes them here).
     """
     usable, excluded = usable_history(historical)
     if len(usable) < MIN_HISTORY_FOR_LOOCV:
@@ -271,12 +239,15 @@ def loocv(
             f"leave-one-out needs at least {MIN_HISTORY_FOR_LOOCV} usable projects, got {len(usable)}"
         )
     if means is None:
-        means = project_factor_means(model, usable, cfg, workers=workers)
-    records = []
-    for i, target in enumerate(usable):
-        train = usable[:i] + usable[i + 1 :]
-        predicted = _predict_variant(variant, train, target, means)
-        records.append(PredictionRecord.from_values(target.project_id, target.defects_found, predicted))
+        means = project_factor_means(model, usable, cfg)
+    scales = [_scale(variant, p, means) for p in usable]
+    ratios = [p.defects_found / scale for p, scale in zip(usable, scales)]
+    records = [
+        PredictionRecord.from_values(
+            target.project_id, target.defects_found, scales[i] * statistics.median(ratios[:i] + ratios[i + 1 :])
+        )
+        for i, target in enumerate(usable)
+    ]
     return records, excluded
 
 
@@ -321,8 +292,6 @@ def run_validation(
     cfg: SimulationConfig,
     variants: Sequence[Variant] = ALL_VARIANTS,
     alpha: float = 0.05,
-    *,
-    workers: int = 1,
 ) -> ValidationReport:
     """LOOCV over all requested variants with shared simulation means."""
     if not variants:
@@ -332,7 +301,7 @@ def run_validation(
         raise ValueError(
             f"leave-one-out needs at least {MIN_HISTORY_FOR_LOOCV} usable projects, got {len(usable)}"
         )
-    means = project_factor_means(model, usable, cfg, workers=workers)
+    means = project_factor_means(model, usable, cfg)
     records: dict[Variant, tuple[PredictionRecord, ...]] = {}
     for variant in variants:
         variant_records, _ = loocv(model, usable, variant, cfg, means=means)

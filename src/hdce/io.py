@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from .diagnostics import Diagnostic, EmptyInputError, InputFormatError, warning
 from .elicitation import RankingSheet
 from .model import (
@@ -27,8 +28,6 @@ from .model import (
     model_from_dict,
     projects_from_list,
 )
-
-TOOL_VERSION = "0.1.0"
 
 RANKINGS_HEADER = ["expert_id", "kind", "category", "factor_id", "rank"]
 
@@ -115,13 +114,10 @@ def _apply_unknown_policy(
 
 
 def _load_json_file(path: str | Path, what: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise InputFormatError(f"{what} file {path}: invalid JSON ({exc})") from None
 
 
@@ -228,7 +224,7 @@ class RunManifest:
     seed: int | None = None
     sample_count: int | None = None
     parameters: dict = field(default_factory=dict)
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
     timestamp: str = ""
 
     def to_dict(self) -> dict:

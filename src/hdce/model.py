@@ -9,7 +9,9 @@ number of defects found.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -232,7 +234,14 @@ def _require(data: dict, key: str, where: str):
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        # json reads NaN, Infinity and 1e400 as non-finite floats
+        raise InputFormatError(f"{where}: expected a finite number, got {number}")
+    return number
 
 
 def _as_int(value, where: str) -> int:
@@ -354,8 +363,8 @@ def project_from_dict(data: object, where: str) -> tuple[HistoricalProject, list
         raise InputFormatError(f"{where}.size: must be > 0, got {size}")
     df_raw = data.get("defects_found")
     defects_found = None if df_raw is None else _as_int(df_raw, f"{where}.defects_found")
-    if defects_found is not None and defects_found < 0:
-        raise InputFormatError(f"{where}.defects_found: must be >= 0, got {defects_found}")
+    if defects_found is not None and not 0 <= defects_found <= sys.float_info.max:
+        raise InputFormatError(f"{where}.defects_found: must be >= 0 and within float range, got {defects_found}")
     levels_raw = _require(data, "levels", where)
     if not isinstance(levels_raw, dict):
         raise InputFormatError(f"{where}.levels: expected an object mapping factor ids to levels")

@@ -5,14 +5,13 @@ Each factor's multiplier is treated as a triangular distribution over its
 contributions add up across the factors of one kind (no interaction terms).
 
 Sampling is counter-based: the uniform variate for (seed, factor, sample index)
-is derived by hashing, never by advancing shared generator state. Chunked or
-multi-threaded runs therefore produce bit-identical sample vectors.
+is derived by hashing, never by advancing shared generator state. Chunked runs
+therefore produce bit-identical sample vectors.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,20 +91,6 @@ def triangular_inverse_cdf(minimum: float, mode: float, maximum: float, u):
     return float(out) if np.isscalar(u) else out
 
 
-def sample_triangular(minimum: float, mode: float, maximum: float, u: float) -> float:
-    """Single triangular draw via the inverse-CDF transform of u."""
-    return triangular_inverse_cdf(minimum, mode, maximum, float(u))
-
-
-def factor_contribution(factor: Factor, level: int, sampled_multiplier: float) -> float:
-    """A factor at the given level contributes level/3 of the sampled multiplier."""
-    if factor.multiplier is None:
-        raise ValueError(f"factor {factor.id!r} is not quantified")
-    if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level <= MAX_LEVEL:
-        raise ValueError(f"level must be an integer in 0..{MAX_LEVEL}, got {level!r}")
-    return (level / MAX_LEVEL) * sampled_multiplier
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     seed: int
@@ -165,14 +150,13 @@ def simulate(
     kind: FactorKind,
     cfg: SimulationConfig,
     *,
-    workers: int = 1,
     chunk_size: int | None = None,
     quantile_levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS,
 ) -> EmpiricalDistribution:
     """Simulate the accumulated relative increase (DDIF or EIF) for one project.
 
     Deterministic for fixed (model, characterization, kind, seed, sample_count):
-    chunking and worker count never change the sample vector.
+    chunking never changes the sample vector.
     """
     diagnostics = validate_model(model)
     diagnostics.extend(validate_characterization(model, ch))
@@ -189,13 +173,7 @@ def simulate(
         chunks = [(0, n)]
     else:
         chunks = [(s, min(chunk_size, n - s)) for s in range(0, n, chunk_size)]
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: _simulate_chunk(factors, cfg.seed, *c), chunks))
-    else:
-        parts = [_simulate_chunk(factors, cfg.seed, start, count) for start, count in chunks]
-
+    parts = [_simulate_chunk(factors, cfg.seed, start, count) for start, count in chunks]
     samples = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return EmpiricalDistribution.from_samples(samples, quantile_levels)
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .estimation import expected_defects_found
 from .model import (
     CausalModel,
     Factor,
@@ -95,7 +96,7 @@ def generate_projects(
         ch = ProjectCharacterization(project_id=f"{id_prefix}{i + 1}", levels=levels)
         ddif = analytic_mean(model, ch, FactorKind.DEFECT_CONTENT)
         eif = analytic_mean(model, ch, FactorKind.EFFECTIVENESS)
-        df_true = size * (1.0 + ddif) * (1.0 + eif) * true_baseline
+        df_true = expected_defects_found(size, ddif, eif, true_baseline)
         noise = float(np.exp(rng.normal(0.0, noise_sigma))) if noise_sigma > 0 else 1.0
         defects = max(1, round(df_true * noise))
         projects.append(HistoricalProject(characterization=ch, size=size, defects_found=defects))

@@ -102,9 +102,9 @@ def test_criterion_3_monte_carlo_convergence_and_determinism():
         ch = characterization(model, level_patterns[1])
         serial = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
         rerun = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
-        parallel = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg, chunk_size=8192, workers=4)
+        chunked = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg, chunk_size=8192)
         assert np.array_equal(serial.samples, rerun.samples)
-        assert np.array_equal(serial.samples, parallel.samples)
+        assert np.array_equal(serial.samples, chunked.samples)
 
 
 def test_criterion_4_equation_round_trip():
@@ -117,7 +117,7 @@ def test_criterion_4_equation_round_trip():
             ddif = simulate(model, project.characterization, FactorKind.DEFECT_CONTENT, cfg)
             eif = simulate(model, project.characterization, FactorKind.EFFECTIVENESS, cfg)
             pid = project.project_id
-            baseline = estimate_baseline([project], {pid: ddif.mean}, {pid: eif.mean})
+            baseline = estimate_baseline([project], {pid: (ddif.mean, eif.mean)})
             prediction = predict_defects_found(project.size, ddif, eif, baseline)
             assert prediction.point == pytest.approx(project.defects_found, rel=1e-12)
 

@@ -1,7 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hdce
 from hdce.cli import main
 from hdce.io import write_json
 from hdce.model import model_to_dict, project_to_dict
@@ -278,3 +284,48 @@ class TestValidate:
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a.json.re.csv").read_bytes() == (tmp_path / "b.json.re.csv").read_bytes()
+
+
+class TestNonFiniteInputs:
+    """Non-finite numbers end in a coded exit, never a hang or a traceback."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank-analyze", "--rankings", "{rankings}", "--threshold={value}"],
+            ["rank-analyze", "--rankings", "{rankings}", "--alpha={value}"],
+            ["plan", "--model", "{model}", "--projects", "{projects}", "--seed", "1", "--scale-factor={value}"],
+            ["validate", "--model", "{model}", "--projects", "{projects}", "--seed", "1", "--alpha={value}"],
+        ],
+        ids=["threshold", "rank-alpha", "scale-factor", "validate-alpha"],
+    )
+    def test_float_flags_rejected_before_any_output(
+        self, argv, value, rankings_csv, model_file, projects_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        paths = {"rankings": rankings_csv, "model": model_file, "projects": projects_file}
+        code = main([a.format(value=value, **paths) for a in argv] + ["--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e400"])
+    @pytest.mark.parametrize("field", ["size", "max"])
+    def test_json_literal_is_input_error(self, field, literal, model_file, projects_file, tmp_path):
+        # let through, these give NaN MRE differences and the Wilcoxon ranking never ends
+        target = projects_file if field == "size" else model_file
+        text = re.sub(rf'("{field}": )[^,\n]+', rf"\g<1>{literal}", target.read_text(encoding="utf-8"), count=1)
+        target.write_text(text, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(hdce.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "hdce.cli", "validate", "--model", str(model_file),
+                "--projects", str(projects_file), "--seed", "1", "--samples", "64",
+                "--out", str(tmp_path / "report.json"),
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f'.{field}: expected a finite number' in proc.stderr

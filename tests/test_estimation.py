@@ -3,14 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdce.diagnostics import Severity
 from hdce.estimation import (
     baseline_value,
-    defect_content,
-    defect_density,
-    defects_found,
-    effectiveness,
     estimate_baseline,
+    expected_defects_found,
     predict_defects_found,
 )
 from hdce.model import FactorKind, HistoricalProject, ProjectCharacterization
@@ -30,44 +26,37 @@ def constant_distribution(value, n=100):
     return EmpiricalDistribution.from_samples(np.full(n, float(value)))
 
 
+def zero_means(projects):
+    """{project_id: (DDIF, EIF)} with both points 0."""
+    return {p.project_id: (0.0, 0.0) for p in projects}
+
+
 class TestAlgebra:
     def test_defect_density(self):
-        assert defect_density(30, 100) == pytest.approx(0.3)
-        assert defect_density(0, 50) == 0.0
-        assert defect_density(7.5, 1) == 7.5
-        with pytest.raises(ValueError):
-            defect_density(10, 0)
+        # with DDIF = EIF = 0, eq. 5 reduces to defects per page
+        assert baseline_value(project("a", 100, 30), 0.0, 0.0) == pytest.approx(0.3)
+        assert baseline_value(project("a", 50, 0), 0.0, 0.0) == 0.0
+        assert baseline_value(project("a", 1, 7), 0.0, 0.0) == 7.0
 
     def test_defect_content(self):
-        same_size_base = defect_content(100, 0.2, 0.0)
-        thirty_percent_worse = defect_content(100, 0.2, 0.3)
+        same_size_base = expected_defects_found(100, 0.0, 0.0, 0.2)
+        thirty_percent_worse = expected_defects_found(100, 0.3, 0.0, 0.2)
         assert thirty_percent_worse == pytest.approx(1.3 * same_size_base)
-        assert defect_content(100, 0.2, 0.0) == pytest.approx(20.0)
-        assert defect_content(100, 0.2, 0.5) == pytest.approx(30.0)
-        with pytest.raises(ValueError):
-            defect_content(100, -0.1, 0.0)
+        assert same_size_base == pytest.approx(20.0)
+        assert expected_defects_found(100, 0.5, 0.0, 0.2) == pytest.approx(30.0)
 
     def test_effectiveness(self):
-        base = effectiveness(0.5, 0.0)
-        improved = effectiveness(0.5, 0.2)
+        base = expected_defects_found(100, 0.0, 0.0, 0.5)
+        improved = expected_defects_found(100, 0.0, 0.2, 0.5)
         assert improved == pytest.approx(1.2 * base)
-        assert effectiveness(0.5, 0.6) == pytest.approx(0.8)
-        with pytest.raises(ValueError):
-            effectiveness(1.2, 0.0)
-
-    def test_effectiveness_above_one_warns(self):
-        diagnostics = []
-        result = effectiveness(0.9, 0.5, diagnostics)
-        assert result == pytest.approx(1.35)
-        assert len(diagnostics) == 1
-        assert diagnostics[0].severity is Severity.WARNING
+        assert expected_defects_found(1, 0.0, 0.6, 0.5) == pytest.approx(0.8)
 
     def test_defects_found(self):
-        assert defects_found(30, 0.5) == pytest.approx(15.0)
-        assert defects_found(12.5, 1.0) == 12.5
-        assert defects_found(0, 0.9) == 0.0
-        with pytest.raises(ValueError):
-            defects_found(-1, 0.5)
+        assert expected_defects_found(100, 0.5, 0.25, 0.16) == pytest.approx(30.0)
+        assert expected_defects_found(100, 0.5, 0.25) == 187.5  # the default baseline 1 gives the scale
+        assert expected_defects_found(50, 0.3, 0.1, 0.0) == 0.0
+        per_sample = expected_defects_found(100, np.array([0.0, 0.5]), np.array([0.0, 0.25]), 0.16)
+        assert per_sample == pytest.approx([16.0, 30.0])
 
 
 class TestBaseline:
@@ -88,62 +77,56 @@ class TestBaseline:
 
     def test_median_is_outlier_resistant(self):
         projects = [project("a", 10, 1), project("b", 10, 2), project("c", 10, 9)]
-        points = {p.project_id: 0.0 for p in projects}
-        estimate = estimate_baseline(projects, points, points)
+        estimate = estimate_baseline(projects, zero_means(projects))
         assert estimate.estimate == pytest.approx(0.2)
 
     def test_single_project(self):
         projects = [project("a", 100, 30)]
-        points = {"a": 0.0}
-        estimate = estimate_baseline(projects, points, points)
+        estimate = estimate_baseline(projects, zero_means(projects))
         assert estimate.estimate == pytest.approx(0.3)
 
     def test_even_count_averages_middle_two(self):
         projects = [project("a", 10, 1), project("b", 10, 3)]
-        points = {p.project_id: 0.0 for p in projects}
-        estimate = estimate_baseline(projects, points, points)
+        estimate = estimate_baseline(projects, zero_means(projects))
         assert estimate.estimate == pytest.approx(0.2)
 
     def test_small_history_advisory(self):
         diagnostics = []
         projects = [project("a", 10, 1), project("b", 10, 2)]
-        points = {p.project_id: 0.0 for p in projects}
-        estimate_baseline(projects, points, points, diagnostics)
+        estimate_baseline(projects, zero_means(projects), diagnostics)
         assert any(d.code == "small-history" for d in diagnostics)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            estimate_baseline([], {}, {})
+            estimate_baseline([], {})
 
     @settings(max_examples=30, deadline=None)
     @given(st.permutations(list(range(5))))
     def test_median_permutation_invariant(self, order):
         projects = [project(f"p{i}", 10 * (i + 1), 3 * (i + 1)) for i in range(5)]
-        points = {p.project_id: 0.1 * i for i, p in enumerate(projects)}
-        base = estimate_baseline(projects, points, points).estimate
+        means = {p.project_id: (0.1 * i, 0.1 * i) for i, p in enumerate(projects)}
+        base = estimate_baseline(projects, means).estimate
         shuffled = [projects[i] for i in order]
-        assert estimate_baseline(shuffled, points, points).estimate == base
+        assert estimate_baseline(shuffled, means).estimate == base
 
     def test_duplicating_median_element_changes_nothing(self):
         projects = [project("a", 10, 1), project("b", 10, 2), project("c", 10, 9)]
-        points = {p.project_id: 0.0 for p in projects}
         with_duplicate = projects + [project("b2", 10, 2)]
-        points2 = dict(points, b2=0.0)
         assert (
-            estimate_baseline(projects, points, points).estimate
-            == estimate_baseline(with_duplicate, points2, points2).estimate
+            estimate_baseline(projects, zero_means(projects)).estimate
+            == estimate_baseline(with_duplicate, zero_means(with_duplicate)).estimate
         )
 
 
 class TestPrediction:
     def test_degenerate_distributions(self):
-        baseline = estimate_baseline([project("a", 100, 16)], {"a": 0.0}, {"a": 0.0})
+        baseline = estimate_baseline([project("a", 100, 16)], {"a": (0.0, 0.0)})
         prediction = predict_defects_found(100, constant_distribution(0), constant_distribution(0), baseline)
         assert prediction.point == pytest.approx(16.0)
         assert prediction.interval == (pytest.approx(16.0), pytest.approx(16.0))
 
     def test_hand_value(self):
-        baseline = estimate_baseline([project("a", 100, 30)], {"a": 0.5}, {"a": 0.25})
+        baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
         assert baseline.estimate == pytest.approx(0.16)
         prediction = predict_defects_found(
             100, constant_distribution(0.5), constant_distribution(0.25), baseline
@@ -151,14 +134,14 @@ class TestPrediction:
         assert prediction.point == pytest.approx(30.0)
 
     def test_linear_in_size(self):
-        baseline = estimate_baseline([project("a", 100, 30)], {"a": 0.5}, {"a": 0.25})
+        baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
         ddif, eif = constant_distribution(0.4), constant_distribution(0.1)
         small = predict_defects_found(50, ddif, eif, baseline)
         large = predict_defects_found(100, ddif, eif, baseline)
         assert large.point == pytest.approx(2 * small.point)
 
     def test_sample_count_mismatch_rejected(self):
-        baseline = estimate_baseline([project("a", 100, 30)], {"a": 0.0}, {"a": 0.0})
+        baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.0, 0.0)})
         with pytest.raises(ValueError, match="mismatch"):
             predict_defects_found(10, constant_distribution(0, 50), constant_distribution(0, 60), baseline)
 
@@ -168,7 +151,7 @@ class TestPrediction:
         cfg = SimulationConfig(seed=3, sample_count=4000)
         ddif = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
         eif = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
-        baseline = estimate_baseline([project("a", 100, 30)], {"a": 0.2}, {"a": 0.2})
+        baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.2, 0.2)})
         narrow = predict_defects_found(100, ddif, eif, baseline, quantile_pair=(0.25, 0.75))
         wide = predict_defects_found(100, ddif, eif, baseline, quantile_pair=(0.05, 0.95))
         assert wide.interval[0] <= narrow.interval[0]
@@ -185,14 +168,14 @@ class TestPrediction:
         ddif = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
         eif = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
         p = HistoricalProject(characterization=ch, size=137.0, defects_found=41)
-        baseline = estimate_baseline([p], {"rt": ddif.mean}, {"rt": eif.mean})
+        baseline = estimate_baseline([p], {"rt": (ddif.mean, eif.mean)})
         prediction = predict_defects_found(p.size, ddif, eif, baseline)
         assert prediction.point == pytest.approx(41.0, rel=1e-12)
 
     def test_monotone_in_means_and_baseline(self):
         base_projects = [project("a", 100, 30)]
-        baseline_small = estimate_baseline(base_projects, {"a": 0.5}, {"a": 0.5})
-        baseline_large = estimate_baseline(base_projects, {"a": 0.2}, {"a": 0.2})
+        baseline_small = estimate_baseline(base_projects, {"a": (0.5, 0.5)})
+        baseline_large = estimate_baseline(base_projects, {"a": (0.2, 0.2)})
         ddif_lo, ddif_hi = constant_distribution(0.1), constant_distribution(0.4)
         eif = constant_distribution(0.2)
         assert (

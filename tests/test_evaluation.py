@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -9,16 +10,15 @@ from hdce.evaluation import (
     ALL_VARIANTS,
     PredictionRecord,
     Variant,
-    baseline_df_only,
-    baseline_df_size,
     compare_variants,
     loocv,
     mmre,
+    project_factor_means,
     run_validation,
     wilcoxon_signed_rank,
 )
-from hdce.model import HistoricalProject, ProjectCharacterization
-from hdce.simulation import SimulationConfig
+from hdce.model import FactorKind, HistoricalProject, ProjectCharacterization
+from hdce.simulation import SimulationConfig, simulate
 from hdce.synthetic import build_synthetic_model, generate_projects
 from helpers import exact_model, exact_projects, oracle_wilcoxon
 
@@ -107,6 +107,14 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1, 2], [1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN never compares equal, so mid-ranking a NaN difference would never advance
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([1.0, bad, 2.0], [0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([1.0, 2.0], [bad, bad])
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -148,33 +156,32 @@ class TestWilcoxon:
         assert 0.0 < result.p_value <= 1.0
 
 
-class TestBaselinePredictors:
-    def test_df_only_median(self):
-        train = [project("a", 5, 10), project("b", 7, 20), project("c", 11, 40), project("d", 13, 50)]
-        predictor = baseline_df_only(train)
-        assert predictor(project("t", 100, None)) == pytest.approx(30.0)
-        assert predictor(project("t2", 1.0, None)) == pytest.approx(30.0)
+def loocv_predictions(projects, variant):
+    """{project_id: predicted} from loocv with zero DDIF/EIF means."""
+    means = {p.project_id: (0.0, 0.0) for p in projects}
+    records, _ = loocv(exact_model(), projects, variant, SimulationConfig(seed=1, sample_count=1), means=means)
+    return {r.project_id: r.predicted for r in records}
 
-    def test_df_only_single(self):
-        predictor = baseline_df_only([project("a", 5, 7)])
-        assert predictor(project("t", 3, None)) == 7.0
+
+class TestBaselinePredictors:
+    """DF_only and DF_plus_Size: each fold's median over the other projects."""
+
+    def test_df_only_median(self):
+        projects = [project("a", 5, 10), project("b", 7, 20), project("c", 11, 40), project("d", 13, 50)]
+        predicted = loocv_predictions(projects + [project("e", 100, 30)], Variant.DF_ONLY)
+        assert predicted == {"a": 35.0, "b": 35.0, "c": 25.0, "d": 25.0, "e": 30.0}
+        # the target's size plays no part
+        assert loocv_predictions(projects + [project("e", 1.0, 30)], Variant.DF_ONLY) == predicted
 
     def test_df_size_median_density(self):
-        train = [project("a", 100, 10), project("b", 100, 30), project("c", 100, 50)]
-        predictor = baseline_df_size(train)
-        assert predictor(project("t", 100, None)) == pytest.approx(30.0)
-        assert predictor(project("t2", 200, None)) == pytest.approx(60.0)
+        projects = [project("a", 100, 10), project("b", 100, 30), project("c", 100, 50), project("t", 200, 60)]
+        predicted = loocv_predictions(projects, Variant.DF_PLUS_SIZE)
+        assert predicted == pytest.approx({"a": 30.0, "b": 30.0, "c": 30.0, "t": 60.0})
 
     def test_df_size_exact_recovery_on_homogeneous_density(self):
-        train = [project("a", 50, 10), project("b", 150, 30)]
-        predictor = baseline_df_size(train)
-        assert predictor(project("a2", 50, None)) == pytest.approx(10.0)
-
-    def test_empty_train_rejected(self):
-        with pytest.raises(ValueError):
-            baseline_df_only([])
-        with pytest.raises(ValueError):
-            baseline_df_size([])
+        projects = [project("a", 50, 10), project("b", 150, 30), project("c", 100, 20)]
+        predicted = loocv_predictions(projects, Variant.DF_PLUS_SIZE)
+        assert predicted == pytest.approx({"a": 10.0, "b": 30.0, "c": 20.0})
 
 
 class TestLoocv:
@@ -307,3 +314,68 @@ class TestRunValidation:
                 wins[variant] += report.mmre[Variant.HDCE] <= report.mmre[variant]
         for variant, count in wins.items():
             assert count > seeds / 2, f"{variant.value}: {count}/{seeds}"
+
+
+def reference_factor_means(model, projects, cfg):
+    """Per-project simulate(...).mean pairs, as plan, predict and validate once computed them."""
+    return {
+        p.project_id: (
+            simulate(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg).mean,
+            simulate(model, p.characterization, FactorKind.EFFECTIVENESS, cfg).mean,
+        )
+        for p in projects
+    }
+
+
+def reference_prediction(variant, train, target, means):
+    """The former per-variant fold arithmetic: one predictor per variant."""
+    if variant is Variant.DF_ONLY:
+        return float(statistics.median(p.defects_found for p in train))
+    if variant is Variant.DF_PLUS_SIZE:
+        return statistics.median(p.defects_found / p.size for p in train) * target.size
+
+    def inputs(p):
+        ddif, eif = means[p.project_id]
+        if variant is Variant.WITHOUT_DDIF:
+            ddif = 0.0
+        elif variant is Variant.WITHOUT_EIF:
+            eif = 0.0
+        return (1.0 if variant is Variant.WITHOUT_SIZE else p.size), ddif, eif
+
+    values = []
+    for p in train:
+        size, ddif, eif = inputs(p)
+        values.append(p.defects_found / (size * (1.0 + ddif) * (1.0 + eif)))
+    size, ddif, eif = inputs(target)
+    return size * (1.0 + ddif) * (1.0 + eif) * statistics.median(values)
+
+
+class TestReferenceFormulas:
+    """The single LOOCV formula and means function reproduce the former code paths bit for bit."""
+
+    @staticmethod
+    def portfolio(count):
+        rng = np.random.default_rng(2024 + count)
+        model = build_synthetic_model(rng)
+        projects = generate_projects(model, count, rng, noise_sigma=0.3)
+        return model, sorted(projects, key=lambda p: p.project_id)
+
+    def test_project_factor_means_matches_per_project_simulate(self):
+        model, projects = self.portfolio(12)
+        cfg = SimulationConfig(seed=5, sample_count=700)
+        assert project_factor_means(model, projects, cfg) == reference_factor_means(model, projects, cfg)
+
+    @pytest.mark.parametrize("count", [12, 13])  # odd and even training folds
+    def test_loocv_matches_former_per_variant_predictors(self, count):
+        model, projects = self.portfolio(count)
+        assert all(p.defects_found > 0 for p in projects)
+        cfg = SimulationConfig(seed=6, sample_count=700)
+        means = reference_factor_means(model, projects, cfg)
+        for variant in ALL_VARIANTS:
+            records, _ = loocv(model, projects, variant, cfg)
+            expected = [
+                reference_prediction(variant, projects[:i] + projects[i + 1 :], target, means)
+                for i, target in enumerate(projects)
+            ]
+            assert [r.project_id for r in records] == [p.project_id for p in projects]
+            assert [r.predicted for r in records] == expected, variant.value

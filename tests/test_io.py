@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hdce
 from hdce.diagnostics import InputFormatError
 from hdce.io import (
     canonical_json,
@@ -80,6 +81,12 @@ class TestModelFiles:
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="invalid JSON"):
+            load_model(path)
+
+    def test_oversized_integer_literal_reported(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"context": 1' + "0" * 5000 + "}", encoding="utf-8")
         with pytest.raises(InputFormatError, match="invalid JSON"):
             load_model(path)
 
@@ -209,3 +216,9 @@ class TestManifest:
         assert manifest["inputs"][str(model_file)] == sha256_file(model_file)
         assert manifest["outputs"][str(out)] == sha256_file(out)
         assert manifest["timestamp"]
+
+    def test_manifest_tool_version_is_package_version(self, tmp_path):
+        out = tmp_path / "result.json"
+        write_json(out, {"ok": True})
+        manifest = json.loads(write_manifest("plan", [], [out]).read_text(encoding="utf-8"))
+        assert manifest["tool_version"] == hdce.__version__

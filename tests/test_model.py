@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdce.diagnostics import Severity, has_errors
+from hdce.diagnostics import InputFormatError, Severity, has_errors
 from hdce.model import (
     CausalModel,
     Factor,
@@ -228,15 +230,27 @@ class TestSerialization:
     def test_unknown_kind_is_rejected(self):
         data = model_to_dict(reference_model())
         data["factors"][0]["kind"] = "Mystery"
-        from hdce.diagnostics import InputFormatError
-
         with pytest.raises(InputFormatError, match="unknown kind"):
             model_from_dict(data)
 
     def test_unknown_category_is_rejected(self):
         data = model_to_dict(reference_model())
         data["factors"][0]["category"] = "People"
-        from hdce.diagnostics import InputFormatError
-
         with pytest.raises(InputFormatError, match="unknown category"):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+    def test_non_finite_numbers_are_rejected(self, value):
+        # json reads Infinity, NaN and 1e400 as floats; a 400-digit literal stays an int
+        data = model_to_dict(reference_model())
+        data["factors"][0]["multiplier"]["max"] = value
+        with pytest.raises(InputFormatError, match=r"multiplier\.max: expected a finite number"):
+            model_from_dict(data)
+        row = {"project_id": "p", "size": value, "levels": {}}
+        with pytest.raises(InputFormatError, match=r"size: expected a finite number"):
+            project_from_dict(row, "projects[0]")
+
+    def test_defect_count_beyond_float_range_is_rejected(self):
+        row = {"project_id": "p", "size": 10.0, "defects_found": 10**400, "levels": {}}
+        with pytest.raises(InputFormatError, match="within float range"):
+            project_from_dict(row, "projects[0]")

@@ -10,8 +10,6 @@ from hdce.simulation import (
     SimulationConfig,
     analytic_mean,
     counter_uniforms,
-    factor_contribution,
-    sample_triangular,
     simulate,
     triangular_inverse_cdf,
 )
@@ -36,26 +34,26 @@ class TestCounterUniforms:
 
 class TestTriangular:
     def test_support_endpoints(self):
-        assert sample_triangular(0.1, 0.2, 0.3, 0.0) == pytest.approx(0.1, abs=0)
-        assert sample_triangular(0.1, 0.2, 0.3, 1.0 - 1e-12) == pytest.approx(0.3, abs=1e-6)
+        assert triangular_inverse_cdf(0.1, 0.2, 0.3, 0.0) == pytest.approx(0.1, abs=0)
+        assert triangular_inverse_cdf(0.1, 0.2, 0.3, 1.0 - 1e-12) == pytest.approx(0.3, abs=1e-6)
 
     def test_degenerate_constant(self):
         for u in (0.0, 0.3, 0.999):
-            assert sample_triangular(0.0, 0.0, 0.0, u) == 0.0
+            assert triangular_inverse_cdf(0.0, 0.0, 0.0, u) == 0.0
 
     def test_mode_at_minimum_and_maximum(self):
-        assert sample_triangular(0.2, 0.2, 0.5, 0.0) == pytest.approx(0.2, abs=1e-12)
-        assert sample_triangular(0.2, 0.5, 0.5, 0.0) == pytest.approx(0.2, abs=0)
+        assert triangular_inverse_cdf(0.2, 0.2, 0.5, 0.0) == pytest.approx(0.2, abs=1e-12)
+        assert triangular_inverse_cdf(0.2, 0.5, 0.5, 0.0) == pytest.approx(0.2, abs=0)
 
     def test_ordering_violation_rejected(self):
         with pytest.raises(ValueError):
-            sample_triangular(0.3, 0.2, 0.4, 0.5)
+            triangular_inverse_cdf(0.3, 0.2, 0.4, 0.5)
 
     def test_u_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            sample_triangular(0.1, 0.2, 0.3, 1.0)
+            triangular_inverse_cdf(0.1, 0.2, 0.3, 1.0)
         with pytest.raises(ValueError):
-            sample_triangular(0.1, 0.2, 0.3, -0.001)
+            triangular_inverse_cdf(0.1, 0.2, 0.3, -0.001)
 
     def test_sample_mean_matches_analytic(self):
         u = counter_uniforms(777, 1, 0, 100_000)
@@ -71,38 +69,45 @@ class TestTriangular:
     )
     def test_output_within_support_and_monotone_in_u(self, low, d1, d2, u):
         mode, high = low + d1, low + d1 + d2
-        x = sample_triangular(low, mode, high, u)
+        x = triangular_inverse_cdf(low, mode, high, u)
         assert low <= x <= high
-        assert sample_triangular(low, mode, high, min(u + 1e-6, 1 - 1e-9)) >= x - 1e-15
+        assert triangular_inverse_cdf(low, mode, high, min(u + 1e-6, 1 - 1e-9)) >= x - 1e-15
 
 
 class TestFactorContribution:
-    def setup_method(self):
-        self.factor = reference_model().factors[0]
+    """A factor at level L adds L/3 of its multiplier draw, seen through simulate
+    with a degenerate (constant) multiplier so every draw equals 0.30."""
+
+    cfg = SimulationConfig(seed=1, sample_count=64)
+
+    def lone_dc(self, level):
+        model = single_factor_model(0.30, 0.30, 0.30)
+        ch = characterization(model, {"lone-dc": level, "lone-eff": 0})
+        return simulate(model, ch, FactorKind.DEFECT_CONTENT, self.cfg).samples
 
     def test_level_zero_contributes_nothing(self):
-        assert factor_contribution(self.factor, 0, 0.42) == 0.0
+        assert np.all(self.lone_dc(0) == 0.0)
 
     def test_level_three_full_impact(self):
-        assert factor_contribution(self.factor, 3, 0.30) == pytest.approx(0.30)
+        assert np.all(self.lone_dc(3) == 0.30)
 
     def test_level_one_third_impact(self):
-        assert factor_contribution(self.factor, 1, 0.30) == pytest.approx(0.10)
+        assert self.lone_dc(1) == pytest.approx(np.full(64, 0.10))
 
     def test_unquantified_rejected(self):
-        bare = Factor(
-            id="u",
-            name="u",
-            kind=FactorKind.DEFECT_CONTENT,
-            category=self.factor.category,
-            scale=scale_for("u"),
+        model = single_factor_model(0.30, 0.30, 0.30)
+        bare = model.factors[0]
+        model = CausalModel(
+            context=model.context,
+            factors=(Factor(bare.id, bare.name, bare.kind, bare.category, bare.scale, None), model.factors[1]),
         )
-        with pytest.raises(ValueError, match="not quantified"):
-            factor_contribution(bare, 2, 0.3)
+        ch = characterization(model, {"lone-dc": 2, "lone-eff": 0})
+        with pytest.raises(ModelValidationError, match="'lone-dc' has no multiplier"):
+            simulate(model, ch, FactorKind.DEFECT_CONTENT, self.cfg)
 
     def test_bad_level_rejected(self):
-        with pytest.raises(ValueError):
-            factor_contribution(self.factor, 4, 0.3)
+        with pytest.raises(ModelValidationError, match="level 4"):
+            self.lone_dc(4)
 
 
 def single_factor_model(low, mode, high, extra=None):
@@ -164,10 +169,10 @@ class TestSimulate:
         serial = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
         rerun = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
         chunked = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg, chunk_size=1024)
-        threaded = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg, chunk_size=1024, workers=4)
+        uneven = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg, chunk_size=3001)
         assert np.array_equal(serial.samples, rerun.samples)
         assert np.array_equal(serial.samples, chunked.samples)
-        assert np.array_equal(serial.samples, threaded.samples)
+        assert np.array_equal(serial.samples, uneven.samples)
 
     def test_different_seeds_differ(self):
         model = reference_model()
