@@ -21,6 +21,7 @@ from .diagnostics import (
     InputFormatError,
     ModelValidationError,
     Severity,
+    error,
     has_errors,
 )
 from .elicitation import analyze_rankings
@@ -79,6 +80,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    value = _finite_float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a probability in (0, 1), got {text!r}")
+    return value
+
+
 def _seed_type(text: str) -> int:
     try:
         value = int(text)
@@ -118,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rankings", required=True, help="rankings CSV file")
     p.add_argument("--out", required=True, help="analysis report JSON")
     p.add_argument("--threshold", type=_finite_float, default=1.1, help="selection threshold on the minimal mean rank")
-    p.add_argument("--alpha", type=_finite_float, default=0.05, help="significance level for Kendall's W")
+    p.add_argument("--alpha", type=_probability, default=0.05, help="significance level for Kendall's W")
     p.set_defaults(handler=cmd_rank_analyze)
 
     p = sub.add_parser("model-check", parents=[common_files], help="validate a model (and optionally projects)")
@@ -151,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common_files, stochastic], help="run the LOOCV validation harness")
     p.add_argument("--projects", required=True, help="projects JSON file")
-    p.add_argument("--alpha", type=_finite_float, default=0.05, help="significance level for pairwise Wilcoxon tests")
+    p.add_argument("--alpha", type=_probability, default=0.05, help="significance level for pairwise Wilcoxon tests")
     p.add_argument("--variants", type=_parse_variants, default=ALL_VARIANTS, help="all or a comma-separated variant list")
     p.add_argument("--out", required=True, help="validation report JSON")
     p.add_argument("--re-csv", help="per-project RE values CSV (default: <out>.re.csv)")
@@ -438,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except (HdceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:
+        _print_diagnostics([error("out-of-memory", "out of memory; a smaller --samples needs less")])
         return EXIT_VALIDATION
 
 

@@ -206,6 +206,8 @@ def analyze_rankings(
     alpha: float = 0.05,
 ) -> RankingAnalysis:
     """Full questionnaire analysis: stats, W + significance, and factor selection."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not sheets:
         raise ValueError("no ranking sheets provided")
 

@@ -19,12 +19,13 @@ from scipy.stats import norm
 from .diagnostics import Diagnostic, error
 from .estimation import expected_defects_found
 from .model import CausalModel, FactorKind, HistoricalProject
-from .simulation import SimulationConfig, simulate
+from .simulation import SimulationConfig, check_portfolio, simulate_portfolio
 
 # beyond this many nonzero differences, exact enumeration gives way to the
 # normal approximation (2^20 sign patterns is the tractability limit)
 EXACT_ENUMERATION_LIMIT = 20
 MIN_HISTORY_FOR_LOOCV = 3
+_KINDS = (FactorKind.DEFECT_CONTENT, FactorKind.EFFECTIVENESS)
 
 
 class Variant(str, Enum):
@@ -173,14 +174,18 @@ def project_factor_means(
     projects: Sequence[HistoricalProject],
     cfg: SimulationConfig,
 ) -> dict[str, tuple[float, float]]:
-    """One simulation pass per project: map project_id -> (mean DDIF, mean EIF)."""
-    return {
-        p.project_id: (
-            simulate(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg).mean,
-            simulate(model, p.characterization, FactorKind.EFFECTIVENESS, cfg).mean,
-        )
-        for p in projects
-    }
+    """Map project_id -> (mean DDIF, mean EIF), with one simulation pass per kind.
+
+    Every (project, kind) pair is checked first, projects in order and DDIF
+    before EIF, so an invalid input raises the first pair's diagnostics.
+    """
+    characterizations = [p.characterization for p in projects]
+    check_portfolio(model, characterizations, _KINDS)
+    ddif, eif = (
+        [float(np.mean(values)) for values in simulate_portfolio(model, characterizations, kind, cfg)]
+        for kind in _KINDS
+    )
+    return {p.project_id: pair for p, pair in zip(projects, zip(ddif, eif))}
 
 
 def _scale(variant: Variant, project: HistoricalProject, means: Mapping[str, tuple[float, float]]) -> float:
@@ -251,13 +256,17 @@ def loocv(
     return records, excluded
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def compare_variants(
     records_by_variant: Mapping[Variant, Sequence[PredictionRecord]],
     alpha: float = 0.05,
 ) -> list[VariantComparison]:
     """Pairwise two-sided Wilcoxon tests on paired per-project MREs."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     variants = list(records_by_variant)
     project_sets = {
         v: tuple(r.project_id for r in sorted(records_by_variant[v], key=lambda r: r.project_id))
@@ -296,6 +305,7 @@ def run_validation(
     """LOOCV over all requested variants with shared simulation means."""
     if not variants:
         raise ValueError("no variants requested")
+    _check_alpha(alpha)
     usable, excluded = usable_history(historical)
     if len(usable) < MIN_HISTORY_FOR_LOOCV:
         raise ValueError(

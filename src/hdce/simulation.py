@@ -6,13 +6,15 @@ contributions add up across the factors of one kind (no interaction terms).
 
 Sampling is counter-based: the uniform variate for (seed, factor, sample index)
 is derived by hashing, never by advancing shared generator state. Chunked runs
-therefore produce bit-identical sample vectors.
+therefore produce bit-identical sample vectors, and since the draws never
+depend on the project, each factor is drawn once for a whole portfolio.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +31,8 @@ from .model import (
 
 DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_QUANTILE_LEVELS = (0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95)
+# samples drawn per block; any block size gives the same vectors
+BLOCK_SIZE = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -132,16 +136,85 @@ class EmpiricalDistribution:
         return int(self.samples.size)
 
 
-def _simulate_chunk(
-    factors: list[tuple[Factor, int, int]], seed: int, start: int, count: int
-) -> np.ndarray:
-    values = np.zeros(count, dtype=np.float64)
-    for factor, level, stream in factors:
-        m = factor.multiplier
-        u = counter_uniforms(seed, stream, start, count)
-        draws = triangular_inverse_cdf(m.min, m.most_likely, m.max, u)
-        values += (level / MAX_LEVEL) * draws
-    return values
+def check_portfolio(
+    model: CausalModel, characterizations: Sequence[ProjectCharacterization], kinds: Sequence[FactorKind]
+) -> None:
+    """Raise ModelValidationError for the first (characterization, kind) pair that cannot be simulated.
+
+    Pairs are checked characterization-major, kinds in the given order. The
+    error carries the model's diagnostics, that characterization's and the
+    kind's unquantified factors, as simulating the pairs one at a time reports.
+    """
+    model_diagnostics = validate_model(model)
+    unquantified = {
+        kind: [
+            error("unquantified", f"factor {f.id!r} has no multiplier")
+            for f in model.factors_of_kind(kind)
+            if f.multiplier is None
+        ]
+        for kind in kinds
+    }
+    for ch in characterizations:
+        ch_diagnostics = validate_characterization(model, ch)
+        for kind in kinds:
+            diagnostics = model_diagnostics + ch_diagnostics + unquantified[kind]
+            if has_errors(diagnostics):
+                raise ModelValidationError(diagnostics)
+
+
+def _draw_factors(factors: Sequence[Factor], cfg: SimulationConfig, block: int) -> np.ndarray:
+    # one row of triangular draws per factor, filled a block of samples at a
+    # time so that the uniforms and inverse-CDF temporaries stay block-sized
+    n = cfg.sample_count
+    draws = np.empty((len(factors), n), dtype=np.float64)
+    for row, f in zip(draws, factors):
+        m = f.multiplier
+        stream = factor_stream(f.id)
+        for start in range(0, n, block):
+            count = min(block, n - start)
+            u = counter_uniforms(cfg.seed, stream, start, count)
+            row[start : start + count] = triangular_inverse_cdf(m.min, m.most_likely, m.max, u)
+    return draws
+
+
+def _accumulate(
+    draws: np.ndarray, factors: Sequence[Factor], characterizations: Sequence[ProjectCharacterization]
+) -> Iterator[np.ndarray]:
+    scratch = np.empty(draws.shape[1], dtype=np.float64)
+    for ch in characterizations:
+        values = np.zeros(draws.shape[1], dtype=np.float64)
+        for row, f in zip(draws, factors):
+            values += np.multiply(row, ch.levels[f.id] / MAX_LEVEL, out=scratch)
+        yield values
+
+
+def simulate_portfolio(
+    model: CausalModel,
+    characterizations: Sequence[ProjectCharacterization],
+    kind: FactorKind,
+    cfg: SimulationConfig,
+    *,
+    chunk_size: int | None = None,
+) -> Iterator[np.ndarray]:
+    """Sample vectors of the accumulated relative increase (DDIF or EIF), one per characterization.
+
+    Each factor of the kind is drawn once for the whole portfolio; a
+    characterization's vector adds level/3 times each factor's draws, in model
+    order. Inputs are checked and the draws made before this returns; the
+    vectors are yielded in the order of characterizations. A vector depends
+    only on (model, characterization, kind, seed, sample_count): neither the
+    rest of the portfolio nor chunk_size (the samples drawn per block,
+    default BLOCK_SIZE) changes it.
+    """
+    block = BLOCK_SIZE if chunk_size is None else chunk_size
+    if block < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
+    characterizations = list(characterizations)
+    check_portfolio(model, characterizations, (kind,))
+    if not characterizations:
+        return iter(())
+    factors = model.factors_of_kind(kind)
+    return _accumulate(_draw_factors(factors, cfg, block), factors, characterizations)
 
 
 def simulate(
@@ -158,23 +231,7 @@ def simulate(
     Deterministic for fixed (model, characterization, kind, seed, sample_count):
     chunking never changes the sample vector.
     """
-    diagnostics = validate_model(model)
-    diagnostics.extend(validate_characterization(model, ch))
-    kind_factors = model.factors_of_kind(kind)
-    for f in kind_factors:
-        if f.multiplier is None:
-            diagnostics.append(error("unquantified", f"factor {f.id!r} has no multiplier"))
-    if has_errors(diagnostics):
-        raise ModelValidationError(diagnostics)
-
-    factors = [(f, ch.levels[f.id], factor_stream(f.id)) for f in kind_factors]
-    n = cfg.sample_count
-    if chunk_size is None or chunk_size >= n:
-        chunks = [(0, n)]
-    else:
-        chunks = [(s, min(chunk_size, n - s)) for s in range(0, n, chunk_size)]
-    parts = [_simulate_chunk(factors, cfg.seed, start, count) for start, count in chunks]
-    samples = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    (samples,) = simulate_portfolio(model, [ch], kind, cfg, chunk_size=chunk_size)
     return EmpiricalDistribution.from_samples(samples, quantile_levels)
 
 

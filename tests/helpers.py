@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from hdce.model import (
+    MAX_LEVEL,
     CausalModel,
     Factor,
     FactorCategory,
@@ -12,6 +15,7 @@ from hdce.model import (
     Multiplier,
     ProjectCharacterization,
 )
+from hdce.simulation import SimulationConfig, counter_uniforms, factor_stream, triangular_inverse_cdf
 
 DC = FactorKind.DEFECT_CONTENT
 EFF = FactorKind.EFFECTIVENESS
@@ -68,6 +72,20 @@ def characterization(model: CausalModel, levels, project_id: str = "P1") -> Proj
     if isinstance(levels, int):
         levels = {f.id: levels for f in model.factors}
     return ProjectCharacterization(project_id=project_id, levels=dict(levels))
+
+
+def reference_samples(
+    model: CausalModel, ch: ProjectCharacterization, kind: FactorKind, cfg: SimulationConfig
+) -> np.ndarray:
+    """Independent Monte Carlo reference: one factor at a time over the whole sample range,
+    uniforms -> triangular draws -> level/3-weighted accumulation, in model order."""
+    n = cfg.sample_count
+    values = np.zeros(n, dtype=np.float64)
+    for f in model.factors_of_kind(kind):
+        m = f.multiplier
+        u = counter_uniforms(cfg.seed, factor_stream(f.id), 0, n)
+        values += (ch.levels[f.id] / MAX_LEVEL) * triangular_inverse_cdf(m.min, m.most_likely, m.max, u)
+    return values
 
 
 def exact_model() -> CausalModel:

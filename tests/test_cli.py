@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hdce
+from hdce import simulation
 from hdce.cli import main
 from hdce.io import write_json
 from hdce.model import model_to_dict, project_to_dict
@@ -174,6 +175,23 @@ class TestSimulate:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_out_of_memory_is_a_coded_error(self, model_file, projects_file, tmp_path, capsys, monkeypatch):
+        # stands in for --samples 2000000000, whose draws cannot be allocated
+        def exhausted(*_args, **_kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(simulation, "simulate_portfolio", exhausted)
+        out = tmp_path / "o.json"
+        code = main([
+            "simulate", "--model", str(model_file), "--projects", str(projects_file),
+            "--project", "E1", "--kind", "dc", "--seed", "1", "--samples", "2000000000", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: [out-of-memory] out of memory" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPlan:
     def test_chart_csv_and_svg(self, model_file, projects_file, tmp_path, capsys):
@@ -308,6 +326,25 @@ class TestNonFiniteInputs:
         code = main([a.format(value=value, **paths) for a in argv] + ["--out", str(out)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "1", "2", "-0.05"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank-analyze", "--rankings", "{rankings}", "--alpha={value}"],
+            ["validate", "--model", "{model}", "--projects", "{projects}", "--seed", "1", "--alpha={value}"],
+        ],
+        ids=["rank-alpha", "validate-alpha"],
+    )
+    def test_alpha_outside_unit_interval_rejected_before_any_output(
+        self, argv, value, rankings_csv, model_file, projects_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        paths = {"rankings": rankings_csv, "model": model_file, "projects": projects_file}
+        code = main([a.format(value=value, **paths) for a in argv] + ["--out", str(out)])
+        assert code == 2
+        assert "probability in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e400"])

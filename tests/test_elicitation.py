@@ -291,6 +291,11 @@ class TestAnalyzeRankings:
         analysis = analyze_rankings(sheets_from_rows(rows, factors))
         assert any(d.code == "large-group" for d in analysis.advisories)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            analyze_rankings(sheets_from_rows(PP_RANKINGS, PP_FACTORS), alpha=alpha)
+
     def test_invalid_rank_pattern_rejected(self):
         with pytest.raises(InputFormatError, match="not\\s+a permutation"):
             analyze_rankings([sheet("e1", {"a": 1, "b": 1}), sheet("e2", {"a": 1, "b": 2})])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdce import evaluation
+from hdce.diagnostics import ModelValidationError
 from hdce.evaluation import (
     ALL_VARIANTS,
     PredictionRecord,
@@ -17,10 +19,10 @@ from hdce.evaluation import (
     run_validation,
     wilcoxon_signed_rank,
 )
-from hdce.model import FactorKind, HistoricalProject, ProjectCharacterization
+from hdce.model import CausalModel, Factor, FactorKind, HistoricalProject, Multiplier, ProjectCharacterization
 from hdce.simulation import SimulationConfig, simulate
 from hdce.synthetic import build_synthetic_model, generate_projects
-from helpers import exact_model, exact_projects, oracle_wilcoxon
+from helpers import exact_model, exact_projects, oracle_wilcoxon, reference_model, reference_samples
 
 
 def project(pid, size, df, levels=None):
@@ -295,6 +297,15 @@ class TestRunValidation:
         for v in ALL_VARIANTS:
             assert report.mmre[v] == pytest.approx(mmre(list(report.records[v])))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, math.nan])
+    def test_alpha_checked_before_any_simulation(self, alpha, monkeypatch):
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("simulated before checking alpha")
+
+        monkeypatch.setattr(evaluation, "project_factor_means", no_simulation)
+        with pytest.raises(ValueError, match="alpha"):
+            run_validation(exact_model(), exact_projects(), SimulationConfig(seed=1, sample_count=10), alpha=alpha)
+
     def test_ablation_dominance_majority_over_seeds(self):
         # ablating an informative component should usually hurt accuracy
         wins = {Variant.WITHOUT_DDIF: 0, Variant.WITHOUT_EIF: 0, Variant.WITHOUT_SIZE: 0}
@@ -317,14 +328,25 @@ class TestRunValidation:
 
 
 def reference_factor_means(model, projects, cfg):
-    """Per-project simulate(...).mean pairs, as plan, predict and validate once computed them."""
+    """Per-project (mean DDIF, mean EIF) from the per-factor reference loop, one project at a time."""
     return {
         p.project_id: (
-            simulate(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg).mean,
-            simulate(model, p.characterization, FactorKind.EFFECTIVENESS, cfg).mean,
+            float(np.mean(reference_samples(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg))),
+            float(np.mean(reference_samples(model, p.characterization, FactorKind.EFFECTIVENESS, cfg))),
         )
         for p in projects
     }
+
+
+def first_simulation_error(model, projects, cfg):
+    """Diagnostics of the first failing simulate call in the per-project loop (DDIF before EIF)."""
+    for p in projects:
+        for kind in (FactorKind.DEFECT_CONTENT, FactorKind.EFFECTIVENESS):
+            try:
+                simulate(model, p.characterization, kind, cfg)
+            except ModelValidationError as exc:
+                return exc.diagnostics
+    return None
 
 
 def reference_prediction(variant, train, target, means):
@@ -360,10 +382,48 @@ class TestReferenceFormulas:
         projects = generate_projects(model, count, rng, noise_sigma=0.3)
         return model, sorted(projects, key=lambda p: p.project_id)
 
-    def test_project_factor_means_matches_per_project_simulate(self):
-        model, projects = self.portfolio(12)
+    @pytest.mark.parametrize("count", [1, 13, 200])
+    def test_project_factor_means_matches_per_factor_reference(self, count):
+        model, projects = self.portfolio(count)
         cfg = SimulationConfig(seed=5, sample_count=700)
         assert project_factor_means(model, projects, cfg) == reference_factor_means(model, projects, cfg)
+
+    @staticmethod
+    def tweaked_model(tweak):
+        factors = list(reference_model().factors)
+        eif = next(i for i, f in enumerate(factors) if f.kind is FactorKind.EFFECTIVENESS)
+        index, multiplier = {
+            "unquantified-eif": (eif, None),
+            "unquantified-dc": (0, None),
+            "misordered-dc": (0, Multiplier(0.5, 0.2, 0.4)),
+        }.get(tweak, (None, None))
+        if index is not None:
+            f = factors[index]
+            factors[index] = Factor(f.id, f.name, f.kind, f.category, f.scale, multiplier)
+        if tweak == "three-dc":
+            del factors[:2]
+        return CausalModel(context="c", factors=tuple(factors))
+
+    @pytest.mark.parametrize(
+        "tweak, bad_project, codes",
+        [
+            ("unquantified-eif", 1, {"unquantified"}),  # (p0, EIF) comes before (p1, DDIF)
+            ("unquantified-dc", 1, {"unquantified"}),
+            ("none", 0, {"bad-level"}),
+            ("misordered-dc", 1, {"multiplier-order"}),  # model errors stop the first pair
+            ("three-dc", 1, {"factor-count", "bad-level"}),  # the model's advisory rides along
+        ],
+    )
+    def test_first_invalid_pair_raises_what_the_per_project_loop_raised(self, tweak, bad_project, codes):
+        model = self.tweaked_model(tweak)
+        levels = [{f.id: 2 for f in model.factors} for _ in range(3)]
+        levels[bad_project][model.factors[-1].id] = 4
+        projects = [project(f"p{i}", 100.0, 10, lv) for i, lv in enumerate(levels)]
+        cfg = SimulationConfig(seed=3, sample_count=50)
+        with pytest.raises(ModelValidationError) as raised:
+            project_factor_means(model, projects, cfg)
+        assert raised.value.diagnostics == first_simulation_error(model, projects, cfg)
+        assert {d.code for d in raised.value.diagnostics} == codes
 
     @pytest.mark.parametrize("count", [12, 13])  # odd and even training folds
     def test_loocv_matches_former_per_variant_predictors(self, count):

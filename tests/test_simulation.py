@@ -11,9 +11,10 @@ from hdce.simulation import (
     analytic_mean,
     counter_uniforms,
     simulate,
+    simulate_portfolio,
     triangular_inverse_cdf,
 )
-from helpers import characterization, reference_model, scale_for
+from helpers import characterization, reference_model, reference_samples, scale_for
 
 
 class TestCounterUniforms:
@@ -244,6 +245,55 @@ class TestSimulate:
         ch = characterization(model, {f.id: 1 for f in model.factors[:-1]})
         with pytest.raises(ModelValidationError):
             simulate(model, ch, FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1, sample_count=10))
+
+
+class TestPortfolioEngine:
+    """simulate_portfolio against the per-factor reference loop, byte for byte."""
+
+    @staticmethod
+    def portfolio(model, count):
+        return [
+            characterization(model, {f.id: (i + j) % 4 for j, f in enumerate(model.factors)}, f"P{i}")
+            for i in range(count)
+        ]
+
+    @pytest.mark.parametrize("chunk_size", [None, 1000, 3001, 65537])
+    def test_simulate_matches_reference(self, chunk_size):
+        # 70,000 samples span two default blocks of 65,536
+        model = reference_model()
+        ch = self.portfolio(model, 2)[1]
+        cfg = SimulationConfig(seed=31, sample_count=70_000)
+        for kind in FactorKind:
+            samples = simulate(model, ch, kind, cfg, chunk_size=chunk_size).samples
+            assert samples.tobytes() == reference_samples(model, ch, kind, cfg).tobytes()
+
+    @pytest.mark.parametrize("chunk_size", [None, 7])
+    def test_every_portfolio_vector_matches_reference(self, chunk_size):
+        model = reference_model()
+        chs = self.portfolio(model, 9)
+        cfg = SimulationConfig(seed=8, sample_count=500)
+        for kind in FactorKind:
+            vectors = list(simulate_portfolio(model, chs, kind, cfg, chunk_size=chunk_size))
+            assert len(vectors) == len(chs)
+            for ch, values in zip(chs, vectors):
+                assert values.tobytes() == reference_samples(model, ch, kind, cfg).tobytes()
+
+    def test_empty_portfolio_yields_nothing(self):
+        model = reference_model()
+        assert list(simulate_portfolio(model, [], FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1))) == []
+
+    def test_checks_before_returning(self):
+        # the error comes from the call itself, not from iterating its result
+        model = reference_model()
+        bad = characterization(model, {f.id: 1 for f in model.factors[:-1]})
+        with pytest.raises(ModelValidationError):
+            simulate_portfolio(model, [bad], FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1))
+
+    def test_bad_chunk_size_rejected(self):
+        model = reference_model()
+        with pytest.raises(ValueError, match="chunk_size"):
+            simulate_portfolio(model, [characterization(model, 1)], FactorKind.DEFECT_CONTENT,
+                               SimulationConfig(seed=1), chunk_size=0)
 
 
 class TestSimulationConfig:
