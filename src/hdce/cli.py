@@ -435,6 +435,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"usage error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # a directory, no permission, ...
+        where = f"cannot use {exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc)
+        print(f"usage error: {where}", file=sys.stderr)
+        return EXIT_USAGE
     except EmptyInputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,12 +14,11 @@ from math import isfinite, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .diagnostics import Diagnostic, error
 from .estimation import expected_defects_found
 from .model import CausalModel, FactorKind, HistoricalProject
-from .simulation import SimulationConfig, check_portfolio, simulate_portfolio
+from .simulation import SimulationConfig, _draw_portfolio, check_portfolio
 
 # beyond this many nonzero differences, exact enumeration gives way to the
 # normal approximation (2^20 sign patterns is the tractability limit)
@@ -136,10 +135,13 @@ def _exact_two_sided(ranks: Sequence[float], w_plus: float) -> float:
 
 
 def _normal_two_sided(ranks: Sequence[float], w_plus: float) -> float:
+    # imported here, not at module level, so that importing hdce never loads scipy
+    from scipy.special import ndtr
+
     mu = sum(ranks) / 2.0
     sigma = sqrt(sum(r * r for r in ranks) / 4.0)
     deviation = max(abs(w_plus - mu) - 0.5, 0.0)  # continuity correction
-    return min(1.0, 2.0 * float(norm.sf(deviation / sigma)))
+    return min(1.0, 2.0 * float(ndtr(-(deviation / sigma))))
 
 
 def wilcoxon_signed_rank(
@@ -176,13 +178,14 @@ def project_factor_means(
 ) -> dict[str, tuple[float, float]]:
     """Map project_id -> (mean DDIF, mean EIF), with one simulation pass per kind.
 
-    Every (project, kind) pair is checked first, projects in order and DDIF
-    before EIF, so an invalid input raises the first pair's diagnostics.
+    Every (project, kind) pair is checked once, before any draw, projects in
+    order and DDIF before EIF, so an invalid input raises the first pair's
+    diagnostics.
     """
     characterizations = [p.characterization for p in projects]
     check_portfolio(model, characterizations, _KINDS)
     ddif, eif = (
-        [float(np.mean(values)) for values in simulate_portfolio(model, characterizations, kind, cfg)]
+        [float(np.mean(values)) for values in _draw_portfolio(model, characterizations, kind, cfg)]
         for kind in _KINDS
     )
     return {p.project_id: pair for p, pair in zip(projects, zip(ddif, eif))}

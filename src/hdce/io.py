@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from io import StringIO
 from pathlib import Path
 
 from . import __version__
@@ -113,8 +114,15 @@ def _apply_unknown_policy(
         diagnostics.append(warning("unknown-fields", f"ignoring unknown fields: {listing}"))
 
 
+def _read_text(path: str | Path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{what} file {path}: not UTF-8 text ({exc})") from None
+
+
 def _load_json_file(path: str | Path, what: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, what)
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
@@ -139,49 +147,48 @@ def load_projects(
 
 def load_rankings(path: str | Path) -> list[RankingSheet]:
     """Parse the rankings CSV into one sheet per (expert, kind, category)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError(f"rankings file {path} is empty") from None
-        if [h.strip() for h in header] != RANKINGS_HEADER:
+    reader = csv.reader(StringIO(_read_text(path, "rankings")))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInputError(f"rankings file {path} is empty") from None
+    if [h.strip() for h in header] != RANKINGS_HEADER:
+        raise InputFormatError(
+            f"rankings file {path}: header must be {','.join(RANKINGS_HEADER)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    grouped: dict[tuple[str, FactorKind, FactorCategory], dict[str, float]] = {}
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(RANKINGS_HEADER):
             raise InputFormatError(
-                f"rankings file {path}: header must be {','.join(RANKINGS_HEADER)!r}, "
-                f"got {','.join(header)!r}"
+                f"{path}:{line_no}: expected {len(RANKINGS_HEADER)} columns, got {len(row)}"
             )
-        grouped: dict[tuple[str, FactorKind, FactorCategory], dict[str, float]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(RANKINGS_HEADER):
-                raise InputFormatError(
-                    f"{path}:{line_no}: expected {len(RANKINGS_HEADER)} columns, got {len(row)}"
-                )
-            expert_id, kind_text, category_text, factor_id, rank_text = (c.strip() for c in row)
-            if not is_token(expert_id) or not is_token(factor_id):
-                raise InputFormatError(f"{path}:{line_no}: expert_id and factor_id must be tokens")
-            try:
-                kind = FactorKind(kind_text)
-            except ValueError:
-                raise InputFormatError(f"{path}:{line_no}: unknown kind {kind_text!r}") from None
-            try:
-                category = FactorCategory(category_text)
-            except ValueError:
-                raise InputFormatError(f"{path}:{line_no}: unknown category {category_text!r}") from None
-            try:
-                rank = float(rank_text)
-            except ValueError:
-                raise InputFormatError(f"{path}:{line_no}: rank {rank_text!r} is not a number") from None
-            if rank <= 0:
-                raise InputFormatError(f"{path}:{line_no}: rank must be positive, got {rank}")
-            key = (expert_id, kind, category)
-            sheet = grouped.setdefault(key, {})
-            if factor_id in sheet:
-                raise InputFormatError(
-                    f"{path}:{line_no}: duplicate rank for expert {expert_id!r}, factor {factor_id!r}"
-                )
-            sheet[factor_id] = rank
+        expert_id, kind_text, category_text, factor_id, rank_text = (c.strip() for c in row)
+        if not is_token(expert_id) or not is_token(factor_id):
+            raise InputFormatError(f"{path}:{line_no}: expert_id and factor_id must be tokens")
+        try:
+            kind = FactorKind(kind_text)
+        except ValueError:
+            raise InputFormatError(f"{path}:{line_no}: unknown kind {kind_text!r}") from None
+        try:
+            category = FactorCategory(category_text)
+        except ValueError:
+            raise InputFormatError(f"{path}:{line_no}: unknown category {category_text!r}") from None
+        try:
+            rank = float(rank_text)
+        except ValueError:
+            raise InputFormatError(f"{path}:{line_no}: rank {rank_text!r} is not a number") from None
+        if rank <= 0:
+            raise InputFormatError(f"{path}:{line_no}: rank must be positive, got {rank}")
+        key = (expert_id, kind, category)
+        sheet = grouped.setdefault(key, {})
+        if factor_id in sheet:
+            raise InputFormatError(
+                f"{path}:{line_no}: duplicate rank for expert {expert_id!r}, factor {factor_id!r}"
+            )
+        sheet[factor_id] = rank
     if not grouped:
         raise EmptyInputError(f"rankings file {path} contains no data rows")
     return [

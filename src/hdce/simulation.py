@@ -211,6 +211,18 @@ def simulate_portfolio(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
     characterizations = list(characterizations)
     check_portfolio(model, characterizations, (kind,))
+    return _draw_portfolio(model, characterizations, kind, cfg, block)
+
+
+def _draw_portfolio(
+    model: CausalModel,
+    characterizations: Sequence[ProjectCharacterization],
+    kind: FactorKind,
+    cfg: SimulationConfig,
+    block: int = BLOCK_SIZE,
+) -> Iterator[np.ndarray]:
+    # simulate_portfolio without the input check, for callers that ran
+    # check_portfolio on these characterizations and this kind already
     if not characterizations:
         return iter(())
     factors = model.factors_of_kind(kind)

@@ -124,6 +124,13 @@ class TestModelCheck:
         assert code == 2
         assert "file not found" in capsys.readouterr().err
 
+    def test_non_utf8_model_is_input_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(bytes(range(128, 256)))
+        assert main(["model-check", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"input error: model file {path}: not UTF-8 text" in err
+
     def test_strict_mode_rejects_unknown_fields(self, tmp_path):
         data = model_to_dict(exact_model())
         data["future_field"] = 1
@@ -366,3 +373,78 @@ class TestNonFiniteInputs:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f'.{field}: expected a finite number' in proc.stderr
+
+
+class TestUnreadablePaths:
+    """A path that exists but cannot be read or written is a usage error naming it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model-check", "--model", "{dir}"],
+            ["rank-analyze", "--rankings", "{dir}", "--out", "{tmp}/analysis.json"],
+            ["rank-analyze", "--rankings", "{rankings}", "--out", "{dir}"],
+            ["plan", "--model", "{model}", "--projects", "{projects}", "--seed", "1", "--samples", "50",
+             "--out", "{tmp}/chart.csv", "--svg", "{dir}"],
+        ],
+        ids=["model-dir", "rankings-dir", "out-dir", "svg-dir"],
+    )
+    def test_directory_is_usage_error(self, argv, rankings_csv, model_file, projects_file, tmp_path, capsys):
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        paths = {"dir": directory, "tmp": tmp_path, "rankings": rankings_csv, "model": model_file,
+                 "projects": projects_file}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: cannot use {directory}: " in err
+        assert "Traceback" not in err
+
+
+_SCIPY_PROBE = """
+import json, sys
+import hdce.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import": [0, scipy_modules()]}
+for name, argv in json.loads(sys.argv[1]):
+    loaded[name] = [hdce.cli.main(argv), scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+class TestScipyImports:
+    """Only the two p-values load scipy, and only scipy.special."""
+
+    EXAMPLES = Path(__file__).resolve().parents[1] / "schemas" / "examples"
+
+    def test_only_rank_analyze_loads_scipy_special(self, tmp_path):
+        model, projects = str(self.EXAMPLES / "model.json"), str(self.EXAMPLES / "projects.json")
+        files = ["--model", model, "--projects", projects]
+        stochastic = ["--seed", "7", "--samples", "1000"]
+        commands = [
+            ["model-check", ["model-check", *files, "--require-quantified"]],
+            ["simulate", ["simulate", *files, *stochastic, "--project", "review-c", "--kind", "dc",
+                          "--out", str(tmp_path / "ddif.json")]],
+            ["plan", ["plan", *files, *stochastic, "--out", str(tmp_path / "chart.csv"),
+                      "--svg", str(tmp_path / "chart.svg")]],
+            ["predict", ["predict", *files, *stochastic, "--target", "review-next",
+                         "--out", str(tmp_path / "prediction.json")]],
+            ["validate", ["validate", *files, *stochastic, "--out", str(tmp_path / "report.json")]],
+            ["rank-analyze", ["rank-analyze", "--rankings", str(self.EXAMPLES / "rankings.csv"),
+                              "--out", str(tmp_path / "analysis.json")]],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(hdce.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        for name in ("import", "model-check", "simulate", "plan", "predict", "validate"):
+            assert loaded[name] == [0, []], name
+        code, modules = loaded["rank-analyze"]
+        assert code == 0
+        assert "scipy.special" in modules
+        assert "scipy.stats" not in modules

@@ -227,6 +227,15 @@ class TestWSignificance:
         assert result.p_value > 0.05
         assert result.small_n_approximation
 
+    @pytest.mark.parametrize("m", [2, 7, 15])
+    def test_p_value_is_bit_identical_to_scipy_stats_chi2_sf(self, m):
+        from scipy.stats import chi2  # the reference the p-value used to be computed with
+
+        for n in range(2, 41):
+            for w in [i / 50 for i in range(51)] + [1e-9, 0.123, 0.999999]:
+                expected = float(chi2.sf(m * (n - 1) * w, n - 1))
+                assert w_significance(w, m, n).p_value == expected, (w, m, n)
+
 
 class TestSelectFactors:
     def test_project_category_selects_single_factor(self):

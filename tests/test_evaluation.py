@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdce import evaluation
+from hdce import evaluation, simulation
 from hdce.diagnostics import ModelValidationError
 from hdce.evaluation import (
     ALL_VARIANTS,
@@ -156,6 +156,38 @@ class TestWilcoxon:
         result = wilcoxon_signed_rank(x, y)
         assert result.method == "normal-approximation"
         assert 0.0 < result.p_value <= 1.0
+
+
+def former_normal_two_sided(ranks, w_plus):
+    """The normal-approximation p-value as computed with scipy.stats.norm.sf."""
+    from scipy.stats import norm
+
+    mu = sum(ranks) / 2.0
+    sigma = math.sqrt(sum(r * r for r in ranks) / 4.0)
+    deviation = max(abs(w_plus - mu) - 0.5, 0.0)
+    return min(1.0, 2.0 * float(norm.sf(deviation / sigma)))
+
+
+class TestNormalApproximationBits:
+    @pytest.mark.parametrize("n", [21, 30, 57, 100])
+    def test_equals_scipy_stats_norm_sf_over_every_statistic(self, n):
+        ranks = [float(r) for r in range(1, n + 1)]
+        for step in range(n * (n + 1) + 1):  # every W+ from 0 to n(n+1)/2 in steps of 0.5
+            w_plus = step / 2
+            assert evaluation._normal_two_sided(ranks, w_plus) == former_normal_two_sided(ranks, w_plus), w_plus
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wilcoxon_beyond_the_exact_limit_keeps_its_p_value(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 30 + 10 * seed
+        x = list(np.round(rng.normal(0.3, 1.0, n), 1))  # rounding leaves tied magnitudes
+        y = list(np.round(rng.normal(0.0, 1.0, n), 1))
+        result = wilcoxon_signed_rank(x, y)
+        assert result.method == "normal-approximation"
+        assert result.n_nonzero > 20
+        nonzero = [a - b for a, b in zip(x, y) if a - b != 0.0]
+        ranks = evaluation._midranks([abs(d) for d in nonzero])
+        assert result.p_value == former_normal_two_sided(ranks, result.statistic)
 
 
 def loocv_predictions(projects, variant):
@@ -424,6 +456,24 @@ class TestReferenceFormulas:
             project_factor_means(model, projects, cfg)
         assert raised.value.diagnostics == first_simulation_error(model, projects, cfg)
         assert {d.code for d in raised.value.diagnostics} == codes
+
+    def test_each_project_is_checked_once(self, monkeypatch):
+        model, projects = self.portfolio(13)
+        calls = {"model": 0, "characterization": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(simulation, "validate_model", counted("model", simulation.validate_model))
+        monkeypatch.setattr(
+            simulation, "validate_characterization", counted("characterization", simulation.validate_characterization)
+        )
+        project_factor_means(model, projects, SimulationConfig(seed=5, sample_count=50))
+        assert calls == {"model": 1, "characterization": 13}
 
     @pytest.mark.parametrize("count", [12, 13])  # odd and even training folds
     def test_loocv_matches_former_per_variant_predictors(self, count):

@@ -90,6 +90,12 @@ class TestModelFiles:
         with pytest.raises(InputFormatError, match="invalid JSON"):
             load_model(path)
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"context": "\xff\xfe"}')
+        with pytest.raises(InputFormatError, match=r"model file .*model\.json: not UTF-8 text"):
+            load_model(path)
+
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.json")
@@ -186,6 +192,12 @@ class TestRankingsCsv:
             encoding="utf-8",
         )
         with pytest.raises(InputFormatError, match="duplicate rank"):
+            load_rankings(path)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "rankings.csv"
+        path.write_bytes(b"expert_id,kind,category,factor_id,rank\ne1,DefectContent,Product,f\xe9,1\n")
+        with pytest.raises(InputFormatError, match=r"rankings file .*rankings\.csv: not UTF-8 text"):
             load_rankings(path)
 
     def test_wrong_header_rejected(self, tmp_path):
