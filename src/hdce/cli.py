@@ -299,7 +299,11 @@ def cmd_plan(args) -> int:
     io.write_csv(args.out, ["project_id", "relative_dd", "relative_eff", "quadrant"], rows)
     outputs = [args.out]
     if args.svg:
-        Path(args.svg).write_text(planning.risk_chart_svg(chart), encoding="utf-8")
+        try:
+            Path(args.svg).write_text(planning.risk_chart_svg(chart), encoding="utf-8")
+        except OSError:
+            Path(args.out).unlink(missing_ok=True)  # leave no CSV without its manifest
+            raise
         outputs.append(args.svg)
     for point in chart.points:
         print(planning.risk_narrative(point), file=sys.stderr)

@@ -20,9 +20,11 @@ from .estimation import expected_defects_found
 from .model import CausalModel, FactorKind, HistoricalProject
 from .simulation import SimulationConfig, _draw_portfolio, check_portfolio
 
-# beyond this many nonzero differences, exact enumeration gives way to the
-# normal approximation (2^20 sign patterns is the tractability limit)
+# beyond this many nonzero differences, the exact test gives way to the normal
+# approximation; kept at 20 so that no reported p-value changes method or bits
 EXACT_ENUMERATION_LIMIT = 20
+# the exact test's int64 counts of sign assignments hold 2^k only up to k = 62
+MAX_EXACT_LIMIT = 62
 MIN_HISTORY_FOR_LOOCV = 3
 _KINDS = (FactorKind.DEFECT_CONTENT, FactorKind.EFFECTIVENESS)
 
@@ -112,7 +114,7 @@ def _midranks(values: Sequence[float]) -> list[float]:
     ranks = [0.0] * len(values)
     i = 0
     while i < len(order):
-        j = i
+        j = i + 1  # not i: NaN != NaN, and the scan must advance past it
         while j < len(order) and values[order[j]] == values[order[i]]:
             j += 1
         mid = (i + 1 + j) / 2.0
@@ -123,14 +125,17 @@ def _midranks(values: Sequence[float]) -> list[float]:
 
 
 def _exact_two_sided(ranks: Sequence[float], w_plus: float) -> float:
-    # distribution of W+ over all 2^k sign assignments, built by doubling
-    sums = np.zeros(1, dtype=np.float64)
-    for r in ranks:
-        sums = np.concatenate([sums, sums + r])
-    total = sums.size
-    n_le = int(np.count_nonzero(sums <= w_plus))
-    n_ge = int(np.count_nonzero(sums >= w_plus))
-    one_sided = min(n_le, n_ge) / total
+    # counts[s] = number of the 2^k sign assignments whose W+ is s / 2; mid-ranks
+    # are half-integers, so doubled rank sums are exact integers
+    doubled = [int(2 * r) for r in ranks]
+    counts = np.zeros(sum(doubled) + 1, dtype=np.int64)
+    counts[0] = 1
+    for d in doubled:
+        counts[d:] += counts[:-d].copy()
+    observed = int(2 * w_plus)
+    n_le = int(counts[: observed + 1].sum())
+    n_ge = int(counts[observed:].sum())
+    one_sided = min(n_le, n_ge) / 2 ** len(doubled)
     return min(1.0, 2.0 * one_sided)
 
 
@@ -150,10 +155,14 @@ def wilcoxon_signed_rank(
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     Zero differences are dropped before ranking, ties get mid-ranks. Up to
-    exact_limit nonzero differences the p-value is exact (full enumeration of
-    sign assignments); beyond that a normal approximation with continuity
-    correction is used. All differences zero yields p = 1 with a degenerate flag.
+    exact_limit nonzero differences the p-value is exact (the 2^k sign
+    assignments are counted per rank sum, not listed); beyond that a normal
+    approximation with continuity correction is used. exact_limit may not
+    exceed MAX_EXACT_LIMIT. All differences zero yields p = 1 with a
+    degenerate flag.
     """
+    if exact_limit > MAX_EXACT_LIMIT:
+        raise ValueError(f"exact_limit must be at most {MAX_EXACT_LIMIT}, got {exact_limit}")
     if len(x) != len(y):
         raise ValueError(f"paired samples must have equal length, got {len(x)} and {len(y)}")
     if not x:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from hdce.model import (
@@ -415,3 +417,24 @@ def oracle_wilcoxon(x, y) -> float:
         n_ge += w >= observed
     total = 2 ** len(nonzero)
     return min(1.0, 2.0 * min(n_le, n_ge) / total)
+
+
+@functools.lru_cache(maxsize=1)
+def _former_sign_sums(ranks: tuple[float, ...]) -> np.ndarray:
+    sums = np.zeros(1, dtype=np.float64)
+    for r in ranks:
+        sums = np.concatenate([sums, sums + r])
+    return sums
+
+
+def former_exact_two_sided(ranks, w_plus) -> float:
+    """The exact p-value as hdce first computed it: every 2^k W+ sum, built by doubling.
+
+    The sums of the last rank set are cached, so a sweep over W+ builds them once.
+    """
+    sums = _former_sign_sums(tuple(ranks))
+    total = sums.size
+    n_le = int(np.count_nonzero(sums <= w_plus))
+    n_ge = int(np.count_nonzero(sums >= w_plus))
+    one_sided = min(n_le, n_ge) / total
+    return min(1.0, 2.0 * one_sided)

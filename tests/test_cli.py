@@ -398,6 +398,9 @@ class TestUnreadablePaths:
         err = capsys.readouterr().err
         assert f"usage error: cannot use {directory}: " in err
         assert "Traceback" not in err
+        # a failed run leaves no output behind, and so no output without its manifest
+        assert not (tmp_path / "chart.csv").exists()
+        assert not list(tmp_path.glob("*.manifest.json"))
 
 
 _SCIPY_PROBE = """

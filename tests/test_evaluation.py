@@ -1,5 +1,10 @@
+import json
 import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,14 @@ from hdce.evaluation import (
 from hdce.model import CausalModel, Factor, FactorKind, HistoricalProject, Multiplier, ProjectCharacterization
 from hdce.simulation import SimulationConfig, simulate
 from hdce.synthetic import build_synthetic_model, generate_projects
-from helpers import exact_model, exact_projects, oracle_wilcoxon, reference_model, reference_samples
+from helpers import (
+    exact_model,
+    exact_projects,
+    former_exact_two_sided,
+    oracle_wilcoxon,
+    reference_model,
+    reference_samples,
+)
 
 
 def project(pid, size, df, levels=None):
@@ -111,7 +123,7 @@ class TestWilcoxon:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        # NaN never compares equal, so mid-ranking a NaN difference would never advance
+        # a NaN difference has no rank, so no p-value can be reported for it
         with pytest.raises(ValueError, match="finite"):
             wilcoxon_signed_rank([1.0, bad, 2.0], [0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
@@ -156,6 +168,68 @@ class TestWilcoxon:
         result = wilcoxon_signed_rank(x, y)
         assert result.method == "normal-approximation"
         assert 0.0 < result.p_value <= 1.0
+
+
+# untied and tied rank sets, k = 1..20; magnitudes rounded to 3 or 6 values tie often
+_RANK_SETS = [[float(r) for r in range(1, k + 1)] for k in range(1, 21)] + [
+    evaluation._midranks(list(np.round(np.random.default_rng(k).random(k) * levels)))
+    for k in range(1, 21)
+    for levels in (2, 5)
+]
+
+
+class TestExactCountBits:
+    """Counting rank sums gives the bits of the former 2^k enumeration."""
+
+    @pytest.mark.parametrize("ranks", _RANK_SETS, ids=lambda r: f"k{len(r)}-" + "-".join(f"{x:g}" for x in r[:4]))
+    def test_equals_former_enumeration_over_every_statistic(self, ranks):
+        for step in range(int(2 * sum(ranks)) + 1):  # every W+ from 0 to sum(ranks) in steps of 0.5
+            w_plus = step / 2
+            assert evaluation._exact_two_sided(ranks, w_plus) == former_exact_two_sided(ranks, w_plus), w_plus
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_wilcoxon_equals_former_enumeration(self, pairs):
+        x = [round(a, 1) for a, _ in pairs]  # rounding leaves tied magnitudes and zero differences
+        y = [round(b, 1) for _, b in pairs]
+        result = wilcoxon_signed_rank(x, y)
+        nonzero = [a - b for a, b in zip(x, y) if a - b != 0.0]
+        if not nonzero:
+            assert result.degenerate
+            return
+        assert result.method == "exact"
+        ranks = evaluation._midranks([abs(d) for d in nonzero])
+        assert result.p_value == former_exact_two_sided(ranks, result.statistic)
+
+    def test_exact_limit_above_int64_counts_rejected(self):
+        with pytest.raises(ValueError, match="exact_limit"):
+            wilcoxon_signed_rank([1.0, 2.0], [0.0, 0.0], exact_limit=evaluation.MAX_EXACT_LIMIT + 1)
+
+    def test_forty_pair_exact_test_near_normal_approximation(self):
+        rng = np.random.default_rng(40)
+        x = list(rng.normal(0.3, 1.0, 40))
+        y = list(rng.normal(0.0, 1.0, 40))
+        exact = wilcoxon_signed_rank(x, y, exact_limit=40)
+        approx = wilcoxon_signed_rank(x, y)
+        assert (exact.method, exact.n_nonzero) == ("exact", 40)
+        assert approx.method == "normal-approximation"
+        assert exact.p_value == pytest.approx(approx.p_value, abs=0.01)
+
+
+class TestMidranks:
+    def test_nan_returns(self):
+        # NaN never equals itself; a scan that starts at the element itself never advances
+        probe = "import math; from hdce import evaluation; print(evaluation._midranks([math.nan, 1.0, math.nan]))"
+        env = dict(os.environ, PYTHONPATH=str(Path(evaluation.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(json.loads(proc.stdout)) == [1.0, 2.0, 3.0]
 
 
 def former_normal_two_sided(ranks, w_plus):
