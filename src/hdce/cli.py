@@ -25,7 +25,7 @@ from .diagnostics import (
     has_errors,
 )
 from .elicitation import analyze_rankings
-from .evaluation import ALL_VARIANTS, Variant, project_factor_means, run_validation
+from .evaluation import ALL_VARIANTS, Variant, means_and_target_samples, project_factor_means, run_validation
 from .model import FactorKind, validate_characterization, validate_model
 from .simulation import SimulationConfig, simulate
 
@@ -334,9 +334,8 @@ def cmd_predict(args) -> int:
         return EXIT_VALIDATION
 
     cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
-    baseline = estimation.estimate_baseline(historical, project_factor_means(model, historical, cfg), diagnostics)
-    target_ddif = simulate(model, target.characterization, FactorKind.DEFECT_CONTENT, cfg)
-    target_eif = simulate(model, target.characterization, FactorKind.EFFECTIVENESS, cfg)
+    means, target_ddif, target_eif = means_and_target_samples(model, historical, target, cfg)
+    baseline = estimation.estimate_baseline(historical, means, diagnostics)
     prediction = estimation.predict_defects_found(
         target.size, target_ddif, target_eif, baseline, quantile_pair=args.quantiles
     )
@@ -350,8 +349,8 @@ def cmd_predict(args) -> int:
             "quantile_pair": list(args.quantiles),
             "baseline": baseline.estimate,
             "per_project_eq5_values": baseline.per_project_values,
-            "ddif_mean": target_ddif.mean,
-            "eif_mean": target_eif.mean,
+            "ddif_mean": prediction.ddif_mean,
+            "eif_mean": prediction.eif_mean,
         },
     )
     io.write_manifest(

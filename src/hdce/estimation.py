@@ -19,7 +19,6 @@ import numpy as np
 
 from .diagnostics import Diagnostic, advisory
 from .model import HistoricalProject
-from .simulation import EmpiricalDistribution
 
 DEFAULT_PREDICTION_QUANTILES = (0.10, 0.90)
 # below this many historical projects the baseline is shaky
@@ -38,7 +37,8 @@ class BaselineEstimate:
 class DefectsFoundPrediction:
     point: float
     interval: tuple[float, float]
-    inputs_digest: dict
+    ddif_mean: float
+    eif_mean: float
 
 
 def expected_defects_found(size, ddif, eif, baseline=1.0):
@@ -88,38 +88,26 @@ def estimate_baseline(
 
 def predict_defects_found(
     size: float,
-    ddif: EmpiricalDistribution,
-    eif: EmpiricalDistribution,
+    ddif_samples: np.ndarray,
+    eif_samples: np.ndarray,
     baseline: BaselineEstimate,
     quantile_pair: tuple[float, float] = DEFAULT_PREDICTION_QUANTILES,
 ) -> DefectsFoundPrediction:
-    """Point prediction from distribution means plus a quantile interval.
+    """Point prediction from the sample means plus a quantile interval.
 
     The interval comes from the per-sample values size*(1+DDIF_s)*(1+EIF_s)*baseline,
     pairing the i-th DDIF draw with the i-th EIF draw.
     """
     if not size > 0:
         raise ValueError(f"size must be > 0, got {size}")
-    if ddif.sample_count != eif.sample_count:
-        raise ValueError(
-            f"sample-count mismatch: ddif has {ddif.sample_count}, eif has {eif.sample_count}"
-        )
+    if ddif_samples.size != eif_samples.size:
+        raise ValueError(f"sample-count mismatch: ddif has {ddif_samples.size}, eif has {eif_samples.size}")
     low_q, high_q = quantile_pair
     if not 0.0 <= low_q <= high_q <= 1.0:
         raise ValueError(f"quantile pair must satisfy 0 <= low <= high <= 1, got {quantile_pair}")
 
-    point = expected_defects_found(size, ddif.mean, eif.mean, baseline.estimate)
-    per_sample = expected_defects_found(size, ddif.samples, eif.samples, baseline.estimate)
+    ddif_mean, eif_mean = float(np.mean(ddif_samples)), float(np.mean(eif_samples))
+    point = expected_defects_found(size, ddif_mean, eif_mean, baseline.estimate)
+    per_sample = expected_defects_found(size, ddif_samples, eif_samples, baseline.estimate)
     low, high = np.quantile(per_sample, [low_q, high_q])
-    return DefectsFoundPrediction(
-        point=point,
-        interval=(float(low), float(high)),
-        inputs_digest={
-            "size": size,
-            "ddif_mean": ddif.mean,
-            "eif_mean": eif.mean,
-            "baseline_estimate": baseline.estimate,
-            "sample_count": ddif.sample_count,
-            "quantile_pair": (low_q, high_q),
-        },
-    )
+    return DefectsFoundPrediction(point, (float(low), float(high)), ddif_mean, eif_mean)

@@ -7,9 +7,10 @@ Wilcoxon signed-rank test applies directly to the MRE differences.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import islice
 from math import isfinite, sqrt
 from typing import Mapping, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .diagnostics import Diagnostic, error
 from .estimation import expected_defects_found
-from .model import CausalModel, FactorKind, HistoricalProject
+from .model import CausalModel, FactorKind, HistoricalProject, ProjectCharacterization
 from .simulation import SimulationConfig, _draw_portfolio, check_portfolio
 
 # beyond this many nonzero differences, the exact test gives way to the normal
@@ -124,18 +125,24 @@ def _midranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _exact_two_sided(ranks: Sequence[float], w_plus: float) -> float:
-    # counts[s] = number of the 2^k sign assignments whose W+ is s / 2; mid-ranks
-    # are half-integers, so doubled rank sums are exact integers
-    doubled = [int(2 * r) for r in ranks]
+@lru_cache(maxsize=32)
+def _cumulative_sign_counts(doubled: tuple[int, ...]) -> tuple[int, ...]:
+    # entry s = number of the 2^k sign assignments whose doubled W+ is at most s;
+    # mid-ranks are half-integers, so doubled rank sums are exact integers
     counts = np.zeros(sum(doubled) + 1, dtype=np.int64)
     counts[0] = 1
     for d in doubled:
         counts[d:] += counts[:-d].copy()
+    return tuple(np.cumsum(counts).tolist())
+
+
+def _exact_two_sided(ranks: Sequence[float], w_plus: float) -> float:
+    # counts do not depend on rank order: sorted, every equal rank set shares a table
+    cumulative = _cumulative_sign_counts(tuple(sorted(int(2 * r) for r in ranks)))
     observed = int(2 * w_plus)
-    n_le = int(counts[: observed + 1].sum())
-    n_ge = int(counts[observed:].sum())
-    one_sided = min(n_le, n_ge) / 2 ** len(doubled)
+    n_le = cumulative[observed]
+    n_ge = cumulative[-1] - (cumulative[observed - 1] if observed else 0)
+    one_sided = min(n_le, n_ge) / 2 ** len(ranks)
     return min(1.0, 2.0 * one_sided)
 
 
@@ -180,10 +187,19 @@ def wilcoxon_signed_rank(
     return WilcoxonResult(_normal_two_sided(ranks, w_plus), w_plus, len(nonzero), "normal-approximation")
 
 
+def _kind_pass(
+    model: CausalModel, characterizations: Sequence[ProjectCharacterization], kind: FactorKind, cfg: SimulationConfig
+) -> tuple[list[float], np.ndarray]:
+    # one engine pass: every vector's mean, and the last vector; map drops each
+    # vector after its mean, so no finished one is alive while the next is built
+    vectors = _draw_portfolio(model, characterizations, kind, cfg)
+    means = [float(m) for m in map(np.mean, islice(vectors, len(characterizations) - 1))]
+    last = next(vectors)
+    return means + [float(np.mean(last))], last
+
+
 def project_factor_means(
-    model: CausalModel,
-    projects: Sequence[HistoricalProject],
-    cfg: SimulationConfig,
+    model: CausalModel, projects: Sequence[HistoricalProject], cfg: SimulationConfig
 ) -> dict[str, tuple[float, float]]:
     """Map project_id -> (mean DDIF, mean EIF), with one simulation pass per kind.
 
@@ -191,13 +207,23 @@ def project_factor_means(
     order and DDIF before EIF, so an invalid input raises the first pair's
     diagnostics.
     """
+    if not projects:
+        return {}
     characterizations = [p.characterization for p in projects]
     check_portfolio(model, characterizations, _KINDS)
-    ddif, eif = (
-        [float(np.mean(values)) for values in _draw_portfolio(model, characterizations, kind, cfg)]
-        for kind in _KINDS
-    )
+    ddif, eif = (_kind_pass(model, characterizations, kind, cfg)[0] for kind in _KINDS)
     return {p.project_id: pair for p, pair in zip(projects, zip(ddif, eif))}
+
+
+def means_and_target_samples(
+    model: CausalModel, history: Sequence[HistoricalProject], target: HistoricalProject, cfg: SimulationConfig
+) -> tuple[dict[str, tuple[float, float]], np.ndarray, np.ndarray]:
+    """project_factor_means of the history, plus the target's DDIF and EIF sample vectors
+    from the same pass per kind; the target goes last, so it is also checked last."""
+    characterizations = [p.characterization for p in history] + [target.characterization]
+    check_portfolio(model, characterizations, _KINDS)
+    (ddif_means, ddif), (eif_means, eif) = (_kind_pass(model, characterizations, kind, cfg) for kind in _KINDS)
+    return {p.project_id: pair for p, pair in zip(history, zip(ddif_means, eif_means))}, ddif, eif
 
 
 def _scale(variant: Variant, project: HistoricalProject, means: Mapping[str, tuple[float, float]]) -> float:
@@ -260,12 +286,24 @@ def loocv(
     scales = [_scale(variant, p, means) for p in usable]
     ratios = [p.defects_found / scale for p, scale in zip(usable, scales)]
     records = [
-        PredictionRecord.from_values(
-            target.project_id, target.defects_found, scales[i] * statistics.median(ratios[:i] + ratios[i + 1 :])
-        )
-        for i, target in enumerate(usable)
+        PredictionRecord.from_values(target.project_id, target.defects_found, scale * median)
+        for target, scale, median in zip(usable, scales, _leave_one_out_medians(ratios))
     ]
     return records, excluded
+
+
+def _leave_one_out_medians(values: Sequence[float]) -> list[float]:
+    """statistics.median of values without its i-th element, for every i, from one sort."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ordered = [values[i] for i in order]
+    half, odd = divmod(len(values) - 1, 2)
+    medians = [0.0] * len(values)
+    for position, i in enumerate(order):
+        # index j of the fold's sorted values is index j, or j + 1 past the target
+        lower = ordered[half - 1 + (half - 1 >= position)]
+        upper = ordered[half + (half >= position)]
+        medians[i] = upper if odd else (lower + upper) / 2
+    return medians
 
 
 def _check_alpha(alpha: float) -> None:

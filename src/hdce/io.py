@@ -33,7 +33,6 @@ from .model import (
 RANKINGS_HEADER = ["expert_id", "kind", "category", "factor_id", "rank"]
 
 JSON_FLOAT_DIGITS = 17
-TABLE_FLOAT_DIGITS = 6
 
 
 # ---------------------------------------------------------------------------

@@ -82,19 +82,12 @@ class Factor:
     scale: FactorScale
     multiplier: Multiplier | None = None
 
-    @property
-    def quantified(self) -> bool:
-        return self.multiplier is not None
-
 
 @dataclass(frozen=True)
 class CausalModel:
     context: str
     factors: tuple[Factor, ...]
     provenance: str = ""
-
-    def factor_map(self) -> dict[str, Factor]:
-        return {f.id: f for f in self.factors}
 
     def factors_of_kind(self, kind: FactorKind) -> tuple[Factor, ...]:
         return tuple(f for f in self.factors if f.kind == kind)
@@ -329,28 +322,6 @@ def model_from_dict(data: object) -> tuple[CausalModel, list[str]]:
     return model, unknown
 
 
-def model_to_dict(model: CausalModel) -> dict:
-    out: dict = {"context": model.context, "factors": []}
-    for f in model.factors:
-        entry: dict = {
-            "id": f.id,
-            "name": f.name,
-            "kind": f.kind.value,
-            "category": f.category.value,
-            "scale": list(f.scale.levels),
-        }
-        if f.multiplier is not None:
-            entry["multiplier"] = {
-                "min": f.multiplier.min,
-                "most_likely": f.multiplier.most_likely,
-                "max": f.multiplier.max,
-            }
-        out["factors"].append(entry)
-    if model.provenance:
-        out["provenance"] = model.provenance
-    return out
-
-
 def project_from_dict(data: object, where: str) -> tuple[HistoricalProject, list[str]]:
     if not isinstance(data, dict):
         raise InputFormatError(f"{where}: project must be an object")
@@ -394,11 +365,3 @@ def projects_from_list(data: object) -> tuple[list[HistoricalProject], list[str]
         projects.append(project)
         unknown.extend(extra)
     return projects, unknown
-
-
-def project_to_dict(project: HistoricalProject) -> dict:
-    out: dict = {"project_id": project.project_id, "size": project.size}
-    if project.defects_found is not None:
-        out["defects_found"] = project.defects_found
-    out["levels"] = dict(sorted(project.characterization.levels.items()))
-    return out

@@ -61,13 +61,18 @@ def counter_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarr
     index range reproduces the same variates.
     """
     key = _mix64(seed ^ _mix64(stream))
-    counters = np.arange(start, start + count, dtype=np.uint64)
-    z = np.uint64(key) + counters * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
+    # the splitmix64 steps run in place on one buffer, with one shift temporary
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(key)
+    shifted = np.empty_like(z)
+    for bits, mix in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(bits), out=shifted)
+        z *= np.uint64(mix)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     # top 53 bits give a double in [0, 1)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z >>= np.uint64(11)
+    return z * 2.0**-53
 
 
 def triangular_inverse_cdf(minimum: float, mode: float, maximum: float, u):
@@ -86,12 +91,19 @@ def triangular_inverse_cdf(minimum: float, mode: float, maximum: float, u):
         return float(out) if np.isscalar(u) else out
     span = maximum - minimum
     mode_cdf = (mode - minimum) / span
-    lower = u_arr < mode_cdf
-    out = np.empty_like(u_arr)
-    out[lower] = minimum + np.sqrt(u_arr[lower] * span * (mode - minimum))
-    out[~lower] = maximum - np.sqrt((1.0 - u_arr[~lower]) * span * (maximum - mode))
+    # both branches over the whole block, in place; both square-root arguments
+    # are non-negative on [0, 1), and the lower branch is kept below mode_cdf
+    block = np.atleast_1d(u_arr)
+    lo = block * span
+    lo *= mode - minimum
+    np.add(minimum, np.sqrt(lo, out=lo), out=lo)
+    hi = np.subtract(1.0, block)
+    hi *= span
+    hi *= maximum - mode
+    np.subtract(maximum, np.sqrt(hi, out=hi), out=hi)
+    np.copyto(hi, lo, where=block < mode_cdf)
     # the sqrt can overshoot the support by one ulp at the edges
-    out = np.clip(out, minimum, maximum)
+    out = np.clip(hi, minimum, maximum, out=hi).reshape(u_arr.shape)
     return float(out) if np.isscalar(u) else out
 
 
@@ -117,23 +129,17 @@ class EmpiricalDistribution:
     quantiles: dict[float, float] = field(default_factory=dict)
 
     @classmethod
-    def from_samples(
-        cls, samples: np.ndarray, quantile_levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS
-    ) -> "EmpiricalDistribution":
+    def from_samples(cls, samples: np.ndarray) -> "EmpiricalDistribution":
         samples = np.asarray(samples, dtype=np.float64)
         if samples.size == 0:
             raise ValueError("cannot build a distribution from zero samples")
-        values = np.quantile(samples, quantile_levels)
+        values = np.quantile(samples, DEFAULT_QUANTILE_LEVELS)
         return cls(
             samples=samples,
             mean=float(np.mean(samples)),
             sd=float(np.std(samples)),
-            quantiles={float(q): float(v) for q, v in zip(quantile_levels, values)},
+            quantiles={float(q): float(v) for q, v in zip(DEFAULT_QUANTILE_LEVELS, values)},
         )
-
-    @property
-    def sample_count(self) -> int:
-        return int(self.samples.size)
 
 
 def check_portfolio(
@@ -180,12 +186,18 @@ def _draw_factors(factors: Sequence[Factor], cfg: SimulationConfig, block: int) 
 def _accumulate(
     draws: np.ndarray, factors: Sequence[Factor], characterizations: Sequence[ProjectCharacterization]
 ) -> Iterator[np.ndarray]:
-    scratch = np.empty(draws.shape[1], dtype=np.float64)
+    # a block at a time, so that the product temporary stays block-sized
+    n = draws.shape[1]
+    scratch = np.empty(min(n, BLOCK_SIZE), dtype=np.float64)
     for ch in characterizations:
-        values = np.zeros(draws.shape[1], dtype=np.float64)
-        for row, f in zip(draws, factors):
-            values += np.multiply(row, ch.levels[f.id] / MAX_LEVEL, out=scratch)
+        weights = [ch.levels[f.id] / MAX_LEVEL for f in factors]
+        values = np.zeros(n, dtype=np.float64)
+        for start in range(0, n, BLOCK_SIZE):
+            part = values[start : start + BLOCK_SIZE]
+            for row, weight in zip(draws, weights):
+                part += np.multiply(row[start : start + BLOCK_SIZE], weight, out=scratch[: part.size])
         yield values
+        del values, part  # free it (part views it) before the next vector is allocated
 
 
 def simulate_portfolio(
@@ -236,7 +248,6 @@ def simulate(
     cfg: SimulationConfig,
     *,
     chunk_size: int | None = None,
-    quantile_levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS,
 ) -> EmpiricalDistribution:
     """Simulate the accumulated relative increase (DDIF or EIF) for one project.
 
@@ -244,7 +255,7 @@ def simulate(
     chunking never changes the sample vector.
     """
     (samples,) = simulate_portfolio(model, [ch], kind, cfg, chunk_size=chunk_size)
-    return EmpiricalDistribution.from_samples(samples, quantile_levels)
+    return EmpiricalDistribution.from_samples(samples)
 
 
 def analytic_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorKind) -> float:

@@ -17,7 +17,9 @@ from hdce.model import (
     Multiplier,
     ProjectCharacterization,
 )
-from hdce.simulation import SimulationConfig, counter_uniforms, factor_stream, triangular_inverse_cdf
+from hdce.estimation import estimate_baseline, expected_defects_found
+from hdce.evaluation import project_factor_means
+from hdce.simulation import SimulationConfig, counter_uniforms, factor_stream, simulate, triangular_inverse_cdf
 
 DC = FactorKind.DEFECT_CONTENT
 EFF = FactorKind.EFFECTIVENESS
@@ -88,6 +90,93 @@ def reference_samples(
         u = counter_uniforms(cfg.seed, factor_stream(f.id), 0, n)
         values += (ch.levels[f.id] / MAX_LEVEL) * triangular_inverse_cdf(m.min, m.most_likely, m.max, u)
     return values
+
+
+def model_to_dict(model: CausalModel) -> dict:
+    """The model-file JSON object for a model, as io.load_model reads it."""
+    out: dict = {"context": model.context, "factors": []}
+    for f in model.factors:
+        entry: dict = {
+            "id": f.id,
+            "name": f.name,
+            "kind": f.kind.value,
+            "category": f.category.value,
+            "scale": list(f.scale.levels),
+        }
+        if f.multiplier is not None:
+            entry["multiplier"] = {
+                "min": f.multiplier.min,
+                "most_likely": f.multiplier.most_likely,
+                "max": f.multiplier.max,
+            }
+        out["factors"].append(entry)
+    if model.provenance:
+        out["provenance"] = model.provenance
+    return out
+
+
+def project_to_dict(project: HistoricalProject) -> dict:
+    """The projects-file JSON object for one project, as io.load_projects reads it."""
+    out: dict = {"project_id": project.project_id, "size": project.size}
+    if project.defects_found is not None:
+        out["defects_found"] = project.defects_found
+    out["levels"] = dict(sorted(project.characterization.levels.items()))
+    return out
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _former_mix64(z: int) -> int:
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK64
+
+
+def former_counter_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """counter_uniforms as hdce first computed it: one new array per splitmix64 step."""
+    key = _former_mix64(seed ^ _former_mix64(stream))
+    counters = np.arange(start, start + count, dtype=np.uint64)
+    z = np.uint64(key) + counters * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def former_triangular_inverse_cdf(minimum: float, mode: float, maximum: float, u):
+    """triangular_inverse_cdf as hdce first computed it: each branch on a boolean gather."""
+    u_arr = np.asarray(u, dtype=np.float64)
+    if minimum == maximum:
+        out = np.full_like(u_arr, minimum)
+        return float(out) if np.isscalar(u) else out
+    span = maximum - minimum
+    mode_cdf = (mode - minimum) / span
+    lower = u_arr < mode_cdf
+    out = np.empty_like(u_arr)
+    out[lower] = minimum + np.sqrt(u_arr[lower] * span * (mode - minimum))
+    out[~lower] = maximum - np.sqrt((1.0 - u_arr[~lower]) * span * (maximum - mode))
+    out = np.clip(out, minimum, maximum)
+    return float(out) if np.isscalar(u) else out
+
+
+def former_prediction(
+    model: CausalModel,
+    history: list[HistoricalProject],
+    target: HistoricalProject,
+    cfg: SimulationConfig,
+    quantile_pair: tuple[float, float] = (0.10, 0.90),
+) -> tuple[float, tuple[float, float], float, float]:
+    """(point, interval, ddif_mean, eif_mean) as predict first computed them: the history's
+    means, then two simulate calls that draw the target's factors again."""
+    baseline = estimate_baseline(history, project_factor_means(model, history, cfg))
+    ddif = simulate(model, target.characterization, FactorKind.DEFECT_CONTENT, cfg)
+    eif = simulate(model, target.characterization, FactorKind.EFFECTIVENESS, cfg)
+    point = expected_defects_found(target.size, ddif.mean, eif.mean, baseline.estimate)
+    per_sample = expected_defects_found(target.size, ddif.samples, eif.samples, baseline.estimate)
+    low, high = np.quantile(per_sample, list(quantile_pair))
+    return point, (float(low), float(high)), ddif.mean, eif.mean
 
 
 def exact_model() -> CausalModel:

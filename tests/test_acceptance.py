@@ -15,7 +15,7 @@ from hdce.elicitation import RankingSheet, kendalls_w, select_factors
 from hdce.estimation import estimate_baseline, predict_defects_found
 from hdce.evaluation import Variant, run_validation, wilcoxon_signed_rank
 from hdce.io import write_json
-from hdce.model import FactorKind, model_to_dict, project_to_dict
+from hdce.model import FactorKind
 from hdce.planning import build_risk_chart
 from hdce.simulation import SimulationConfig, analytic_mean, simulate
 from hdce.synthetic import build_synthetic_model, generate_projects
@@ -29,7 +29,9 @@ from helpers import (
     characterization,
     exact_model,
     exact_projects,
+    model_to_dict,
     oracle_wilcoxon,
+    project_to_dict,
     reference_model,
     write_rankings_csv,
 )
@@ -118,7 +120,7 @@ def test_criterion_4_equation_round_trip():
             eif = simulate(model, project.characterization, FactorKind.EFFECTIVENESS, cfg)
             pid = project.project_id
             baseline = estimate_baseline([project], {pid: (ddif.mean, eif.mean)})
-            prediction = predict_defects_found(project.size, ddif, eif, baseline)
+            prediction = predict_defects_found(project.size, ddif.samples, eif.samples, baseline)
             assert prediction.point == pytest.approx(project.defects_found, rel=1e-12)
 
 

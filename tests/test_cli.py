@@ -8,15 +8,17 @@ from pathlib import Path
 import pytest
 
 import hdce
-from hdce import simulation
+from hdce import cli, simulation
 from hdce.cli import main
-from hdce.io import write_json
-from hdce.model import model_to_dict, project_to_dict
+from hdce.io import load_model, load_projects, write_json
 from helpers import (
     EXPECTED_DC_SELECTION,
     EXPECTED_EFF_SELECTION,
     exact_model,
     exact_projects,
+    former_prediction,
+    model_to_dict,
+    project_to_dict,
     reference_model,
     write_rankings_csv,
 )
@@ -261,6 +263,55 @@ class TestPredict:
         ])
         assert code == 0
         assert read_json(out)["quantile_pair"] == [0.25, 0.75]
+
+
+class TestPredictOnePass:
+    """predict draws each factor once, for the history and the target together."""
+
+    EXAMPLES = Path(__file__).resolve().parents[1] / "schemas" / "examples"
+
+    def run(self, tmp_path, samples):
+        out = tmp_path / "prediction.json"
+        code = main([
+            "predict", "--model", str(self.EXAMPLES / "model.json"), "--projects", str(self.EXAMPLES / "projects.json"),
+            "--target", "review-next", "--seed", "7", "--samples", str(samples), "--out", str(out),
+        ])
+        assert code == 0
+        return read_json(out)
+
+    def test_output_equals_former_two_simulate_path(self, tmp_path):
+        model = load_model(self.EXAMPLES / "model.json")
+        projects = {p.project_id: p for p in load_projects(self.EXAMPLES / "projects.json")}
+        target = projects.pop("review-next")
+        history = [p for p in projects.values() if p.defects_found is not None]
+        cfg = simulation.SimulationConfig(seed=7, sample_count=20_000)
+        point, interval, ddif_mean, eif_mean = former_prediction(model, history, target, cfg)
+        payload = self.run(tmp_path, 20_000)
+        assert (payload["point"], tuple(payload["interval"])) == (point, interval)
+        assert (payload["ddif_mean"], payload["eif_mean"]) == (ddif_mean, eif_mean)
+
+    def test_each_factor_draws_its_uniforms_exactly_once(self, tmp_path, monkeypatch):
+        drawn = {}
+        counter_uniforms = simulation.counter_uniforms
+
+        def recorded(seed, stream, start, count):
+            drawn.setdefault(stream, []).append((start, count))
+            return counter_uniforms(seed, stream, start, count)
+
+        def no_summary(*_args, **_kwargs):
+            raise AssertionError("predict needs no simulate call and no quantile summary")
+
+        monkeypatch.setattr(simulation, "counter_uniforms", recorded)
+        monkeypatch.setattr(cli, "simulate", no_summary)
+        monkeypatch.setattr(simulation.EmpiricalDistribution, "from_samples", no_summary)
+        samples = 100_000  # two blocks per factor
+        self.run(tmp_path, samples)
+        model = load_model(self.EXAMPLES / "model.json")
+        assert set(drawn) == {simulation.factor_stream(f.id) for f in model.factors}
+        for ranges in drawn.values():
+            assert sum(count for _, count in ranges) == samples
+            assert sorted(ranges) == [(start, min(simulation.BLOCK_SIZE, samples - start))
+                                      for start in range(0, samples, simulation.BLOCK_SIZE)]
 
 
 class TestValidate:

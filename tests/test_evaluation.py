@@ -4,6 +4,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,14 @@ from hypothesis import strategies as st
 
 from hdce import evaluation, simulation
 from hdce.diagnostics import ModelValidationError
+from hdce.estimation import estimate_baseline, predict_defects_found
 from hdce.evaluation import (
     ALL_VARIANTS,
     PredictionRecord,
     Variant,
     compare_variants,
     loocv,
+    means_and_target_samples,
     mmre,
     project_factor_means,
     run_validation,
@@ -31,6 +34,7 @@ from helpers import (
     exact_model,
     exact_projects,
     former_exact_two_sided,
+    former_prediction,
     oracle_wilcoxon,
     reference_model,
     reference_samples,
@@ -207,6 +211,18 @@ class TestExactCountBits:
         ranks = evaluation._midranks([abs(d) for d in nonzero])
         assert result.p_value == former_exact_two_sided(ranks, result.statistic)
 
+    def test_tests_with_one_rank_set_share_one_table_of_plain_ints(self):
+        evaluation._cumulative_sign_counts.cache_clear()
+        ranks = [float(r) for r in range(1, 21)]
+        first = evaluation._exact_two_sided(ranks, 50.0)
+        shuffled = evaluation._exact_two_sided(ranks[10:] + ranks[:10], 50.0)
+        assert first == shuffled == former_exact_two_sided(ranks, 50.0)
+        info = evaluation._cumulative_sign_counts.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        table = evaluation._cumulative_sign_counts(tuple(range(2, 42, 2)))
+        assert all(type(c) is int for c in table)
+        assert table[-1] == 2**20
+
     def test_exact_limit_above_int64_counts_rejected(self):
         with pytest.raises(ValueError, match="exact_limit"):
             wilcoxon_signed_rank([1.0, 2.0], [0.0, 0.0], exact_limit=evaluation.MAX_EXACT_LIMIT + 1)
@@ -360,6 +376,20 @@ class TestLoocv:
         model = exact_model()
         with pytest.raises(ValueError, match="at least 3"):
             loocv(model, exact_projects()[:2], Variant.HDCE, SimulationConfig(seed=1, sample_count=16))
+
+
+class TestLeaveOneOutMedians:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]) | st.floats(min_value=0.01, max_value=100.0),
+            min_size=3,
+            max_size=200,
+        )
+    )
+    def test_equal_statistics_median_of_every_fold(self, values):
+        expected = [statistics.median(values[:i] + values[i + 1 :]) for i in range(len(values))]
+        assert evaluation._leave_one_out_medians(values) == expected
 
 
 class TestCompareVariants:
@@ -563,3 +593,80 @@ class TestReferenceFormulas:
             ]
             assert [r.project_id for r in records] == [p.project_id for p in projects]
             assert [r.predicted for r in records] == expected, variant.value
+
+
+class TestPredictPass:
+    """One checked pass per kind over history + [target] gives what the former
+    history means plus two target simulate calls gave, bit for bit."""
+
+    @staticmethod
+    def portfolio(count):
+        rng = np.random.default_rng(77 + count)
+        model = build_synthetic_model(rng)
+        projects = generate_projects(model, count, rng, noise_sigma=0.3)
+        return model, projects[:-1], projects[-1]
+
+    @staticmethod
+    def predict(model, history, target, cfg, quantile_pair=(0.10, 0.90)):
+        means, ddif, eif = means_and_target_samples(model, history, target, cfg)
+        prediction = predict_defects_found(target.size, ddif, eif, estimate_baseline(history, means), quantile_pair)
+        return prediction.point, prediction.interval, prediction.ddif_mean, prediction.eif_mean
+
+    @pytest.mark.parametrize(
+        "count, samples, quantile_pair",
+        [(2, 500, (0.10, 0.90)), (6, 70_000, (0.05, 0.95)), (41, 3000, (0.25, 0.75))],
+    )
+    def test_prediction_equals_former_two_simulate_path(self, count, samples, quantile_pair):
+        model, history, target = self.portfolio(count)
+        cfg = SimulationConfig(seed=11, sample_count=samples)
+        assert self.predict(model, history, target, cfg, quantile_pair) == former_prediction(
+            model, history, target, cfg, quantile_pair
+        )
+        means, _, _ = means_and_target_samples(model, history, target, cfg)
+        assert means == project_factor_means(model, history, cfg)
+
+    @pytest.mark.parametrize(
+        "tweak, bad_project, codes",
+        [
+            ("none", 1, {"bad-level"}),  # a historical project
+            ("none", 3, {"bad-level"}),  # the target, on its DDIF pair
+            ("unquantified-eif", 3, {"unquantified"}),  # (p0, EIF) comes before the target
+            ("unquantified-dc", 3, {"unquantified"}),
+        ],
+    )
+    def test_first_invalid_pair_raises_what_the_former_path_raised(self, tweak, bad_project, codes):
+        model = TestReferenceFormulas.tweaked_model(tweak)
+        levels = [{f.id: 2 for f in model.factors} for _ in range(4)]
+        levels[bad_project][model.factors[-1].id] = 4
+        projects = [project(f"p{i}", 100.0, 10, lv) for i, lv in enumerate(levels)]
+        cfg = SimulationConfig(seed=3, sample_count=50)
+        with pytest.raises(ModelValidationError) as former:
+            former_prediction(model, projects[:3], projects[3], cfg)
+        with pytest.raises(ModelValidationError) as raised:
+            means_and_target_samples(model, projects[:3], projects[3], cfg)
+        assert raised.value.diagnostics == former.value.diagnostics
+        assert {d.code for d in raised.value.diagnostics} == codes
+
+    def test_peak_memory_not_above_former_path(self):
+        model, history, target = self.portfolio(6)
+        cfg = SimulationConfig(seed=12, sample_count=200_000)
+
+        def one_pass():
+            self.predict(model, history, target, cfg)
+
+        def former():
+            former_prediction(model, history, target, cfg)
+
+        def peak(run):
+            # the least of three runs: a lazy cache filled during one run adds to its peak
+            peaks = []
+            for _ in range(3):
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return min(peaks)
+
+        assert peak(one_pass) <= peak(former)

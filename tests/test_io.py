@@ -15,8 +15,7 @@ from hdce.io import (
     write_json,
     write_manifest,
 )
-from hdce.model import model_to_dict, project_to_dict
-from helpers import exact_projects, reference_model, write_rankings_csv
+from helpers import exact_projects, model_to_dict, project_to_dict, reference_model, write_rankings_csv
 
 
 @pytest.fixture

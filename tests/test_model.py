@@ -15,13 +15,11 @@ from hdce.model import (
     Multiplier,
     ProjectCharacterization,
     model_from_dict,
-    model_to_dict,
     project_from_dict,
-    project_to_dict,
     validate_characterization,
     validate_model,
 )
-from helpers import characterization, reference_model, scale_for
+from helpers import characterization, model_to_dict, project_to_dict, reference_model, scale_for
 
 
 def errors_of(diagnostics):

@@ -14,7 +14,14 @@ from hdce.simulation import (
     simulate_portfolio,
     triangular_inverse_cdf,
 )
-from helpers import characterization, reference_model, reference_samples, scale_for
+from helpers import (
+    characterization,
+    former_counter_uniforms,
+    former_triangular_inverse_cdf,
+    reference_model,
+    reference_samples,
+    scale_for,
+)
 
 
 class TestCounterUniforms:
@@ -73,6 +80,53 @@ class TestTriangular:
         x = triangular_inverse_cdf(low, mode, high, u)
         assert low <= x <= high
         assert triangular_inverse_cdf(low, mode, high, min(u + 1e-6, 1 - 1e-9)) >= x - 1e-15
+
+
+_EDGE_U = np.array([0.0, 1.0 - 2.0**-53])
+
+
+@st.composite
+def ordered_triples(draw):
+    """(min, mode, max) with min <= mode <= max, often with two or all three equal."""
+    values = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=3, max_size=3)))
+    shape = draw(st.sampled_from(["distinct", "mode-at-min", "mode-at-max", "constant"]))
+    low, mode, high = values
+    if shape == "mode-at-min":
+        mode = low
+    elif shape == "mode-at-max":
+        mode = high
+    elif shape == "constant":
+        mode = high = low
+    return low, mode, high
+
+
+class TestKernelBits:
+    """The in-place kernels give the bits of the former allocating ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**48),
+        st.integers(min_value=1, max_value=5000),
+    )
+    def test_uniforms_equal_former(self, seed, stream, start, count):
+        assert np.array_equal(
+            counter_uniforms(seed, stream, start, count), former_counter_uniforms(seed, stream, start, count)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(ordered_triples(), st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=3000))
+    def test_triangular_equals_former(self, triple, seed, count):
+        u = np.concatenate([_EDGE_U, counter_uniforms(seed, 1, 0, count)])
+        assert np.array_equal(triangular_inverse_cdf(*triple, u), former_triangular_inverse_cdf(*triple, u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ordered_triples(), st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0, exclude_max=True))
+    def test_scalar_u_gives_the_former_float(self, triple, u):
+        value = triangular_inverse_cdf(*triple, u)
+        assert type(value) is float
+        assert value == former_triangular_inverse_cdf(*triple, u)
 
 
 class TestFactorContribution:
