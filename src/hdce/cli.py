@@ -333,6 +333,11 @@ def cmd_predict(args) -> int:
         print("error: no historical project (with defects_found) to estimate the baseline", file=sys.stderr)
         return EXIT_VALIDATION
 
+    # np.quantile in predict_defects_found imports numpy.ma on first use; loaded
+    # there, its objects land above the per-sample temporaries and keep the
+    # allocator from returning their memory for the rest of the process
+    import numpy.ma  # noqa: F401
+
     cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
     means, target_ddif, target_eif = means_and_target_samples(model, historical, target, cfg)
     baseline = estimation.estimate_baseline(historical, means, diagnostics)
@@ -454,8 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     except (HdceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except MemoryError:
-        _print_diagnostics([error("out-of-memory", "out of memory; a smaller --samples needs less")])
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        _print_diagnostics([error("out-of-memory", f"out of memory{detail}; a smaller --samples needs less")])
         return EXIT_VALIDATION
 
 

@@ -13,8 +13,11 @@ depend on the project, each factor is drawn once for a whole portfolio.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +73,7 @@ def counter_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarr
         z ^= np.right_shift(z, np.uint64(bits), out=shifted)
         z *= np.uint64(mix)
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    del shifted  # so that no more than two block-sized arrays are alive at once
     # top 53 bits give a double in [0, 1)
     z >>= np.uint64(11)
     return z * 2.0**-53
@@ -86,25 +90,36 @@ def triangular_inverse_cdf(minimum: float, mode: float, maximum: float, u):
     u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
         raise ValueError("u must lie in [0, 1)")
+    block = np.atleast_1d(u_arr)
+    out = np.empty_like(block)
+    _triangular_into(out, minimum, mode, maximum, block, np.empty_like(block))
+    out = out.reshape(u_arr.shape)
+    return float(out) if np.isscalar(u) else out
+
+
+def _triangular_into(
+    out: np.ndarray, minimum: float, mode: float, maximum: float, u: np.ndarray, work: np.ndarray
+) -> None:
+    # triangular_inverse_cdf of checked inputs into out; work is scratch the
+    # size of u and may be u itself, which is then overwritten
     if minimum == maximum:
-        out = np.full_like(u_arr, minimum)
-        return float(out) if np.isscalar(u) else out
+        out.fill(minimum)
+        return
     span = maximum - minimum
     mode_cdf = (mode - minimum) / span
+    upper = np.greater_equal(u, mode_cdf)  # taken before work may overwrite u
     # both branches over the whole block, in place; both square-root arguments
     # are non-negative on [0, 1), and the lower branch is kept below mode_cdf
-    block = np.atleast_1d(u_arr)
-    lo = block * span
-    lo *= mode - minimum
-    np.add(minimum, np.sqrt(lo, out=lo), out=lo)
-    hi = np.subtract(1.0, block)
-    hi *= span
-    hi *= maximum - mode
-    np.subtract(maximum, np.sqrt(hi, out=hi), out=hi)
-    np.copyto(hi, lo, where=block < mode_cdf)
+    np.multiply(u, span, out=out)
+    out *= mode - minimum
+    np.add(minimum, np.sqrt(out, out=out), out=out)
+    np.subtract(1.0, u, out=work)
+    work *= span
+    work *= maximum - mode
+    np.subtract(maximum, np.sqrt(work, out=work), out=work)
+    np.copyto(out, work, where=upper)
     # the sqrt can overshoot the support by one ulp at the edges
-    out = np.clip(hi, minimum, maximum, out=hi).reshape(u_arr.shape)
-    return float(out) if np.isscalar(u) else out
+    np.clip(out, minimum, maximum, out=out)
 
 
 @dataclass(frozen=True)
@@ -168,36 +183,109 @@ def check_portfolio(
                 raise ModelValidationError(diagnostics)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+_pool = None  # threads for _for_each_block, created on the first run above one block
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the pool's threads, so work sent there would never run
+    global _pool
+    _pool = None
+
+
+def _block_pool(threads: int):
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(threads, thread_name_prefix="hdce-block")
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=_forget_pool)
+    return _pool
+
+
+def _for_each_block(make_task: Callable[[], Callable[[int, int], None]], n: int, block: int) -> None:
+    # Run task(start, stop) over the blocks of range(n); tasks must write
+    # disjoint data. There are W = min(blocks, usable CPUs) shares: the calling
+    # thread takes blocks 0, W, 2W, ... and the pool the other strided shares,
+    # so one block or one CPU runs inline and never creates the pool. The
+    # arithmetic of a block is the same on any thread, so W never changes a
+    # result. Each share's task comes from make_task(),
+    # called here before any share starts, so that scratch a task owns exists
+    # for the whole run and the memory peak never depends on thread timing.
+    starts = range(0, n, block)
+    workers = 1 if len(starts) == 1 else min(len(starts), _usable_cpus())
+    tasks = [make_task() for _ in range(workers)]
+
+    def share(k: int) -> None:
+        for start in starts[k::workers]:
+            tasks[k](start, min(start + block, n))
+
+    futures = [_block_pool(workers - 1).submit(share, k) for k in range(1, workers)]  # none for W = 1
+    try:
+        share(0)
+    finally:
+        failures = [future.exception() for future in futures]  # waits for every share
+    for failure in failures:
+        if failure is not None:
+            raise failure
+
+
+def _physical_memory() -> float:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # this platform does not report it
+        return math.inf
+
+
 def _draw_factors(factors: Sequence[Factor], cfg: SimulationConfig, block: int) -> np.ndarray:
     # one row of triangular draws per factor, filled a block of samples at a
     # time so that the uniforms and inverse-CDF temporaries stay block-sized
     n = cfg.sample_count
+    needed = (len(factors) + 2) * n * 8  # the draws, a project's vector and the caller's last one
+    if needed > _physical_memory():
+        raise MemoryError(f"{n} samples of {len(factors)} factors need {needed} bytes, more than physical memory")
     draws = np.empty((len(factors), n), dtype=np.float64)
-    for row, f in zip(draws, factors):
-        m = f.multiplier
-        stream = factor_stream(f.id)
-        for start in range(0, n, block):
-            count = min(block, n - start)
-            u = counter_uniforms(cfg.seed, stream, start, count)
-            row[start : start + count] = triangular_inverse_cdf(m.min, m.most_likely, m.max, u)
+    params = [(f.multiplier, factor_stream(f.id)) for f in factors]
+
+    def fill(start: int, stop: int) -> None:
+        # the variates go straight into the row, with the fresh uniforms as
+        # scratch; validate_model has checked the multipliers
+        for row, (m, stream) in zip(draws, params):
+            u = counter_uniforms(cfg.seed, stream, start, stop - start)
+            _triangular_into(row[start:stop], m.min, m.most_likely, m.max, u, u)
+            del u  # before the next factor's uniforms are drawn
+
+    _for_each_block(lambda: fill, n, block)
     return draws
 
 
 def _accumulate(
     draws: np.ndarray, factors: Sequence[Factor], characterizations: Sequence[ProjectCharacterization]
 ) -> Iterator[np.ndarray]:
-    # a block at a time, so that the product temporary stays block-sized
+    # a block at a time, so that the product temporary stays block-sized; the
+    # draws are >= 0, so a level-0 term (+0.0) never changes a sum that starts
+    # at +0.0, and a level-3 term (x * 1.0) is the draw itself
     n = draws.shape[1]
-    scratch = np.empty(min(n, BLOCK_SIZE), dtype=np.float64)
+    rows_at = {start: list(draws[:, start : start + BLOCK_SIZE]) for start in range(0, n, BLOCK_SIZE)}
     for ch in characterizations:
-        weights = [ch.levels[f.id] / MAX_LEVEL for f in factors]
+        terms = [(i, w) for i, w in enumerate(ch.levels[f.id] / MAX_LEVEL for f in factors) if w != 0.0]
         values = np.zeros(n, dtype=np.float64)
-        for start in range(0, n, BLOCK_SIZE):
-            part = values[start : start + BLOCK_SIZE]
-            for row, weight in zip(draws, weights):
-                part += np.multiply(row[start : start + BLOCK_SIZE], weight, out=scratch[: part.size])
+
+        def add_terms(scratch: np.ndarray, start: int, stop: int) -> None:
+            part, rows = values[start:stop], rows_at[start]
+            for i, weight in terms:
+                part += rows[i] if weight == 1.0 else np.multiply(rows[i], weight, out=scratch[: part.size])
+
+        _for_each_block(lambda: partial(add_terms, np.empty(min(n, BLOCK_SIZE))), n, BLOCK_SIZE)
         yield values
-        del values, part  # free it (part views it) before the next vector is allocated
+        del values  # free it before the next vector is allocated (add_terms sees the name, not the array)
 
 
 def simulate_portfolio(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import os
 
 import numpy as np
 
@@ -90,6 +91,11 @@ def reference_samples(
         u = counter_uniforms(cfg.seed, factor_stream(f.id), 0, n)
         values += (ch.levels[f.id] / MAX_LEVEL) * triangular_inverse_cdf(m.min, m.most_likely, m.max, u)
     return values
+
+
+def use_cpus(monkeypatch, cpus: int) -> None:
+    """Make the engine see cpus usable CPUs: it reads the count from the affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
 
 
 def model_to_dict(model: CausalModel) -> dict:

@@ -20,6 +20,7 @@ from helpers import (
     model_to_dict,
     project_to_dict,
     reference_model,
+    use_cpus,
     write_rankings_csv,
 )
 
@@ -53,6 +54,9 @@ def projects_file(tmp_path):
 
 def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "schemas" / "examples"
 
 
 class TestRankAnalyze:
@@ -314,6 +318,61 @@ class TestPredictOnePass:
                                       for start in range(0, samples, simulation.BLOCK_SIZE)]
 
 
+class TestPredictOnSeveralCpus:
+    """predict above one block: the same bytes on any CPU count, and coded memory errors."""
+
+    SAMPLES = 3 * simulation.BLOCK_SIZE + 7
+
+    def run(self, out):
+        return main([
+            "predict", "--model", str(EXAMPLES / "model.json"), "--projects", str(EXAMPLES / "projects.json"),
+            "--target", "review-next", "--seed", "7", "--samples", str(self.SAMPLES), "--out", str(out),
+        ])
+
+    def test_prediction_bytes_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        outputs = []
+        for cpus in (1, 4):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"prediction-{cpus}.json"
+            assert self.run(out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_memory_error_in_a_later_block_is_a_coded_error(self, tmp_path, monkeypatch, capsys):
+        counter_uniforms = simulation.counter_uniforms
+
+        def exhausted_after_first_block(seed, stream, start, count):
+            if start > 0:  # with 4 CPUs, every block after the first is drawn on a pool thread
+                raise MemoryError
+            return counter_uniforms(seed, stream, start, count)
+
+        use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(simulation, "counter_uniforms", exhausted_after_first_block)
+        out = tmp_path / "prediction.json"
+        assert self.run(out) == 1
+        err = capsys.readouterr().err
+        assert "error: [out-of-memory] out of memory" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_draws_beyond_physical_memory_are_refused_before_any_thread(self, tmp_path, monkeypatch, capsys):
+        factors = len(load_model(EXAMPLES / "model.json").factors_of_kind(simulation.FactorKind.DEFECT_CONTENT))
+        needed = (factors + 2) * self.SAMPLES * 8
+
+        def no_pool(_threads):
+            raise AssertionError("no thread may start before the memory bound is checked")
+
+        use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(simulation, "_physical_memory", lambda: needed - 1)
+        monkeypatch.setattr(simulation, "_block_pool", no_pool)
+        out = tmp_path / "prediction.json"
+        assert self.run(out) == 1
+        err = capsys.readouterr().err
+        assert f"error: [out-of-memory] out of memory: {self.SAMPLES} samples of {factors} factors " \
+               f"need {needed} bytes, more than physical memory; a smaller --samples needs less" in err
+        assert not out.exists()
+
+
 class TestValidate:
     def test_full_run_covers_all_variants(self, model_file, projects_file, tmp_path):
         out = tmp_path / "report.json"
@@ -454,51 +513,65 @@ class TestUnreadablePaths:
         assert not list(tmp_path.glob("*.manifest.json"))
 
 
-_SCIPY_PROBE = """
+_IMPORT_PROBE = """
 import json, sys
 import hdce.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules_of(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
-loaded = {"import": [0, scipy_modules()]}
+package = sys.argv[2]
+loaded = {"import": [0, modules_of(package)]}
 for name, argv in json.loads(sys.argv[1]):
-    loaded[name] = [hdce.cli.main(argv), scipy_modules()]
+    loaded[name] = [hdce.cli.main(argv), modules_of(package)]
 print(json.dumps(loaded))
 """
+
+def probe_imports(tmp_path, package):
+    """In a fresh interpreter: {"import" or subcommand: [exit code, modules of package loaded so far]},
+    after import hdce.cli and then after each subcommand on the examples (N=1000)."""
+    model, projects = str(EXAMPLES / "model.json"), str(EXAMPLES / "projects.json")
+    files = ["--model", model, "--projects", projects]
+    stochastic = ["--seed", "7", "--samples", "1000"]
+    commands = [
+        ["model-check", ["model-check", *files, "--require-quantified"]],
+        ["simulate", ["simulate", *files, *stochastic, "--project", "review-c", "--kind", "dc",
+                      "--out", str(tmp_path / "ddif.json")]],
+        ["plan", ["plan", *files, *stochastic, "--out", str(tmp_path / "chart.csv"),
+                  "--svg", str(tmp_path / "chart.svg")]],
+        ["predict", ["predict", *files, *stochastic, "--target", "review-next",
+                     "--out", str(tmp_path / "prediction.json")]],
+        ["validate", ["validate", *files, *stochastic, "--out", str(tmp_path / "report.json")]],
+        ["rank-analyze", ["rank-analyze", "--rankings", str(EXAMPLES / "rankings.csv"),
+                          "--out", str(tmp_path / "analysis.json")]],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(hdce.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands), package],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestScipyImports:
     """Only the two p-values load scipy, and only scipy.special."""
 
-    EXAMPLES = Path(__file__).resolve().parents[1] / "schemas" / "examples"
-
     def test_only_rank_analyze_loads_scipy_special(self, tmp_path):
-        model, projects = str(self.EXAMPLES / "model.json"), str(self.EXAMPLES / "projects.json")
-        files = ["--model", model, "--projects", projects]
-        stochastic = ["--seed", "7", "--samples", "1000"]
-        commands = [
-            ["model-check", ["model-check", *files, "--require-quantified"]],
-            ["simulate", ["simulate", *files, *stochastic, "--project", "review-c", "--kind", "dc",
-                          "--out", str(tmp_path / "ddif.json")]],
-            ["plan", ["plan", *files, *stochastic, "--out", str(tmp_path / "chart.csv"),
-                      "--svg", str(tmp_path / "chart.svg")]],
-            ["predict", ["predict", *files, *stochastic, "--target", "review-next",
-                         "--out", str(tmp_path / "prediction.json")]],
-            ["validate", ["validate", *files, *stochastic, "--out", str(tmp_path / "report.json")]],
-            ["rank-analyze", ["rank-analyze", "--rankings", str(self.EXAMPLES / "rankings.csv"),
-                              "--out", str(tmp_path / "analysis.json")]],
-        ]
-        env = dict(os.environ, PYTHONPATH=str(Path(hdce.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout)
+        loaded = probe_imports(tmp_path, "scipy")
         for name in ("import", "model-check", "simulate", "plan", "predict", "validate"):
             assert loaded[name] == [0, []], name
         code, modules = loaded["rank-analyze"]
         assert code == 0
         assert "scipy.special" in modules
         assert "scipy.stats" not in modules
+
+
+class TestThreadPoolImports:
+    """A run of one sample block neither starts nor imports the block thread pool."""
+
+    def test_no_subcommand_at_one_block_loads_concurrent_futures(self, tmp_path):
+        loaded = probe_imports(tmp_path, "concurrent.futures")
+        # rank-analyze runs last and draws nothing; the scipy.special it loads imports concurrent.futures
+        for name in ("import", "model-check", "simulate", "plan", "predict", "validate"):
+            assert loaded[name] == [0, []], name

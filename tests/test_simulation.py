@@ -1,11 +1,19 @@
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdce import simulation
 from hdce.diagnostics import ModelValidationError
 from hdce.model import CausalModel, Factor, FactorKind, Multiplier
 from hdce.simulation import (
+    BLOCK_SIZE,
     EmpiricalDistribution,
     SimulationConfig,
     analytic_mean,
@@ -21,6 +29,7 @@ from helpers import (
     reference_model,
     reference_samples,
     scale_for,
+    use_cpus,
 )
 
 
@@ -120,6 +129,17 @@ class TestKernelBits:
     def test_triangular_equals_former(self, triple, seed, count):
         u = np.concatenate([_EDGE_U, counter_uniforms(seed, 1, 0, count)])
         assert np.array_equal(triangular_inverse_cdf(*triple, u), former_triangular_inverse_cdf(*triple, u))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ordered_triples(), st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=3000))
+    def test_engine_kernel_over_its_own_uniforms_equals_former(self, triple, seed, count):
+        # the engine writes into a row view and uses the fresh uniforms as scratch
+        u = np.concatenate([_EDGE_U, counter_uniforms(seed, 1, 0, count)])
+        expected = former_triangular_inverse_cdf(*triple, u)
+        row = np.full(u.size + 2, -1.0)
+        simulation._triangular_into(row[1:-1], *triple, u, u)
+        assert np.array_equal(row[1:-1], expected)
+        assert row[0] == row[-1] == -1.0
 
     @settings(max_examples=200, deadline=None)
     @given(ordered_triples(), st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0, exclude_max=True))
@@ -348,6 +368,125 @@ class TestPortfolioEngine:
         with pytest.raises(ValueError, match="chunk_size"):
             simulate_portfolio(model, [characterization(model, 1)], FactorKind.DEFECT_CONTENT,
                                SimulationConfig(seed=1), chunk_size=0)
+
+
+class TestBlockParallelism:
+    """Blocks drawn and accumulated on several threads give the serial vectors, byte for byte."""
+
+    @pytest.mark.parametrize("count", [1, 6])
+    @pytest.mark.parametrize("samples", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 7])
+    def test_vectors_match_reference_for_any_cpu_count(self, monkeypatch, samples, count):
+        model = reference_model()
+        chs = TestPortfolioEngine.portfolio(model, count)  # levels 0-3, so every weight occurs
+        cfg = SimulationConfig(seed=19, sample_count=samples)
+        for kind in FactorKind:
+            expected = [reference_samples(model, ch, kind, cfg).tobytes() for ch in chs]
+            for cpus in (1, 4):
+                use_cpus(monkeypatch, cpus)
+                vectors = [v.tobytes() for v in simulate_portfolio(model, chs, kind, cfg)]
+                assert vectors == expected, (kind, cpus)
+
+    def test_blocks_run_on_more_than_one_thread(self, monkeypatch):
+        threads = set()
+        uniforms = simulation.counter_uniforms
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return uniforms(*args)
+
+        use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(simulation, "counter_uniforms", recorded)
+        model = reference_model()
+        simulate(model, characterization(model, 2), FactorKind.DEFECT_CONTENT,
+                 SimulationConfig(seed=4, sample_count=3 * BLOCK_SIZE + 7))
+        assert threading.get_ident() in threads
+        assert len(threads) > 1
+
+    @pytest.mark.parametrize("cpus, samples", [(4, 1), (4, BLOCK_SIZE), (1, 3 * BLOCK_SIZE + 7)])
+    def test_one_block_or_one_cpu_creates_no_pool(self, monkeypatch, cpus, samples):
+        def no_pool(_threads):
+            raise AssertionError("a run on one block or one CPU needs no thread pool")
+
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(simulation, "_block_pool", no_pool)
+        model = reference_model()
+        ch = characterization(model, 3)
+        cfg = SimulationConfig(seed=5, sample_count=samples)
+        vector = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg).samples
+        assert vector.tobytes() == reference_samples(model, ch, FactorKind.EFFECTIVENESS, cfg).tobytes()
+
+    def test_many_small_blocks_on_more_workers_than_cores(self, monkeypatch):
+        model = reference_model()
+        chs = TestPortfolioEngine.portfolio(model, 3)
+        cfg = SimulationConfig(seed=23, sample_count=2 * BLOCK_SIZE + 5)
+        expected = [reference_samples(model, ch, FactorKind.EFFECTIVENESS, cfg).tobytes() for ch in chs]
+        use_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # 132 draw blocks in 8 shares, then 3 accumulation blocks in 3
+            vectors = [v.tobytes() for v in simulate_portfolio(model, chs, FactorKind.EFFECTIVENESS, cfg,
+                                                               chunk_size=997)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert vectors == expected
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_its_blocks(self, monkeypatch):
+        # the child inherits the pool object but none of its threads
+        use_cpus(monkeypatch, 2)
+        model = reference_model()
+        ch = characterization(model, 2)
+        cfg = SimulationConfig(seed=9, sample_count=3 * BLOCK_SIZE + 7)
+        expected = reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg).tobytes()
+        assert simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg).samples.tobytes() == expected  # starts the pool
+        pid = os.fork()
+        if pid == 0:  # the child exits 0 only when its own run above one block gives the same vector
+            code = 1
+            try:
+                code = 0 if simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg).samples.tobytes() == expected else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if waited[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert waited[0] == pid, "the forked child did not finish within 30 s"
+        assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+    def test_failed_share_is_raised_after_every_share_ends(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        done = []
+
+        def task(start, stop):
+            if start == 2:
+                raise MemoryError("block 2")
+            done.append((start, stop))
+
+        with pytest.raises(MemoryError, match="block 2"):
+            simulation._for_each_block(lambda: task, 10, 1)
+        # W = 4: the share of blocks 2 and 6 stops at 2; every other share runs to its end
+        assert sorted(done) == [(s, s + 1) for s in (0, 1, 3, 4, 5, 7, 8, 9)]
+
+    def test_memory_bound_is_checked_before_allocating(self, monkeypatch):
+        model = reference_model()
+        factors = model.factors_of_kind(FactorKind.DEFECT_CONTENT)
+        samples = 3 * BLOCK_SIZE + 7
+        needed = (len(factors) + 2) * samples * 8
+        cfg = SimulationConfig(seed=6, sample_count=samples)
+        ch = characterization(model, 1)
+        use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(simulation, "_physical_memory", lambda: needed - 1)
+        monkeypatch.setattr(simulation, "_block_pool", None)  # no thread may start
+        monkeypatch.setattr(simulation.np, "empty", None)  # and no draw matrix be allocated
+        with pytest.raises(MemoryError, match=f"need {needed} bytes"):
+            simulate_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg)
+        monkeypatch.undo()
+        monkeypatch.setattr(simulation, "_physical_memory", lambda: needed)
+        (values,) = simulate_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg)
+        assert values.tobytes() == reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg).tobytes()
 
 
 class TestSimulationConfig:
