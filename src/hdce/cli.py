@@ -61,10 +61,13 @@ def _parse_variants(text: str) -> tuple[Variant, ...]:
     for name in text.split(","):
         name = name.strip()
         try:
-            variants.append(Variant(name))
+            variant = Variant(name)
         except ValueError:
             known = ", ".join(v.value for v in ALL_VARIANTS)
             raise argparse.ArgumentTypeError(f"unknown variant {name!r}; known: all, {known}") from None
+        if variant in variants:
+            raise argparse.ArgumentTypeError(f"variant {name!r} is listed more than once")
+        variants.append(variant)
     if not variants:
         raise argparse.ArgumentTypeError("empty variant list")
     return tuple(variants)
@@ -77,6 +80,13 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
     return value
 
 
@@ -145,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", parents=[common_files, stochastic], help="build the QA-planning risk chart")
     p.add_argument("--projects", required=True, help="projects JSON file")
-    p.add_argument("--scale-factor", type=_finite_float, default=1.0, help="fixed scaling factor f for the chart")
+    p.add_argument("--scale-factor", type=_positive_float, default=1.0, help="fixed scaling factor f for the chart")
     p.add_argument("--out", required=True, help="risk chart CSV")
     p.add_argument("--svg", help="optional standalone SVG chart")
     p.set_defaults(handler=cmd_plan)

@@ -109,5 +109,6 @@ def predict_defects_found(
     ddif_mean, eif_mean = float(np.mean(ddif_samples)), float(np.mean(eif_samples))
     point = expected_defects_found(size, ddif_mean, eif_mean, baseline.estimate)
     per_sample = expected_defects_found(size, ddif_samples, eif_samples, baseline.estimate)
-    low, high = np.quantile(per_sample, [low_q, high_q])
+    # per_sample is this call's own temporary, so the quantile may reorder it in place
+    low, high = np.quantile(per_sample, [low_q, high_q], overwrite_input=True)
     return DefectsFoundPrediction(point, (float(low), float(high)), ddif_mean, eif_mean)

@@ -355,6 +355,10 @@ def run_validation(
     """LOOCV over all requested variants with shared simulation means."""
     if not variants:
         raise ValueError("no variants requested")
+    variants = tuple(variants)
+    repeated = sorted({v.value for v in variants if variants.count(v) > 1})
+    if repeated:
+        raise ValueError(f"variants requested more than once: {', '.join(repeated)}")
     _check_alpha(alpha)
     usable, excluded = usable_history(historical)
     if len(usable) < MIN_HISTORY_FOR_LOOCV:
@@ -367,7 +371,7 @@ def run_validation(
         variant_records, _ = loocv(model, usable, variant, cfg, means=means)
         records[variant] = tuple(variant_records)
     return ValidationReport(
-        variants=tuple(variants),
+        variants=variants,
         records=records,
         mmre={v: mmre(records[v]) for v in variants},
         comparisons=tuple(compare_variants(records, alpha)),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import struct
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -41,6 +42,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_TWO_FLOATS, _TWO_INT64S = struct.Struct("=dd"), struct.Struct("=qq")  # to read doubles' bits as int64
 
 
 def _mix64(z: int) -> int:
@@ -107,19 +109,34 @@ def _triangular_into(
         return
     span = maximum - minimum
     mode_cdf = (mode - minimum) / span
-    upper = np.greater_equal(u, mode_cdf)  # taken before work may overwrite u
-    # both branches over the whole block, in place; both square-root arguments
-    # are non-negative on [0, 1), and the lower branch is kept below mode_cdf
-    np.multiply(u, span, out=out)
-    out *= mode - minimum
-    np.add(minimum, np.sqrt(out, out=out), out=out)
-    np.subtract(1.0, u, out=work)
+    # Below mode_cdf, minimum + sqrt((u * span) * (mode - minimum)); at or above
+    # it, maximum - sqrt(((1 - u) * span) * (maximum - mode)). Each sample takes
+    # one branch: the sign bit of d * span (in work) tells the branches apart
+    # and selects each sample's constants bitwise, with one square root and no
+    # temporary array.
+    np.greater_equal(u, mode_cdf, out=out)  # 1.0 at and above mode_cdf, read before work may overwrite u
+    np.subtract(u, out, out=work)  # d: u >= +0.0 below, u - 1 == -(1 - u) exactly above
     work *= span
-    work *= maximum - mode
-    np.subtract(maximum, np.sqrt(work, out=work), out=work)
-    np.copyto(out, work, where=upper)
+    bits, work_bits = out.view(np.int64), work.view(np.int64)
+    # rounding is symmetric in sign, so ((u - 1) * span) * -(maximum - mode)
+    # is the upper branch's argument, bit for bit
+    _select_into(bits, work_bits, mode - minimum, -(maximum - mode))
+    out *= work
+    np.sqrt(out, out=out)
+    np.copysign(out, work, out=out)  # -s at and above mode_cdf
+    _select_into(work_bits, work_bits, minimum, maximum)
+    out += work  # maximum + -s is maximum - s
     # the sqrt can overshoot the support by one ulp at the edges
     np.clip(out, minimum, maximum, out=out)
+
+
+def _select_into(out_bits: np.ndarray, signed_bits: np.ndarray, low: float, high: float) -> None:
+    # the bits of high where signed_bits has its sign bit set, of low elsewhere;
+    # out_bits may be signed_bits
+    low_bits, high_bits = _TWO_INT64S.unpack(_TWO_FLOATS.pack(low, high))
+    np.right_shift(signed_bits, 63, out=out_bits)  # arithmetic: all ones or all zeros
+    out_bits &= low_bits ^ high_bits
+    out_bits ^= low_bits
 
 
 @dataclass(frozen=True)
@@ -276,11 +293,19 @@ def _accumulate(
     rows_at = {start: list(draws[:, start : start + BLOCK_SIZE]) for start in range(0, n, BLOCK_SIZE)}
     for ch in characterizations:
         terms = [(i, w) for i, w in enumerate(ch.levels[f.id] / MAX_LEVEL for f in factors) if w != 0.0]
-        values = np.zeros(n, dtype=np.float64)
+        if not terms:
+            yield np.zeros(n, dtype=np.float64)
+            continue
+        values = np.empty(n, dtype=np.float64)
+        (first, first_weight), rest = terms[0], terms[1:]
 
         def add_terms(scratch: np.ndarray, start: int, stop: int) -> None:
             part, rows = values[start:stop], rows_at[start]
-            for i, weight in terms:
+            # the sum starts as +0.0 + first term: a draw of -0.0 (at u == 0
+            # when the minimum is -0.0) still gives +0.0
+            term = rows[first] if first_weight == 1.0 else np.multiply(rows[first], first_weight, out=part)
+            np.add(term, 0.0, out=part)
+            for i, weight in rest:
                 part += rows[i] if weight == 1.0 else np.multiply(rows[i], weight, out=scratch[: part.size])
 
         _for_each_block(lambda: partial(add_terms, np.empty(min(n, BLOCK_SIZE))), n, BLOCK_SIZE)

@@ -409,6 +409,19 @@ class TestValidate:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("variants", ["HDCE,HDCE", "DF_only, HDCE,DF_only"])
+    def test_repeated_variant_is_usage_error(self, variants, model_file, projects_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main([
+            "validate", "--model", str(model_file), "--projects", str(projects_file),
+            "--seed", "13", "--samples", "200", "--variants", variants, "--out", str(out),
+        ])
+        assert code == 2
+        repeated = variants.split(",")[0]
+        assert f"variant {repeated!r} is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob("report.json*"))
+
     def test_rerun_is_byte_identical(self, model_file, projects_file, tmp_path):
         args = [
             "validate", "--model", str(model_file), "--projects", str(projects_file),
@@ -463,6 +476,23 @@ class TestNonFiniteInputs:
         assert code == 2
         assert "probability in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-1"])
+    def test_scale_factor_not_positive_rejected_before_any_output(
+        self, value, model_file, projects_file, tmp_path, capsys, monkeypatch
+    ):
+        def no_input(*_args, **_kwargs):
+            raise AssertionError("read an input before rejecting --scale-factor")
+
+        monkeypatch.setattr(cli.io, "load_model", no_input)
+        out = tmp_path / "chart.csv"
+        code = main([
+            "plan", "--model", str(model_file), "--projects", str(projects_file), "--seed", "1",
+            f"--scale-factor={value}", "--out", str(out),
+        ])
+        assert code == 2
+        assert "expected a number > 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("chart.csv*"))
 
     @pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e400"])
     @pytest.mark.parametrize("field", ["size", "max"])

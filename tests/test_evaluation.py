@@ -442,6 +442,18 @@ class TestRunValidation:
         with pytest.raises(ValueError, match="alpha"):
             run_validation(exact_model(), exact_projects(), SimulationConfig(seed=1, sample_count=10), alpha=alpha)
 
+    @pytest.mark.parametrize(
+        "variants", [(Variant.HDCE, Variant.HDCE), (Variant.DF_ONLY, Variant.HDCE, Variant.WITHOUT_EIF, Variant.DF_ONLY)]
+    )
+    def test_repeated_variant_rejected_before_any_simulation(self, variants, monkeypatch):
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("simulated before checking the variants")
+
+        monkeypatch.setattr(evaluation, "project_factor_means", no_simulation)
+        cfg = SimulationConfig(seed=1, sample_count=10)
+        with pytest.raises(ValueError, match=f"more than once: {variants[-1].value}$"):
+            run_validation(exact_model(), exact_projects(), cfg, variants=variants)
+
     def test_ablation_dominance_majority_over_seeds(self):
         # ablating an informative component should usually hurt accuracy
         wins = {Variant.WITHOUT_DDIF: 0, Variant.WITHOUT_EIF: 0, Variant.WITHOUT_SIZE: 0}

@@ -1,0 +1,33 @@
+import hashlib
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_artifact_digests_prints_one_line_per_artifact():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "artifact_digests.py")], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = []
+    for run, outputs in [
+        ("rank-analyze", ["analysis.json", "analysis.json.manifest.json"]),
+        ("model-check", ["model-check.json", "model-check.json.manifest.json"]),
+        ("simulate", ["ddif.json", "ddif.json.manifest.json"]),
+        ("plan", ["chart.csv", "chart.csv.manifest.json", "chart.svg"]),
+        ("predict", ["prediction.json", "prediction.json.manifest.json"]),
+        ("validate", ["report.json", "report.json.manifest.json", "report.json.re.csv"]),
+        ("predict-1000000", ["prediction.json", "prediction.json.manifest.json"]),
+        ("predict-200001", ["prediction.json", "prediction.json.manifest.json"]),
+        ("simulate-eff-samples-300000", ["eif.json", "eif.json.manifest.json"]),
+        ("validate-150000", ["report.json", "report.json.manifest.json", "report.json.re.csv"]),
+    ]:
+        expected += [f"{run}/{name}" for name in outputs] + [f"{run}/stderr", f"{run}/exit"]
+    lines = proc.stdout.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
+    assert [line.split("  ")[1] for line in lines] == expected
+    exit_zero = hashlib.sha256(b"0").hexdigest()
+    assert all(line == f"{exit_zero}  {line.split('  ')[1]}" for line in lines if line.endswith("/exit"))

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdce import simulation
@@ -109,6 +109,26 @@ def ordered_triples(draw):
     return low, mode, high
 
 
+@st.composite
+def zero_minimum_triples(draw):
+    """ordered_triples, often moved so that the minimum is exactly 0.0 or -0.0."""
+    low, mode, high = draw(ordered_triples())
+    zero = draw(st.sampled_from([None, 0.0, -0.0]))
+    if zero is None:
+        return low, mode, high
+    return zero, zero if mode == low else mode, zero if high == low else high
+
+
+def branch_boundary_u(triple, uniforms):
+    """The edge u values, mode_cdf and its two neighbours where they lie in [0, 1), then uniforms."""
+    low, mode, high = triple
+    u = list(_EDGE_U)
+    if low != high:
+        mode_cdf = (mode - low) / (high - low)
+        u += [mode_cdf, np.nextafter(mode_cdf, 0.0), np.nextafter(mode_cdf, 1.0)]
+    return np.concatenate([[x for x in u if 0.0 <= x < 1.0], uniforms])
+
+
 class TestKernelBits:
     """The in-place kernels give the bits of the former allocating ones."""
 
@@ -140,6 +160,26 @@ class TestKernelBits:
         simulation._triangular_into(row[1:-1], *triple, u, u)
         assert np.array_equal(row[1:-1], expected)
         assert row[0] == row[-1] == -1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(zero_minimum_triples(), st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=200))
+    @example((0.0, 0.3, 0.7), 1, 10)
+    @example((-0.0, 0.3, 0.7), 1, 10)
+    @example((-0.0, -0.0, 0.7), 1, 10)
+    @example((0.2, 0.2, 0.7), 1, 10)
+    @example((0.2, 0.7, 0.7), 1, 10)
+    @example((-0.0, 0.7, 0.7), 1, 10)
+    def test_branch_boundary_and_zero_minimum_equal_former(self, triple, seed, count):
+        # u at mode_cdf and one ulp either side of it picks the branch as the former kernel did
+        u = branch_boundary_u(triple, counter_uniforms(seed, 2, 0, count))
+        expected = former_triangular_inverse_cdf(*triple, u)
+        through_api = triangular_inverse_cdf(*triple, u)
+        assert np.array_equal(through_api, expected)
+        assert through_api.tobytes() == expected.tobytes()  # -0.0 and +0.0 too
+        row = np.full(u.size, -1.0)
+        simulation._triangular_into(row, *triple, u, u)
+        assert np.array_equal(row, expected)
+        assert row.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(ordered_triples(), st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0, exclude_max=True))
@@ -351,6 +391,37 @@ class TestPortfolioEngine:
             assert len(vectors) == len(chs)
             for ch, values in zip(chs, vectors):
                 assert values.tobytes() == reference_samples(model, ch, kind, cfg).tobytes()
+
+    @pytest.mark.parametrize("samples", [500, BLOCK_SIZE + 3])
+    def test_zero_levels_and_first_term_weights_match_reference(self, monkeypatch, samples):
+        # the first non-zero term starts the sum: weight 1, weight 1/3, after a level-0 factor, or none at all
+        model = reference_model()
+        first, second = (f.id for f in model.factors_of_kind(FactorKind.DEFECT_CONTENT)[:2])
+        chs = [
+            characterization(model, 0, "zero"),
+            characterization(model, {**dict.fromkeys((f.id for f in model.factors), 2), first: 3}, "first-weight-1"),
+            characterization(model, {**dict.fromkeys((f.id for f in model.factors), 2), first: 1}, "first-weight-1/3"),
+            characterization(model, {**dict.fromkeys((f.id for f in model.factors), 0), second: 1}, "second-only"),
+        ]
+        cfg = SimulationConfig(seed=23, sample_count=samples)
+        for cpus in (1, 4):
+            use_cpus(monkeypatch, cpus)
+            for kind in FactorKind:
+                vectors = list(simulate_portfolio(model, chs, kind, cfg))
+                for ch, values in zip(chs, vectors):
+                    assert values.tobytes() == reference_samples(model, ch, kind, cfg).tobytes(), (ch.project_id, kind)
+
+    def test_negative_zero_first_draw_sums_to_positive_zero(self):
+        # a minimum of -0.0 draws -0.0 at u == 0, and the sum still starts at +0.0
+        model = single_factor_model(-0.0, -0.0, 0.5)
+        factors = model.factors_of_kind(FactorKind.DEFECT_CONTENT)
+        draws = np.array([[-0.0, 0.25, -0.0]])
+        for level in (1, 3):
+            (values,) = simulation._accumulate(draws, factors, [characterization(model, {"lone-dc": level, "lone-eff": 0})])
+            expected = np.zeros(3)
+            expected += (level / 3) * draws[0]
+            assert values.tobytes() == expected.tobytes()
+            assert not np.signbit(values[0])
 
     def test_empty_portfolio_yields_nothing(self):
         model = reference_model()
