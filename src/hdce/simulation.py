@@ -93,8 +93,14 @@ def triangular_inverse_cdf(minimum: float, mode: float, maximum: float, u):
     if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
         raise ValueError("u must lie in [0, 1)")
     block = np.atleast_1d(u_arr)
+    # the kernel tells its branches apart by sign bit, so u = -0.0 goes in as
+    # -0.0 + 0.0 == +0.0 (the engine's uniforms are never -0.0)
+    work = np.add(block, 0.0)
     out = np.empty_like(block)
-    _triangular_into(out, minimum, mode, maximum, block, np.empty_like(block))
+    _triangular_into(out, minimum, mode, maximum, work, work)
+    if minimum == 0.0 and np.signbit(minimum) and mode > minimum:
+        # below the mode, u = -0.0 gives -0.0 + sqrt(-0.0) == -0.0, not +0.0
+        np.copysign(out, block, out=out, where=block == 0.0)
     out = out.reshape(u_arr.shape)
     return float(out) if np.isscalar(u) else out
 
