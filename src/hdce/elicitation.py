@@ -218,13 +218,11 @@ def analyze_rankings(
 
     advisories: list[Diagnostic] = []
     categories: list[CategoryAnalysis] = []
-    mean_ranks: dict[CategoryKey, dict[str, float]] = {}
 
     for key in sorted(by_category, key=lambda k: (k[0].value, k[1].value)):
         group = by_category[key]
         stats = summarize_ranks(group)
         ordered = tuple(sorted(stats.values(), key=lambda s: (s.mean, s.factor_id)))
-        mean_ranks[key] = {s.factor_id: s.mean for s in ordered}
         n = len(ordered)
         m = len(group)
         if n > MAX_COMFORTABLE_GROUP:
@@ -254,7 +252,7 @@ def analyze_rankings(
                 p_value = sig.p_value
                 small_n = sig.small_n_approximation
                 significant = p_value <= alpha
-        selected_here = select_factors({key: mean_ranks[key]}, threshold)
+        selected_here = select_factors({key: {s.factor_id: s.mean for s in ordered}}, threshold)
         categories.append(
             CategoryAnalysis(
                 kind=key[0],
@@ -270,10 +268,9 @@ def analyze_rankings(
             )
         )
 
-    overall = select_factors(mean_ranks, threshold)
     return RankingAnalysis(
         categories=tuple(categories),
-        selected=frozenset(overall),
+        selected=frozenset().union(*(c.selected for c in categories)),
         threshold=threshold,
         alpha=alpha,
         advisories=tuple(advisories),

@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import Diagnostic, error
 from .estimation import expected_defects_found
 from .model import CausalModel, FactorKind, HistoricalProject, ProjectCharacterization
-from .simulation import SimulationConfig, _draw_portfolio, check_portfolio
+from .simulation import SimulationConfig, check_portfolio, draw_portfolio
 
 # beyond this many nonzero differences, the exact test gives way to the normal
 # approximation; kept at 20 so that no reported p-value changes method or bits
@@ -192,7 +192,7 @@ def _kind_pass(
 ) -> tuple[list[float], np.ndarray]:
     # one engine pass: every vector's mean, and the last vector; map drops each
     # vector after its mean, so no finished one is alive while the next is built
-    vectors = _draw_portfolio(model, characterizations, kind, cfg)
+    vectors = draw_portfolio(model, characterizations, kind, cfg)
     means = [float(m) for m in map(np.mean, islice(vectors, len(characterizations) - 1))]
     last = next(vectors)
     return means + [float(np.mean(last))], last

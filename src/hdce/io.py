@@ -40,10 +40,10 @@ JSON_FLOAT_DIGITS = 17
 # ---------------------------------------------------------------------------
 
 
-def format_float(value: float, digits: int = JSON_FLOAT_DIGITS) -> str:
+def format_float(value: float) -> str:
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"non-finite float {value!r} cannot be serialized")
-    return format(value, f".{digits}g")
+    return format(value, f".{JSON_FLOAT_DIGITS}g")
 
 
 def _emit(value, indent: int, pieces: list[str]) -> None:
@@ -254,13 +254,10 @@ def write_manifest(
     seed: int | None = None,
     sample_count: int | None = None,
     parameters: dict | None = None,
-    manifest_path: str | Path | None = None,
 ) -> Path:
     """Sidecar manifest next to the first output: <out>.manifest.json."""
     primary = Path(output_paths[0])
-    target = Path(manifest_path) if manifest_path is not None else primary.with_name(
-        primary.name + ".manifest.json"
-    )
+    target = primary.with_name(primary.name + ".manifest.json")
     manifest = RunManifest(
         command=command,
         inputs={str(p): sha256_file(p) for p in input_paths},

@@ -153,7 +153,14 @@ def validate_model(model: CausalModel, require_quantified: bool = False) -> list
             )
         m = f.multiplier
         if m is not None:
-            if not m.is_ordered():
+            if not all(math.isfinite(v) for v in (m.min, m.most_likely, m.max)):
+                diagnostics.append(
+                    error(
+                        "multiplier-non-finite",
+                        f"factor {f.id!r} multiplier must be finite, got ({m.min}, {m.most_likely}, {m.max})",
+                    )
+                )
+            elif not m.is_ordered():
                 diagnostics.append(
                     error(
                         "multiplier-order",

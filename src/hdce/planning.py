@@ -104,13 +104,13 @@ def risk_narrative(point: RiskPoint) -> str:
     return f"{point.project_id}: {point.quadrant.value} - {_NARRATIVES[point.quadrant]}"
 
 
-def risk_chart_svg(chart: RiskChart, width: int = 640, height: int = 520) -> str:
+def risk_chart_svg(chart: RiskChart) -> str:
     """Self-contained SVG scatter plot with origin axes and quadrant labels.
 
     Output is deterministic: coordinates are rounded to fixed precision and the
     document references nothing external.
     """
-    margin = 56
+    width, height, margin = 640, 520, 56
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
     extent = max(

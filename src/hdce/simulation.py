@@ -87,6 +87,8 @@ def triangular_inverse_cdf(minimum: float, mode: float, maximum: float, u):
     Accepts a scalar or array u; the degenerate minimum == maximum case returns
     the constant.
     """
+    if not all(math.isfinite(v) for v in (minimum, mode, maximum)):
+        raise ValueError(f"triangular parameters must be finite, got ({minimum}, {mode}, {maximum})")
     if not minimum <= mode <= maximum:
         raise ValueError(f"triangular parameters must satisfy min <= mode <= max, got ({minimum}, {mode}, {maximum})")
     u_arr = np.asarray(u, dtype=np.float64)
@@ -233,22 +235,22 @@ def _block_pool(threads: int):
     return _pool
 
 
-def _for_each_block(make_task: Callable[[], Callable[[int, int], None]], n: int, block: int) -> None:
-    # Run task(start, stop) over the blocks of range(n); tasks must write
-    # disjoint data. There are W = min(blocks, usable CPUs) shares: the calling
-    # thread takes blocks 0, W, 2W, ... and the pool the other strided shares,
-    # so one block or one CPU runs inline and never creates the pool. The
-    # arithmetic of a block is the same on any thread, so W never changes a
-    # result. Each share's task comes from make_task(),
-    # called here before any share starts, so that scratch a task owns exists
-    # for the whole run and the memory peak never depends on thread timing.
-    starts = range(0, n, block)
+def _for_each_block(make_task: Callable[[], Callable[[int, int], None]], n: int) -> None:
+    # Run task(start, stop) over the BLOCK_SIZE blocks of range(n); tasks must
+    # write disjoint data. There are W = min(blocks, usable CPUs) shares: the
+    # calling thread takes blocks 0, W, 2W, ... and the pool the other strided
+    # shares, so one block or one CPU runs inline and never creates the pool.
+    # The arithmetic of a block is the same on any thread, so W never changes a
+    # result. Each share's task comes from make_task(), called here before any
+    # share starts, so that scratch a task owns exists for the whole run and
+    # the memory peak never depends on thread timing.
+    starts = range(0, n, BLOCK_SIZE)
     workers = 1 if len(starts) == 1 else min(len(starts), _usable_cpus())
     tasks = [make_task() for _ in range(workers)]
 
     def share(k: int) -> None:
         for start in starts[k::workers]:
-            tasks[k](start, min(start + block, n))
+            tasks[k](start, min(start + BLOCK_SIZE, n))
 
     futures = [_block_pool(workers - 1).submit(share, k) for k in range(1, workers)]  # none for W = 1
     try:
@@ -267,7 +269,7 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _draw_factors(factors: Sequence[Factor], cfg: SimulationConfig, block: int) -> np.ndarray:
+def _draw_factors(factors: Sequence[Factor], cfg: SimulationConfig) -> np.ndarray:
     # one row of triangular draws per factor, filled a block of samples at a
     # time so that the uniforms and inverse-CDF temporaries stay block-sized
     n = cfg.sample_count
@@ -285,7 +287,7 @@ def _draw_factors(factors: Sequence[Factor], cfg: SimulationConfig, block: int) 
             _triangular_into(row[start:stop], m.min, m.most_likely, m.max, u, u)
             del u  # before the next factor's uniforms are drawn
 
-    _for_each_block(lambda: fill, n, block)
+    _for_each_block(lambda: fill, n)
     return draws
 
 
@@ -314,66 +316,43 @@ def _accumulate(
             for i, weight in rest:
                 part += rows[i] if weight == 1.0 else np.multiply(rows[i], weight, out=scratch[: part.size])
 
-        _for_each_block(lambda: partial(add_terms, np.empty(min(n, BLOCK_SIZE))), n, BLOCK_SIZE)
+        _for_each_block(lambda: partial(add_terms, np.empty(min(n, BLOCK_SIZE))), n)
         yield values
         del values  # free it before the next vector is allocated (add_terms sees the name, not the array)
 
 
-def simulate_portfolio(
+def draw_portfolio(
     model: CausalModel,
     characterizations: Sequence[ProjectCharacterization],
     kind: FactorKind,
     cfg: SimulationConfig,
-    *,
-    chunk_size: int | None = None,
 ) -> Iterator[np.ndarray]:
     """Sample vectors of the accumulated relative increase (DDIF or EIF), one per characterization.
 
-    Each factor of the kind is drawn once for the whole portfolio; a
-    characterization's vector adds level/3 times each factor's draws, in model
-    order. Inputs are checked and the draws made before this returns; the
-    vectors are yielded in the order of characterizations. A vector depends
-    only on (model, characterization, kind, seed, sample_count): neither the
-    rest of the portfolio nor chunk_size (the samples drawn per block,
-    default BLOCK_SIZE) changes it.
+    The caller runs check_portfolio on these characterizations and this kind
+    first; the draws are not checked again. Each factor of the kind is drawn
+    once for the whole portfolio; a characterization's vector adds level/3
+    times each factor's draws, in model order. The draws are made before this
+    returns; the vectors are yielded in the order of characterizations. A
+    vector depends only on (model, characterization, kind, seed, sample_count):
+    neither the rest of the portfolio nor BLOCK_SIZE changes it.
     """
-    block = BLOCK_SIZE if chunk_size is None else chunk_size
-    if block < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
-    characterizations = list(characterizations)
-    check_portfolio(model, characterizations, (kind,))
-    return _draw_portfolio(model, characterizations, kind, cfg, block)
-
-
-def _draw_portfolio(
-    model: CausalModel,
-    characterizations: Sequence[ProjectCharacterization],
-    kind: FactorKind,
-    cfg: SimulationConfig,
-    block: int = BLOCK_SIZE,
-) -> Iterator[np.ndarray]:
-    # simulate_portfolio without the input check, for callers that ran
-    # check_portfolio on these characterizations and this kind already
     if not characterizations:
         return iter(())
     factors = model.factors_of_kind(kind)
-    return _accumulate(_draw_factors(factors, cfg, block), factors, characterizations)
+    return _accumulate(_draw_factors(factors, cfg), factors, characterizations)
 
 
 def simulate(
-    model: CausalModel,
-    ch: ProjectCharacterization,
-    kind: FactorKind,
-    cfg: SimulationConfig,
-    *,
-    chunk_size: int | None = None,
+    model: CausalModel, ch: ProjectCharacterization, kind: FactorKind, cfg: SimulationConfig
 ) -> EmpiricalDistribution:
     """Simulate the accumulated relative increase (DDIF or EIF) for one project.
 
     Deterministic for fixed (model, characterization, kind, seed, sample_count):
-    chunking never changes the sample vector.
+    the block size never changes the sample vector.
     """
-    (samples,) = simulate_portfolio(model, [ch], kind, cfg, chunk_size=chunk_size)
+    check_portfolio(model, [ch], (kind,))
+    (samples,) = draw_portfolio(model, [ch], kind, cfg)
     return EmpiricalDistribution.from_samples(samples)
 
 

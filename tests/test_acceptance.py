@@ -10,6 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from hdce import simulation
 from hdce.cli import main
 from hdce.elicitation import RankingSheet, kendalls_w, select_factors
 from hdce.estimation import estimate_baseline, predict_defects_found
@@ -104,7 +105,9 @@ def test_criterion_3_monte_carlo_convergence_and_determinism():
         ch = characterization(model, level_patterns[1])
         serial = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
         rerun = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
-        chunked = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg, chunk_size=8192)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "BLOCK_SIZE", 8192)
+            chunked = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
         assert np.array_equal(serial.samples, rerun.samples)
         assert np.array_equal(serial.samples, chunked.samples)
 

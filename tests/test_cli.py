@@ -193,7 +193,7 @@ class TestSimulate:
         def exhausted(*_args, **_kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(simulation, "simulate_portfolio", exhausted)
+        monkeypatch.setattr(simulation, "draw_portfolio", exhausted)
         out = tmp_path / "o.json"
         code = main([
             "simulate", "--model", str(model_file), "--projects", str(projects_file),

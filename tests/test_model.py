@@ -61,6 +61,20 @@ class TestValidateModel:
         model = CausalModel(context="c", factors=reference_model().factors + (factor,))
         assert any(d.code == "multiplier-order" for d in errors_of(validate_model(model)))
 
+    @pytest.mark.parametrize("values", [(0.0, 0.1, math.inf), (0.0, math.nan, 0.4), (-math.inf, 0.0, 0.4)])
+    def test_non_finite_multiplier_is_an_error(self, values):
+        # a programmatic model skips the loader's finite-number check
+        factor = Factor(
+            id="wide",
+            name="wide",
+            kind=FactorKind.DEFECT_CONTENT,
+            category=FactorCategory.PRODUCT,
+            scale=scale_for("wide"),
+            multiplier=Multiplier(*values),
+        )
+        model = CausalModel(context="c", factors=reference_model().factors + (factor,))
+        assert [d.code for d in errors_of(validate_model(model))] == ["multiplier-non-finite"]
+
     def test_zero_worst_case_impact_is_an_error(self):
         factor = Factor(
             id="flat",

@@ -18,9 +18,10 @@ from hdce.simulation import (
     EmpiricalDistribution,
     SimulationConfig,
     analytic_mean,
+    check_portfolio,
     counter_uniforms,
+    draw_portfolio,
     simulate,
-    simulate_portfolio,
     triangular_inverse_cdf,
 )
 from helpers import (
@@ -66,6 +67,11 @@ class TestTriangular:
     def test_ordering_violation_rejected(self):
         with pytest.raises(ValueError):
             triangular_inverse_cdf(0.3, 0.2, 0.4, 0.5)
+
+    @pytest.mark.parametrize("params", [(0.0, 0.0, math.inf), (-math.inf, 0.0, 1.0), (0.0, math.nan, 1.0)])
+    def test_non_finite_parameters_rejected(self, params):
+        with pytest.raises(ValueError, match="finite"):
+            triangular_inverse_cdf(*params, 0.5)
 
     def test_u_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -289,14 +295,16 @@ class TestSimulate:
         dist = simulate(model, ch, FactorKind.DEFECT_CONTENT, SimulationConfig(seed=12, sample_count=100_000))
         assert dist.mean == pytest.approx(0.3, rel=0.01)
 
-    def test_deterministic_and_parallel_identical(self):
+    def test_deterministic_and_parallel_identical(self, monkeypatch):
         model = reference_model()
         ch = characterization(model, 2)
         cfg = SimulationConfig(seed=99, sample_count=20_000)
         serial = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
         rerun = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
-        chunked = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg, chunk_size=1024)
-        uneven = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg, chunk_size=3001)
+        monkeypatch.setattr(simulation, "BLOCK_SIZE", 1024)
+        chunked = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
+        monkeypatch.setattr(simulation, "BLOCK_SIZE", 3001)
+        uneven = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
         assert np.array_equal(serial.samples, rerun.samples)
         assert np.array_equal(serial.samples, chunked.samples)
         assert np.array_equal(serial.samples, uneven.samples)
@@ -374,7 +382,7 @@ class TestSimulate:
 
 
 class TestPortfolioEngine:
-    """simulate_portfolio against the per-factor reference loop, byte for byte."""
+    """draw_portfolio against the per-factor reference loop, byte for byte."""
 
     @staticmethod
     def portfolio(model, count):
@@ -383,23 +391,27 @@ class TestPortfolioEngine:
             for i in range(count)
         ]
 
-    @pytest.mark.parametrize("chunk_size", [None, 1000, 3001, 65537])
-    def test_simulate_matches_reference(self, chunk_size):
+    @pytest.mark.parametrize("block", [None, 1000, 3001, 65537])
+    def test_simulate_matches_reference(self, monkeypatch, block):
         # 70,000 samples span two default blocks of 65,536
         model = reference_model()
         ch = self.portfolio(model, 2)[1]
         cfg = SimulationConfig(seed=31, sample_count=70_000)
+        if block is not None:
+            monkeypatch.setattr(simulation, "BLOCK_SIZE", block)
         for kind in FactorKind:
-            samples = simulate(model, ch, kind, cfg, chunk_size=chunk_size).samples
+            samples = simulate(model, ch, kind, cfg).samples
             assert samples.tobytes() == reference_samples(model, ch, kind, cfg).tobytes()
 
-    @pytest.mark.parametrize("chunk_size", [None, 7])
-    def test_every_portfolio_vector_matches_reference(self, chunk_size):
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_every_portfolio_vector_matches_reference(self, monkeypatch, block):
         model = reference_model()
         chs = self.portfolio(model, 9)
         cfg = SimulationConfig(seed=8, sample_count=500)
+        if block is not None:
+            monkeypatch.setattr(simulation, "BLOCK_SIZE", block)
         for kind in FactorKind:
-            vectors = list(simulate_portfolio(model, chs, kind, cfg, chunk_size=chunk_size))
+            vectors = list(draw_portfolio(model, chs, kind, cfg))
             assert len(vectors) == len(chs)
             for ch, values in zip(chs, vectors):
                 assert values.tobytes() == reference_samples(model, ch, kind, cfg).tobytes()
@@ -419,7 +431,7 @@ class TestPortfolioEngine:
         for cpus in (1, 4):
             use_cpus(monkeypatch, cpus)
             for kind in FactorKind:
-                vectors = list(simulate_portfolio(model, chs, kind, cfg))
+                vectors = list(draw_portfolio(model, chs, kind, cfg))
                 for ch, values in zip(chs, vectors):
                     assert values.tobytes() == reference_samples(model, ch, kind, cfg).tobytes(), (ch.project_id, kind)
 
@@ -437,20 +449,13 @@ class TestPortfolioEngine:
 
     def test_empty_portfolio_yields_nothing(self):
         model = reference_model()
-        assert list(simulate_portfolio(model, [], FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1))) == []
+        assert list(draw_portfolio(model, [], FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1))) == []
 
-    def test_checks_before_returning(self):
-        # the error comes from the call itself, not from iterating its result
+    def test_check_portfolio_rejects_bad_characterization(self):
         model = reference_model()
         bad = characterization(model, {f.id: 1 for f in model.factors[:-1]})
         with pytest.raises(ModelValidationError):
-            simulate_portfolio(model, [bad], FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1))
-
-    def test_bad_chunk_size_rejected(self):
-        model = reference_model()
-        with pytest.raises(ValueError, match="chunk_size"):
-            simulate_portfolio(model, [characterization(model, 1)], FactorKind.DEFECT_CONTENT,
-                               SimulationConfig(seed=1), chunk_size=0)
+            check_portfolio(model, [bad], (FactorKind.DEFECT_CONTENT,))
 
 
 class TestBlockParallelism:
@@ -466,7 +471,7 @@ class TestBlockParallelism:
             expected = [reference_samples(model, ch, kind, cfg).tobytes() for ch in chs]
             for cpus in (1, 4):
                 use_cpus(monkeypatch, cpus)
-                vectors = [v.tobytes() for v in simulate_portfolio(model, chs, kind, cfg)]
+                vectors = [v.tobytes() for v in draw_portfolio(model, chs, kind, cfg)]
                 assert vectors == expected, (kind, cpus)
 
     def test_blocks_run_on_more_than_one_thread(self, monkeypatch):
@@ -504,12 +509,12 @@ class TestBlockParallelism:
         cfg = SimulationConfig(seed=23, sample_count=2 * BLOCK_SIZE + 5)
         expected = [reference_samples(model, ch, FactorKind.EFFECTIVENESS, cfg).tobytes() for ch in chs]
         use_cpus(monkeypatch, 8)
+        monkeypatch.setattr(simulation, "BLOCK_SIZE", 997)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # 132 draw blocks in 8 shares, then 3 accumulation blocks in 3
-            vectors = [v.tobytes() for v in simulate_portfolio(model, chs, FactorKind.EFFECTIVENESS, cfg,
-                                                               chunk_size=997)]
+            # 132 draw blocks in 8 shares, then 132 accumulation blocks per vector in 8
+            vectors = [v.tobytes() for v in draw_portfolio(model, chs, FactorKind.EFFECTIVENESS, cfg)]
         finally:
             sys.setswitchinterval(interval)
         assert vectors == expected
@@ -548,8 +553,9 @@ class TestBlockParallelism:
                 raise MemoryError("block 2")
             done.append((start, stop))
 
+        monkeypatch.setattr(simulation, "BLOCK_SIZE", 1)
         with pytest.raises(MemoryError, match="block 2"):
-            simulation._for_each_block(lambda: task, 10, 1)
+            simulation._for_each_block(lambda: task, 10)
         # W = 4: the share of blocks 2 and 6 stops at 2; every other share runs to its end
         assert sorted(done) == [(s, s + 1) for s in (0, 1, 3, 4, 5, 7, 8, 9)]
 
@@ -565,10 +571,10 @@ class TestBlockParallelism:
         monkeypatch.setattr(simulation, "_block_pool", None)  # no thread may start
         monkeypatch.setattr(simulation.np, "empty", None)  # and no draw matrix be allocated
         with pytest.raises(MemoryError, match=f"need {needed} bytes"):
-            simulate_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg)
+            draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg)
         monkeypatch.undo()
         monkeypatch.setattr(simulation, "_physical_memory", lambda: needed)
-        (values,) = simulate_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg)
+        (values,) = draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg)
         assert values.tobytes() == reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg).tobytes()
 
 
