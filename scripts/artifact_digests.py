@@ -55,6 +55,7 @@ RUNS: tuple[tuple[str, list[str]], ...] = (
     ("simulate-eff-samples-300000", ["simulate", *_FILES, "--project", "review-c", "--kind", "eff",
                                      *_seeded(300_000), "--emit-samples", "--out", "eif.json"]),
     ("validate-150000", ["validate", *_FILES, *_seeded(150_000), "--out", "report.json"]),
+    ("plan-200001", ["plan", *_FILES, *_seeded(200_001), "--out", "chart.csv", "--svg", "chart.svg"]),
     ("rank-analyze-threshold-1.5", ["rank-analyze", "--rankings", "rankings.csv", "--threshold", "1.5",
                                     "--out", "analysis.json"]),
     ("plan-scale-factor-0.5", ["plan", *_FILES, *_seeded(10_000), "--scale-factor", "0.5", "--out", "chart.csv",

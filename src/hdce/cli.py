@@ -343,11 +343,6 @@ def cmd_predict(args) -> int:
         print("error: no historical project (with defects_found) to estimate the baseline", file=sys.stderr)
         return EXIT_VALIDATION
 
-    # np.quantile in predict_defects_found imports numpy.ma on first use; loaded
-    # there, its objects land above the per-sample temporaries and keep the
-    # allocator from returning their memory for the rest of the process
-    import numpy.ma  # noqa: F401
-
     cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
     means, target_ddif, target_eif = means_and_target_samples(model, historical, target, cfg)
     baseline = estimation.estimate_baseline(historical, means, diagnostics)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
 from math import isfinite, sqrt
 from typing import Mapping, Sequence
 
@@ -187,17 +186,6 @@ def wilcoxon_signed_rank(
     return WilcoxonResult(_normal_two_sided(ranks, w_plus), w_plus, len(nonzero), "normal-approximation")
 
 
-def _kind_pass(
-    model: CausalModel, characterizations: Sequence[ProjectCharacterization], kind: FactorKind, cfg: SimulationConfig
-) -> tuple[list[float], np.ndarray]:
-    # one engine pass: every vector's mean, and the last vector; map drops each
-    # vector after its mean, so no finished one is alive while the next is built
-    vectors = draw_portfolio(model, characterizations, kind, cfg)
-    means = [float(m) for m in map(np.mean, islice(vectors, len(characterizations) - 1))]
-    last = next(vectors)
-    return means + [float(np.mean(last))], last
-
-
 def project_factor_means(
     model: CausalModel, projects: Sequence[HistoricalProject], cfg: SimulationConfig
 ) -> dict[str, tuple[float, float]]:
@@ -211,7 +199,7 @@ def project_factor_means(
         return {}
     characterizations = [p.characterization for p in projects]
     check_portfolio(model, characterizations, _KINDS)
-    ddif, eif = (_kind_pass(model, characterizations, kind, cfg)[0] for kind in _KINDS)
+    ddif, eif = (draw_portfolio(model, characterizations, kind, cfg, keep=[])[0] for kind in _KINDS)
     return {p.project_id: pair for p, pair in zip(projects, zip(ddif, eif))}
 
 
@@ -222,7 +210,9 @@ def means_and_target_samples(
     from the same pass per kind; the target goes last, so it is also checked last."""
     characterizations = [p.characterization for p in history] + [target.characterization]
     check_portfolio(model, characterizations, _KINDS)
-    (ddif_means, ddif), (eif_means, eif) = (_kind_pass(model, characterizations, kind, cfg) for kind in _KINDS)
+    (ddif_means, (ddif,)), (eif_means, (eif,)) = (
+        draw_portfolio(model, characterizations, kind, cfg, keep=[len(history)]) for kind in _KINDS
+    )
     return {p.project_id: pair for p, pair in zip(history, zip(ddif_means, eif_means))}, ddif, eif
 
 
@@ -318,21 +308,17 @@ def compare_variants(
     """Pairwise two-sided Wilcoxon tests on paired per-project MREs."""
     _check_alpha(alpha)
     variants = list(records_by_variant)
-    project_sets = {
-        v: tuple(r.project_id for r in sorted(records_by_variant[v], key=lambda r: r.project_id))
-        for v in variants
-    }
-    reference = next(iter(project_sets.values()), ())
-    for v, ids in project_sets.items():
-        if ids != reference:
+    ordered = {v: sorted(records_by_variant[v], key=lambda r: r.project_id) for v in variants}
+    ids = [r.project_id for r in next(iter(ordered.values()), [])]
+    for v, records in ordered.items():
+        if [r.project_id for r in records] != ids:
             raise ValueError(f"variant {v.value} covers a different project set than the others")
+    mres = {v: [r.mre for r in records] for v, records in ordered.items()}
 
     comparisons = []
     for i, a in enumerate(variants):
         for b in variants[i + 1 :]:
-            mres_a = [r.mre for r in sorted(records_by_variant[a], key=lambda r: r.project_id)]
-            mres_b = [r.mre for r in sorted(records_by_variant[b], key=lambda r: r.project_id)]
-            result = wilcoxon_signed_rank(mres_a, mres_b)
+            result = wilcoxon_signed_rank(mres[a], mres[b])
             comparisons.append(
                 VariantComparison(
                     variant_a=a,

@@ -126,6 +126,8 @@ def _load_json_file(path: str | Path, what: str):
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise InputFormatError(f"{what} file {path}: invalid JSON ({exc})") from None
+    except RecursionError:  # arrays or objects nested deeper than the parser recurses
+        raise InputFormatError(f"{what} file {path}: invalid JSON (nested too deeply)") from None
 
 
 def load_model(

@@ -7,7 +7,9 @@ contributions add up across the factors of one kind (no interaction terms).
 Sampling is counter-based: the uniform variate for (seed, factor, sample index)
 is derived by hashing, never by advancing shared generator state. Chunked runs
 therefore produce bit-identical sample vectors, and since the draws never
-depend on the project, each factor is drawn once for a whole portfolio.
+depend on the project, each factor is drawn once for a whole portfolio. The
+chunks are leaves of numpy's pairwise summation tree, so a vector's mean can be
+summed a chunk at a time, bit for bit as np.mean sums the whole vector.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -26,7 +27,6 @@ from .diagnostics import ModelValidationError, error, has_errors
 from .model import (
     MAX_LEVEL,
     CausalModel,
-    Factor,
     FactorKind,
     ProjectCharacterization,
     validate_characterization,
@@ -35,8 +35,13 @@ from .model import (
 
 DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_QUANTILE_LEVELS = (0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95)
-# samples drawn per block; any block size gives the same vectors
+# samples drawn per block; any block size gives the same vectors and means
 BLOCK_SIZE = 1 << 16
+# bytes per thread for the products level/3 * draw that a block's vectors
+# share: they save a multiply per project and term, which counts at small N
+# and many projects; past this, each term forms its own product, so that the
+# peak of a large-N pass stays that of a one-project pass
+_PRODUCT_CACHE_BYTES = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -235,22 +240,25 @@ def _block_pool(threads: int):
     return _pool
 
 
-def _for_each_block(make_task: Callable[[], Callable[[int, int], None]], n: int) -> None:
-    # Run task(start, stop) over the BLOCK_SIZE blocks of range(n); tasks must
-    # write disjoint data. There are W = min(blocks, usable CPUs) shares: the
-    # calling thread takes blocks 0, W, 2W, ... and the pool the other strided
-    # shares, so one block or one CPU runs inline and never creates the pool.
-    # The arithmetic of a block is the same on any thread, so W never changes a
-    # result. Each share's task comes from make_task(), called here before any
-    # share starts, so that scratch a task owns exists for the whole run and
-    # the memory peak never depends on thread timing.
-    starts = range(0, n, BLOCK_SIZE)
-    workers = 1 if len(starts) == 1 else min(len(starts), _usable_cpus())
+def _share_count(blocks: Sequence[tuple[int, int]]) -> int:
+    return 1 if len(blocks) == 1 else min(len(blocks), _usable_cpus())
+
+
+def _for_each_block(make_task: Callable[[], Callable[[int, int], None]], blocks: Sequence[tuple[int, int]]) -> None:
+    # Run task(start, stop) over the given blocks; tasks must write disjoint
+    # data. There are W = min(blocks, usable CPUs) shares: the calling thread
+    # takes blocks 0, W, 2W, ... and the pool the other strided shares, so one
+    # block or one CPU runs inline and never creates the pool. The arithmetic
+    # of a block is the same on any thread, so W never changes a result. Each
+    # share's task comes from make_task(), called here before any share
+    # starts, so that scratch a task owns exists for the whole run and the
+    # memory peak never depends on thread timing.
+    workers = _share_count(blocks)
     tasks = [make_task() for _ in range(workers)]
 
     def share(k: int) -> None:
-        for start in starts[k::workers]:
-            tasks[k](start, min(start + BLOCK_SIZE, n))
+        for start, stop in blocks[k::workers]:
+            tasks[k](start, stop)
 
     futures = [_block_pool(workers - 1).submit(share, k) for k in range(1, workers)]  # none for W = 1
     try:
@@ -262,6 +270,80 @@ def _for_each_block(make_task: Callable[[], Callable[[int, int], None]], n: int)
             raise failure
 
 
+# numpy's pairwise summation adds up a node of at most this many elements in one loop
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_split(m: int) -> int:
+    # where np.add.reduce splits a node of m contiguous elements (half of it,
+    # rounded down to a multiple of 8), or 0 for a node the engine takes as
+    # one block; numpy never splits a node of _PAIRWISE_LEAF or fewer, so
+    # neither may the engine, whatever BLOCK_SIZE is
+    if m <= max(BLOCK_SIZE, _PAIRWISE_LEAF):
+        return 0
+    half = m // 2
+    return half - half % 8
+
+
+def _pairwise_blocks(start: int, stop: int) -> list[tuple[int, int]]:
+    # the blocks of range(start, stop), in order: the nodes of numpy's
+    # pairwise-sum tree that _pairwise_split leaves whole
+    split = _pairwise_split(stop - start)
+    if not split:
+        return [(start, stop)]
+    return _pairwise_blocks(start, start + split) + _pairwise_blocks(start + split, stop)
+
+
+def _pairwise_total(leaf_sums: Iterator, m: int):
+    # the sum of m elements from the sums of their _pairwise_blocks, in order,
+    # added as numpy adds those nodes: np.add.reduce of all m, bit for bit
+    # (np.add.reduce starts each leaf sum at +0.0, which can change only the
+    # sign of a zero, and it starts its own total at +0.0 too)
+    split = _pairwise_split(m)
+    if not split:
+        return next(leaf_sums)
+    return _pairwise_total(leaf_sums, split) + _pairwise_total(leaf_sums, m - split)
+
+
+def _sum_block(
+    rows: np.ndarray,
+    products: dict[tuple[int, float], np.ndarray],
+    term_lists: Sequence[Sequence[tuple[int, float]]],
+    parts: Sequence[np.ndarray],
+    temp: np.ndarray,
+) -> np.ndarray:
+    # One block of every characterization's vector, from the block's draws
+    # (one row per factor). term_lists[j] holds characterization j's
+    # (row, level/3) terms in model order, level-0 terms left out: the draws
+    # are >= 0, so a +0.0 term never changes a sum that starts at +0.0. A
+    # level-3 term (x * 1.0) is the row itself. A product in products is
+    # formed once, into products[row, weight], and shared; any other is formed
+    # per term, in the part itself for a first term and in temp after it.
+    # parts[j] receives the block of vector j; returns np.add.reduce of each.
+    for (i, weight), product in products.items():
+        np.multiply(rows[i], weight, out=product)
+
+    def term(i: int, weight: float, out: np.ndarray) -> np.ndarray:
+        if weight == 1.0:
+            return rows[i]
+        product = products.get((i, weight))
+        return np.multiply(rows[i], weight, out=out) if product is None else product
+
+    sums = np.empty(len(parts))
+    for j, (terms, part) in enumerate(zip(term_lists, parts)):
+        if not terms:
+            part.fill(0.0)
+        else:
+            (first, weight), *rest = terms
+            # the sum starts as +0.0 + first term: a draw of -0.0 (at u == 0
+            # when the minimum is -0.0) still gives +0.0
+            np.add(term(first, weight, part), 0.0, out=part)
+            for i, weight in rest:
+                part += term(i, weight, temp)
+        sums[j] = np.add.reduce(part)
+    return sums
+
+
 def _physical_memory() -> float:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -269,78 +351,73 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _draw_factors(factors: Sequence[Factor], cfg: SimulationConfig) -> np.ndarray:
-    # one row of triangular draws per factor, filled a block of samples at a
-    # time so that the uniforms and inverse-CDF temporaries stay block-sized
-    n = cfg.sample_count
-    needed = (len(factors) + 2) * n * 8  # the draws, a project's vector and the caller's last one
-    if needed > _physical_memory():
-        raise MemoryError(f"{n} samples of {len(factors)} factors need {needed} bytes, more than physical memory")
-    draws = np.empty((len(factors), n), dtype=np.float64)
-    params = [(f.multiplier, factor_stream(f.id)) for f in factors]
-
-    def fill(start: int, stop: int) -> None:
-        # the variates go straight into the row, with the fresh uniforms as
-        # scratch; validate_model has checked the multipliers
-        for row, (m, stream) in zip(draws, params):
-            u = counter_uniforms(cfg.seed, stream, start, stop - start)
-            _triangular_into(row[start:stop], m.min, m.most_likely, m.max, u, u)
-            del u  # before the next factor's uniforms are drawn
-
-    _for_each_block(lambda: fill, n)
-    return draws
-
-
-def _accumulate(
-    draws: np.ndarray, factors: Sequence[Factor], characterizations: Sequence[ProjectCharacterization]
-) -> Iterator[np.ndarray]:
-    # a block at a time, so that the product temporary stays block-sized; the
-    # draws are >= 0, so a level-0 term (+0.0) never changes a sum that starts
-    # at +0.0, and a level-3 term (x * 1.0) is the draw itself
-    n = draws.shape[1]
-    rows_at = {start: list(draws[:, start : start + BLOCK_SIZE]) for start in range(0, n, BLOCK_SIZE)}
-    for ch in characterizations:
-        terms = [(i, w) for i, w in enumerate(ch.levels[f.id] / MAX_LEVEL for f in factors) if w != 0.0]
-        if not terms:
-            yield np.zeros(n, dtype=np.float64)
-            continue
-        values = np.empty(n, dtype=np.float64)
-        (first, first_weight), rest = terms[0], terms[1:]
-
-        def add_terms(scratch: np.ndarray, start: int, stop: int) -> None:
-            part, rows = values[start:stop], rows_at[start]
-            # the sum starts as +0.0 + first term: a draw of -0.0 (at u == 0
-            # when the minimum is -0.0) still gives +0.0
-            term = rows[first] if first_weight == 1.0 else np.multiply(rows[first], first_weight, out=part)
-            np.add(term, 0.0, out=part)
-            for i, weight in rest:
-                part += rows[i] if weight == 1.0 else np.multiply(rows[i], weight, out=scratch[: part.size])
-
-        _for_each_block(lambda: partial(add_terms, np.empty(min(n, BLOCK_SIZE))), n)
-        yield values
-        del values  # free it before the next vector is allocated (add_terms sees the name, not the array)
-
-
 def draw_portfolio(
     model: CausalModel,
     characterizations: Sequence[ProjectCharacterization],
     kind: FactorKind,
     cfg: SimulationConfig,
-) -> Iterator[np.ndarray]:
-    """Sample vectors of the accumulated relative increase (DDIF or EIF), one per characterization.
+    keep: Sequence[int],
+) -> tuple[list[float], list[np.ndarray]]:
+    """Means of the accumulated relative increase (DDIF or EIF), one per characterization,
+    and the sample vectors of the characterizations at the indices in keep, in keep's order.
 
     The caller runs check_portfolio on these characterizations and this kind
-    first; the draws are not checked again. Each factor of the kind is drawn
-    once for the whole portfolio; a characterization's vector adds level/3
-    times each factor's draws, in model order. The draws are made before this
-    returns; the vectors are yielded in the order of characterizations. A
-    vector depends only on (model, characterization, kind, seed, sample_count):
-    neither the rest of the portfolio nor BLOCK_SIZE changes it.
+    first; the draws are not checked again. A characterization's vector adds
+    level/3 times each factor's draws, in model order. One pass over the
+    blocks draws each factor once for the whole portfolio and sums every
+    vector; a vector not kept exists one block at a time. The blocks are
+    leaves of np.mean's pairwise summation tree, so each mean is
+    float(np.mean(vector)), bit for bit. Means and vectors depend only on
+    (model, characterization, kind, seed, sample_count): neither the rest of
+    the portfolio, BLOCK_SIZE nor the CPU count changes them.
     """
     if not characterizations:
-        return iter(())
+        return [], []
     factors = model.factors_of_kind(kind)
-    return _accumulate(_draw_factors(factors, cfg), factors, characterizations)
+    n = cfg.sample_count
+    blocks = _pairwise_blocks(0, n)
+    width = max(stop - start for start, stop in blocks)
+    term_lists = [
+        [(i, w) for i, w in enumerate(ch.levels[f.id] / MAX_LEVEL for f in factors) if w != 0.0]
+        for ch in characterizations
+    ]
+    product_keys = sorted({term for terms in term_lists for term in terms if term[1] != 1.0})
+    if len(product_keys) * width * 8 > _PRODUCT_CACHE_BYTES:
+        product_keys = []
+    # the kept vectors and, when there are any, the one the caller derives
+    # from them; then each share's scratch: the draw rows, the shared
+    # products, an unkept block, a product temporary and the uniforms' two
+    # temporaries
+    scratch = _share_count(blocks) * (len(factors) + len(product_keys) + 4) * width * 8
+    needed = (len(keep) + (1 if keep else 0)) * n * 8 + scratch
+    if needed > _physical_memory():
+        raise MemoryError(f"{n} samples of {len(factors)} factors need {needed} bytes, more than physical memory")
+    kept = {j: np.empty(n, dtype=np.float64) for j in keep}
+    params = [(f.multiplier, factor_stream(f.id)) for f in factors]
+    leaf_sums: dict[int, np.ndarray] = {}
+
+    def make_task() -> Callable[[int, int], None]:
+        rows = np.empty((len(factors), width), dtype=np.float64)
+        product_rows = np.empty((len(product_keys), width), dtype=np.float64)
+        spare, temp = np.empty((2, width), dtype=np.float64)
+
+        def task(start: int, stop: int) -> None:
+            m = stop - start
+            # the variates go straight into the rows, with the fresh uniforms
+            # as scratch; validate_model has checked the multipliers
+            for row, (mult, stream) in zip(rows, params):
+                u = counter_uniforms(cfg.seed, stream, start, m)
+                _triangular_into(row[:m], mult.min, mult.most_likely, mult.max, u, u)
+                del u  # before the next factor's uniforms are drawn
+            products = {key: product[:m] for key, product in zip(product_keys, product_rows)}
+            parts = [kept[j][start:stop] if j in kept else spare[:m] for j in range(len(term_lists))]
+            leaf_sums[start] = _sum_block(rows[:, :m], products, term_lists, parts, temp[:m])
+
+        return task
+
+    _for_each_block(make_task, blocks)
+    totals = _pairwise_total(iter([leaf_sums[start] for start, _ in blocks]), n)
+    return (totals / n).tolist(), [kept[j] for j in keep]
 
 
 def simulate(
@@ -352,7 +429,7 @@ def simulate(
     the block size never changes the sample vector.
     """
     check_portfolio(model, [ch], (kind,))
-    (samples,) = draw_portfolio(model, [ch], kind, cfg)
+    _, (samples,) = draw_portfolio(model, [ch], kind, cfg, keep=[0])
     return EmpiricalDistribution.from_samples(samples)
 
 

@@ -312,10 +312,11 @@ class TestPredictOnePass:
         self.run(tmp_path, samples)
         model = load_model(self.EXAMPLES / "model.json")
         assert set(drawn) == {simulation.factor_stream(f.id) for f in model.factors}
+        blocks = [(start, stop - start) for start, stop in simulation._pairwise_blocks(0, samples)]
+        assert len(blocks) == 2
         for ranges in drawn.values():
             assert sum(count for _, count in ranges) == samples
-            assert sorted(ranges) == [(start, min(simulation.BLOCK_SIZE, samples - start))
-                                      for start in range(0, samples, simulation.BLOCK_SIZE)]
+            assert sorted(ranges) == blocks
 
 
 class TestPredictOnSeveralCpus:
@@ -356,8 +357,18 @@ class TestPredictOnSeveralCpus:
         assert not out.exists()
 
     def test_draws_beyond_physical_memory_are_refused_before_any_thread(self, tmp_path, monkeypatch, capsys):
-        factors = len(load_model(EXAMPLES / "model.json").factors_of_kind(simulation.FactorKind.DEFECT_CONTENT))
-        needed = (factors + 2) * self.SAMPLES * 8
+        dc = load_model(EXAMPLES / "model.json").factors_of_kind(simulation.FactorKind.DEFECT_CONTENT)
+        factors = len(dc)
+        # predict keeps the target's vector and derives one more; each of the 4 shares holds a block of
+        # every draw row, an unkept vector, a product temporary and two uniform temporaries (the
+        # products are too many at this block width to be shared)
+        products = {(f.id, p.characterization.levels[f.id]) for p in load_projects(EXAMPLES / "projects.json")
+                    for f in dc if p.characterization.levels[f.id] in (1, 2)}
+        blocks = simulation._pairwise_blocks(0, self.SAMPLES)
+        assert len(blocks) == 4
+        width = max(stop - start for start, stop in blocks)
+        assert len(products) * width * 8 > simulation._PRODUCT_CACHE_BYTES
+        needed = 2 * self.SAMPLES * 8 + 4 * (factors + 4) * width * 8
 
         def no_pool(_threads):
             raise AssertionError("no thread may start before the memory bound is checked")

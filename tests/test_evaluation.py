@@ -420,6 +420,33 @@ class TestCompareVariants:
             compare_variants({Variant.HDCE: a, Variant.DF_ONLY: b})
 
 
+    def test_each_variant_is_sorted_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        actuals = [10 * (i + 1) for i in range(12)]
+        records = {}
+        for v in ALL_VARIANTS:
+            variant_records = records_from_res([(a, float(a * rng.uniform(0.5, 1.5))) for a in actuals])
+            records[v] = [variant_records[i] for i in rng.permutation(len(actuals))]
+        by_id = {v: sorted(rs, key=lambda r: r.project_id) for v, rs in records.items()}
+        expected = [
+            wilcoxon_signed_rank([r.mre for r in by_id[a]], [r.mre for r in by_id[b]]).p_value
+            for i, a in enumerate(ALL_VARIANTS)
+            for b in ALL_VARIANTS[i + 1 :]
+        ]
+        sorts = []
+
+        def counted(items, **kwargs):
+            items = list(items)
+            if items and isinstance(items[0], PredictionRecord):
+                sorts.append(1)
+            return sorted(items, **kwargs)
+
+        monkeypatch.setattr(evaluation, "sorted", counted, raising=False)
+        table = compare_variants(records)
+        assert [c.p_value for c in table] == expected
+        assert len(sorts) == len(ALL_VARIANTS)
+
+
 class TestRunValidation:
     def test_full_report_structure(self):
         rng = np.random.default_rng(1)

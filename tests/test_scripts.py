@@ -24,6 +24,7 @@ def test_artifact_digests_prints_one_line_per_artifact():
         ("predict-200001", ["prediction.json", "prediction.json.manifest.json"]),
         ("simulate-eff-samples-300000", ["eif.json", "eif.json.manifest.json"]),
         ("validate-150000", ["report.json", "report.json.manifest.json", "report.json.re.csv"]),
+        ("plan-200001", ["chart.csv", "chart.csv.manifest.json", "chart.svg"]),
         ("rank-analyze-threshold-1.5", ["analysis.json", "analysis.json.manifest.json"]),
         ("plan-scale-factor-0.5", ["chart.csv", "chart.csv.manifest.json", "chart.svg"]),
     ]:

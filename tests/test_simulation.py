@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from hdce import simulation
 from hdce.diagnostics import ModelValidationError
-from hdce.model import CausalModel, Factor, FactorKind, Multiplier
+from hdce.evaluation import project_factor_means
+from hdce.model import CausalModel, Factor, FactorKind, HistoricalProject, Multiplier
 from hdce.simulation import (
     BLOCK_SIZE,
     EmpiricalDistribution,
@@ -381,6 +383,19 @@ class TestSimulate:
             simulate(model, ch, FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1, sample_count=10))
 
 
+def draw_all(model, chs, kind, cfg):
+    """draw_portfolio keeping every vector; asserts that each mean is np.mean of its vector."""
+    means, vectors = draw_portfolio(model, chs, kind, cfg, keep=range(len(chs)))
+    assert len(means) == len(vectors) == len(chs)
+    assert means == [float(np.mean(v)) for v in vectors]
+    return means, vectors
+
+
+def reference_means_and_bytes(model, chs, kind, cfg):
+    references = [reference_samples(model, ch, kind, cfg) for ch in chs]
+    return [float(np.mean(r)) for r in references], [r.tobytes() for r in references]
+
+
 class TestPortfolioEngine:
     """draw_portfolio against the per-factor reference loop, byte for byte."""
 
@@ -411,10 +426,8 @@ class TestPortfolioEngine:
         if block is not None:
             monkeypatch.setattr(simulation, "BLOCK_SIZE", block)
         for kind in FactorKind:
-            vectors = list(draw_portfolio(model, chs, kind, cfg))
-            assert len(vectors) == len(chs)
-            for ch, values in zip(chs, vectors):
-                assert values.tobytes() == reference_samples(model, ch, kind, cfg).tobytes()
+            means, vectors = draw_all(model, chs, kind, cfg)
+            assert (means, [v.tobytes() for v in vectors]) == reference_means_and_bytes(model, chs, kind, cfg)
 
     @pytest.mark.parametrize("samples", [500, BLOCK_SIZE + 3])
     def test_zero_levels_and_first_term_weights_match_reference(self, monkeypatch, samples):
@@ -431,25 +444,29 @@ class TestPortfolioEngine:
         for cpus in (1, 4):
             use_cpus(monkeypatch, cpus)
             for kind in FactorKind:
-                vectors = list(draw_portfolio(model, chs, kind, cfg))
-                for ch, values in zip(chs, vectors):
-                    assert values.tobytes() == reference_samples(model, ch, kind, cfg).tobytes(), (ch.project_id, kind)
+                means, vectors = draw_all(model, chs, kind, cfg)
+                expected_means, expected = reference_means_and_bytes(model, chs, kind, cfg)
+                assert means == expected_means, kind
+                for ch, values, reference in zip(chs, vectors, expected):
+                    assert values.tobytes() == reference, (ch.project_id, kind)
 
     def test_negative_zero_first_draw_sums_to_positive_zero(self):
         # a minimum of -0.0 draws -0.0 at u == 0, and the sum still starts at +0.0
-        model = single_factor_model(-0.0, -0.0, 0.5)
-        factors = model.factors_of_kind(FactorKind.DEFECT_CONTENT)
         draws = np.array([[-0.0, 0.25, -0.0]])
         for level in (1, 3):
-            (values,) = simulation._accumulate(draws, factors, [characterization(model, {"lone-dc": level, "lone-eff": 0})])
+            weight = level / 3
             expected = np.zeros(3)
-            expected += (level / 3) * draws[0]
-            assert values.tobytes() == expected.tobytes()
-            assert not np.signbit(values[0])
+            expected += weight * draws[0]
+            for products in ({}, {(0, weight): np.empty(3)}):  # formed per term, or shared
+                values = np.empty(3)
+                (total,) = simulation._sum_block(draws, products, [[(0, weight)]], [values], np.empty(3))
+                assert values.tobytes() == expected.tobytes()
+                assert not np.signbit(values[0])
+                assert total == np.add.reduce(expected)
 
     def test_empty_portfolio_yields_nothing(self):
         model = reference_model()
-        assert list(draw_portfolio(model, [], FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1))) == []
+        assert draw_portfolio(model, [], FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1), keep=[]) == ([], [])
 
     def test_check_portfolio_rejects_bad_characterization(self):
         model = reference_model()
@@ -468,11 +485,11 @@ class TestBlockParallelism:
         chs = TestPortfolioEngine.portfolio(model, count)  # levels 0-3, so every weight occurs
         cfg = SimulationConfig(seed=19, sample_count=samples)
         for kind in FactorKind:
-            expected = [reference_samples(model, ch, kind, cfg).tobytes() for ch in chs]
+            expected = reference_means_and_bytes(model, chs, kind, cfg)
             for cpus in (1, 4):
                 use_cpus(monkeypatch, cpus)
-                vectors = [v.tobytes() for v in draw_portfolio(model, chs, kind, cfg)]
-                assert vectors == expected, (kind, cpus)
+                means, vectors = draw_all(model, chs, kind, cfg)
+                assert (means, [v.tobytes() for v in vectors]) == expected, (kind, cpus)
 
     def test_blocks_run_on_more_than_one_thread(self, monkeypatch):
         threads = set()
@@ -507,17 +524,18 @@ class TestBlockParallelism:
         model = reference_model()
         chs = TestPortfolioEngine.portfolio(model, 3)
         cfg = SimulationConfig(seed=23, sample_count=2 * BLOCK_SIZE + 5)
-        expected = [reference_samples(model, ch, FactorKind.EFFECTIVENESS, cfg).tobytes() for ch in chs]
+        expected = reference_means_and_bytes(model, chs, FactorKind.EFFECTIVENESS, cfg)
         use_cpus(monkeypatch, 8)
         monkeypatch.setattr(simulation, "BLOCK_SIZE", 997)
+        assert len(simulation._pairwise_blocks(0, cfg.sample_count)) == 256
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # 132 draw blocks in 8 shares, then 132 accumulation blocks per vector in 8
-            vectors = [v.tobytes() for v in draw_portfolio(model, chs, FactorKind.EFFECTIVENESS, cfg)]
+            # 256 blocks in 8 shares, every vector summed in each block
+            means, vectors = draw_all(model, chs, FactorKind.EFFECTIVENESS, cfg)
         finally:
             sys.setswitchinterval(interval)
-        assert vectors == expected
+        assert (means, [v.tobytes() for v in vectors]) == expected
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_runs_its_blocks(self, monkeypatch):
@@ -553,9 +571,8 @@ class TestBlockParallelism:
                 raise MemoryError("block 2")
             done.append((start, stop))
 
-        monkeypatch.setattr(simulation, "BLOCK_SIZE", 1)
         with pytest.raises(MemoryError, match="block 2"):
-            simulation._for_each_block(lambda: task, 10)
+            simulation._for_each_block(lambda: task, [(s, s + 1) for s in range(10)])
         # W = 4: the share of blocks 2 and 6 stops at 2; every other share runs to its end
         assert sorted(done) == [(s, s + 1) for s in (0, 1, 3, 4, 5, 7, 8, 9)]
 
@@ -563,19 +580,116 @@ class TestBlockParallelism:
         model = reference_model()
         factors = model.factors_of_kind(FactorKind.DEFECT_CONTENT)
         samples = 3 * BLOCK_SIZE + 7
-        needed = (len(factors) + 2) * samples * 8
+        blocks = simulation._pairwise_blocks(0, samples)
+        width = max(stop - start for start, stop in blocks)
+        # every level is 1, so there is a product per row, too large at this width to share
+        assert len(factors) * width * 8 > simulation._PRODUCT_CACHE_BYTES
+        scratch = min(len(blocks), 4) * (len(factors) + 4) * width * 8
+        needed = 2 * samples * 8 + scratch  # the kept vector, the caller's, and each share's scratch
         cfg = SimulationConfig(seed=6, sample_count=samples)
         ch = characterization(model, 1)
         use_cpus(monkeypatch, 4)
         monkeypatch.setattr(simulation, "_physical_memory", lambda: needed - 1)
         monkeypatch.setattr(simulation, "_block_pool", None)  # no thread may start
-        monkeypatch.setattr(simulation.np, "empty", None)  # and no draw matrix be allocated
+        monkeypatch.setattr(simulation.np, "empty", None)  # and no array be allocated
         with pytest.raises(MemoryError, match=f"need {needed} bytes"):
-            draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg)
+            draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg, keep=[0])
         monkeypatch.undo()
+        use_cpus(monkeypatch, 4)
+        expected = reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg)
+        monkeypatch.setattr(simulation, "_physical_memory", lambda: scratch)  # means alone need no vector
+        assert draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg, keep=[]) == ([float(np.mean(expected))], [])
         monkeypatch.setattr(simulation, "_physical_memory", lambda: needed)
-        (values,) = draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg)
-        assert values.tobytes() == reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg).tobytes()
+        _, (values,) = draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg, keep=[0])
+        assert values.tobytes() == expected.tobytes()
+
+
+class TestPairwiseBlocks:
+    """The blocks are leaves of np.add.reduce's pairwise tree, so block sums give np.mean's bits."""
+
+    @staticmethod
+    def assert_partition(samples, limit):
+        blocks = simulation._pairwise_blocks(0, samples)
+        assert blocks[0][0] == 0 and blocks[-1][1] == samples
+        assert all(stop == next_start for (_, stop), (next_start, _) in zip(blocks, blocks[1:]))
+        assert all(0 < stop - start <= limit for start, stop in blocks)
+        return blocks
+
+    @staticmethod
+    def assert_block_sums_add_up_like_numpy(samples, blocks, seed):
+        # values of mixed sign and magnitude, so that another summation order rounds differently
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(samples) * 10.0 ** rng.integers(-8, 9, samples)
+        total = simulation._pairwise_total(iter([np.add.reduce(values[a:b]) for a, b in blocks]), samples)
+        assert total.tobytes() == np.add.reduce(values).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=st.integers(1, 300_000), block=st.sampled_from([1, 7, 8, 127, 128, 129, 997, BLOCK_SIZE]),
+           seed=st.integers(0, 2**32))
+    def test_blocks_partition_the_samples_and_sum_like_np_add_reduce(self, samples, block, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "BLOCK_SIZE", block)
+            blocks = self.assert_partition(samples, max(block, 128))
+            self.assert_block_sums_add_up_like_numpy(samples, blocks, seed)
+
+    def test_a_million_samples_take_sixteen_blocks(self):
+        blocks = self.assert_partition(1_000_000, BLOCK_SIZE)
+        assert {stop - start for start, stop in blocks} == {62_496, 62_504}
+        assert len(blocks) == 16
+        self.assert_block_sums_add_up_like_numpy(1_000_000, blocks, 1)
+
+    @pytest.mark.parametrize("samples", [1, 128, BLOCK_SIZE])
+    def test_up_to_one_block_size_is_one_block(self, samples):
+        assert simulation._pairwise_blocks(0, samples) == [(0, samples)]
+
+    PORTFOLIO_LEVELS = st.lists(st.lists(st.integers(0, 3), min_size=10, max_size=10), min_size=1, max_size=4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(samples=st.integers(1, 20_000), block=st.sampled_from([1, 7, 127, 128, 129, 997]),
+           kind=st.sampled_from(list(FactorKind)), levels=PORTFOLIO_LEVELS, seed=st.integers(0, 2**64 - 1))
+    def test_means_equal_np_mean_of_reference_at_any_block_size(self, samples, block, kind, levels, seed):
+        self.check_means(samples, block, kind, levels, seed)
+
+    @settings(max_examples=6, deadline=None)
+    @given(samples=st.integers(1, 300_000), kind=st.sampled_from(list(FactorKind)), levels=PORTFOLIO_LEVELS,
+           seed=st.integers(0, 2**64 - 1))
+    @example(samples=300_000, kind=FactorKind.EFFECTIVENESS, levels=[[1, 2, 3, 0, 2] * 2, [3] * 10], seed=5)
+    @example(samples=2 * BLOCK_SIZE + 1, kind=FactorKind.DEFECT_CONTENT, levels=[[0] * 10, [2] * 10], seed=0)
+    def test_means_equal_np_mean_of_reference_at_the_default_block_size(self, samples, kind, levels, seed):
+        self.check_means(samples, BLOCK_SIZE, kind, levels, seed)
+
+    @staticmethod
+    def check_means(samples, block, kind, levels, seed):
+        model = reference_model()
+        ids = [f.id for f in model.factors]
+        chs = [characterization(model, dict(zip(ids, project)), f"P{i}") for i, project in enumerate(levels)]
+        cfg = SimulationConfig(seed=seed, sample_count=samples)
+        expected = [float(np.mean(reference_samples(model, ch, kind, cfg))) for ch in chs]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "BLOCK_SIZE", block)
+            for cpus in (1, 4):
+                use_cpus(patch, cpus)
+                assert draw_portfolio(model, chs, kind, cfg, keep=[])[0] == expected, cpus
+
+    def test_means_alone_peak_at_block_scratch_whatever_the_sample_count(self, monkeypatch):
+        # no vector of N samples is allocated: 16 times the samples peak within 1 MB of 4 times
+        use_cpus(monkeypatch, 1)
+        model = reference_model()
+        projects = [HistoricalProject(ch, size=10.0, defects_found=3) for ch in TestPortfolioEngine.portfolio(model, 6)]
+
+        def peak(samples):
+            cfg = SimulationConfig(seed=2, sample_count=samples)
+            project_factor_means(model, projects, cfg)  # lazy state first
+            tracemalloc.start()
+            try:
+                project_factor_means(model, projects, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4 * BLOCK_SIZE), peak(16 * BLOCK_SIZE)
+        assert abs(large - small) <= 1 << 20, (small, large)
+        assert large < 16 * BLOCK_SIZE * 8
 
 
 class TestSimulationConfig:
