@@ -298,12 +298,12 @@ def cmd_plan(args) -> int:
     diagnostics: list[Diagnostic] = []
     model, projects = _load_checked(args, diagnostics)
     _print_diagnostics(diagnostics)
-    means = project_factor_means(model, projects, SimulationConfig(seed=args.seed, sample_count=args.samples))
-    triples = [(p.project_id, *means[p.project_id]) for p in projects]
     baseline_ids = {p.project_id for p in projects if p.defects_found is not None}
     if not baseline_ids:
         print("error: no historical project (with defects_found) to anchor the chart", file=sys.stderr)
         return EXIT_VALIDATION
+    means = project_factor_means(model, projects, SimulationConfig(seed=args.seed, sample_count=args.samples))
+    triples = [(p.project_id, *means[p.project_id]) for p in projects]
     chart = planning.build_risk_chart(triples, f=args.scale_factor, baseline_ids=baseline_ids)
     rows = [[p.project_id, p.relative_dd, p.relative_eff, p.quadrant.value] for p in chart.points]
     io.write_csv(args.out, ["project_id", "relative_dd", "relative_eff", "quadrant"], rows)
@@ -347,7 +347,7 @@ def cmd_predict(args) -> int:
     means, target_ddif, target_eif = means_and_target_samples(model, historical, target, cfg)
     baseline = estimation.estimate_baseline(historical, means, diagnostics)
     prediction = estimation.predict_defects_found(
-        target.size, target_ddif, target_eif, baseline, quantile_pair=args.quantiles
+        target.size, means[args.target], target_ddif, target_eif, baseline, quantile_pair=args.quantiles
     )
     _print_diagnostics(diagnostics)
     io.write_json(

@@ -23,8 +23,6 @@ from .simulation import SimulationConfig, check_portfolio, draw_portfolio
 # beyond this many nonzero differences, the exact test gives way to the normal
 # approximation; kept at 20 so that no reported p-value changes method or bits
 EXACT_ENUMERATION_LIMIT = 20
-# the exact test's int64 counts of sign assignments hold 2^k only up to k = 62
-MAX_EXACT_LIMIT = 62
 MIN_HISTORY_FOR_LOOCV = 3
 _KINDS = (FactorKind.DEFECT_CONTENT, FactorKind.EFFECTIVENESS)
 
@@ -155,20 +153,15 @@ def _normal_two_sided(ranks: Sequence[float], w_plus: float) -> float:
     return min(1.0, 2.0 * float(ndtr(-(deviation / sigma))))
 
 
-def wilcoxon_signed_rank(
-    x: Sequence[float], y: Sequence[float], *, exact_limit: int = EXACT_ENUMERATION_LIMIT
-) -> WilcoxonResult:
+def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     Zero differences are dropped before ranking, ties get mid-ranks. Up to
-    exact_limit nonzero differences the p-value is exact (the 2^k sign
-    assignments are counted per rank sum, not listed); beyond that a normal
-    approximation with continuity correction is used. exact_limit may not
-    exceed MAX_EXACT_LIMIT. All differences zero yields p = 1 with a
-    degenerate flag.
+    EXACT_ENUMERATION_LIMIT nonzero differences the p-value is exact (the 2^k
+    sign assignments are counted per rank sum, not listed); beyond that a
+    normal approximation with continuity correction is used. All differences
+    zero yields p = 1 with a degenerate flag.
     """
-    if exact_limit > MAX_EXACT_LIMIT:
-        raise ValueError(f"exact_limit must be at most {MAX_EXACT_LIMIT}, got {exact_limit}")
     if len(x) != len(y):
         raise ValueError(f"paired samples must have equal length, got {len(x)} and {len(y)}")
     if not x:
@@ -181,7 +174,7 @@ def wilcoxon_signed_rank(
         return WilcoxonResult(p_value=1.0, statistic=0.0, n_nonzero=0, method="degenerate", degenerate=True)
     ranks = _midranks([abs(d) for d in nonzero])
     w_plus = sum(r for r, d in zip(ranks, nonzero) if d > 0)
-    if len(nonzero) <= exact_limit:
+    if len(nonzero) <= EXACT_ENUMERATION_LIMIT:
         return WilcoxonResult(_exact_two_sided(ranks, w_plus), w_plus, len(nonzero), "exact")
     return WilcoxonResult(_normal_two_sided(ranks, w_plus), w_plus, len(nonzero), "normal-approximation")
 
@@ -206,14 +199,15 @@ def project_factor_means(
 def means_and_target_samples(
     model: CausalModel, history: Sequence[HistoricalProject], target: HistoricalProject, cfg: SimulationConfig
 ) -> tuple[dict[str, tuple[float, float]], np.ndarray, np.ndarray]:
-    """project_factor_means of the history, plus the target's DDIF and EIF sample vectors
-    from the same pass per kind; the target goes last, so it is also checked last."""
-    characterizations = [p.characterization for p in history] + [target.characterization]
+    """project_factor_means of history + [target], plus the target's DDIF and EIF sample
+    vectors from the same pass per kind; the target goes last, so it is also checked last."""
+    projects = [*history, target]
+    characterizations = [p.characterization for p in projects]
     check_portfolio(model, characterizations, _KINDS)
     (ddif_means, (ddif,)), (eif_means, (eif,)) = (
         draw_portfolio(model, characterizations, kind, cfg, keep=[len(history)]) for kind in _KINDS
     )
-    return {p.project_id: pair for p, pair in zip(history, zip(ddif_means, eif_means))}, ddif, eif
+    return {p.project_id: pair for p, pair in zip(projects, zip(ddif_means, eif_means))}, ddif, eif
 
 
 def _scale(variant: Variant, project: HistoricalProject, means: Mapping[str, tuple[float, float]]) -> float:

@@ -8,8 +8,9 @@ Sampling is counter-based: the uniform variate for (seed, factor, sample index)
 is derived by hashing, never by advancing shared generator state. Chunked runs
 therefore produce bit-identical sample vectors, and since the draws never
 depend on the project, each factor is drawn once for a whole portfolio. The
-chunks are leaves of numpy's pairwise summation tree, so a vector's mean can be
-summed a chunk at a time, bit for bit as np.mean sums the whole vector.
+chunks are leaves of numpy's pairwise summation tree, so a factor's draws are
+summed a chunk at a time, bit for bit as np.mean sums them whole. A project's
+mean follows by linearity from the factor means, without forming its vector.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_QUANTILE_LEVELS = (0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95)
 # samples drawn per block; any block size gives the same vectors and means
 BLOCK_SIZE = 1 << 16
-# bytes per thread for the products level/3 * draw that a block's vectors
-# share: they save a multiply per project and term, which counts at small N
-# and many projects; past this, each term forms its own product, so that the
-# peak of a large-N pass stays that of a one-project pass
-_PRODUCT_CACHE_BYTES = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -166,7 +162,7 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Monte Carlo sample set with summary statistics recomputable from samples."""
+    """Monte Carlo sample set with its mean, sd and quantiles."""
 
     samples: np.ndarray
     mean: float
@@ -174,14 +170,16 @@ class EmpiricalDistribution:
     quantiles: dict[float, float] = field(default_factory=dict)
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "EmpiricalDistribution":
+    def from_samples(cls, samples: np.ndarray, mean: float) -> "EmpiricalDistribution":
+        """sd and quantiles of samples, beside their mean as the caller computed it
+        (draw_portfolio's linear mean, for the engine's vectors)."""
         samples = np.asarray(samples, dtype=np.float64)
         if samples.size == 0:
             raise ValueError("cannot build a distribution from zero samples")
         values = np.quantile(samples, DEFAULT_QUANTILE_LEVELS)
         return cls(
             samples=samples,
-            mean=float(np.mean(samples)),
+            mean=mean,
             sd=float(np.std(samples)),
             quantiles={float(q): float(v) for q, v in zip(DEFAULT_QUANTILE_LEVELS, values)},
         )
@@ -305,45 +303,6 @@ def _pairwise_total(leaf_sums: Iterator, m: int):
     return _pairwise_total(leaf_sums, split) + _pairwise_total(leaf_sums, m - split)
 
 
-def _sum_block(
-    rows: np.ndarray,
-    products: dict[tuple[int, float], np.ndarray],
-    term_lists: Sequence[Sequence[tuple[int, float]]],
-    parts: Sequence[np.ndarray],
-    temp: np.ndarray,
-) -> np.ndarray:
-    # One block of every characterization's vector, from the block's draws
-    # (one row per factor). term_lists[j] holds characterization j's
-    # (row, level/3) terms in model order, level-0 terms left out: the draws
-    # are >= 0, so a +0.0 term never changes a sum that starts at +0.0. A
-    # level-3 term (x * 1.0) is the row itself. A product in products is
-    # formed once, into products[row, weight], and shared; any other is formed
-    # per term, in the part itself for a first term and in temp after it.
-    # parts[j] receives the block of vector j; returns np.add.reduce of each.
-    for (i, weight), product in products.items():
-        np.multiply(rows[i], weight, out=product)
-
-    def term(i: int, weight: float, out: np.ndarray) -> np.ndarray:
-        if weight == 1.0:
-            return rows[i]
-        product = products.get((i, weight))
-        return np.multiply(rows[i], weight, out=out) if product is None else product
-
-    sums = np.empty(len(parts))
-    for j, (terms, part) in enumerate(zip(term_lists, parts)):
-        if not terms:
-            part.fill(0.0)
-        else:
-            (first, weight), *rest = terms
-            # the sum starts as +0.0 + first term: a draw of -0.0 (at u == 0
-            # when the minimum is -0.0) still gives +0.0
-            np.add(term(first, weight, part), 0.0, out=part)
-            for i, weight in rest:
-                part += term(i, weight, temp)
-        sums[j] = np.add.reduce(part)
-    return sums
-
-
 def _physical_memory() -> float:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -362,14 +321,17 @@ def draw_portfolio(
     and the sample vectors of the characterizations at the indices in keep, in keep's order.
 
     The caller runs check_portfolio on these characterizations and this kind
-    first; the draws are not checked again. A characterization's vector adds
-    level/3 times each factor's draws, in model order. One pass over the
-    blocks draws each factor once for the whole portfolio and sums every
-    vector; a vector not kept exists one block at a time. The blocks are
-    leaves of np.mean's pairwise summation tree, so each mean is
-    float(np.mean(vector)), bit for bit. Means and vectors depend only on
-    (model, characterization, kind, seed, sample_count): neither the rest of
-    the portfolio, BLOCK_SIZE nor the CPU count changes them.
+    first; the draws are not checked again. A characterization's vector is
+    +0.0 plus level/3 times each factor's draws, in model order. One pass over
+    the blocks draws one factor at a time into a single row, records the
+    row's sum and adds the row into the kept vectors only. The blocks are
+    leaves of np.mean's pairwise summation tree, so each factor's mean is
+    np.mean of its draws, bit for bit. By linearity, a characterization's
+    mean is then +0.0 plus level/3 times each factor's mean, in model order,
+    level-0 factors skipped: within a few ulp of np.mean of its vector, and
+    the same whether or not the vector is kept. Means and vectors depend only
+    on (model, characterization, kind, seed, sample_count): neither the rest
+    of the portfolio, BLOCK_SIZE nor the CPU count changes them.
     """
     if not characterizations:
         return [], []
@@ -377,47 +339,58 @@ def draw_portfolio(
     n = cfg.sample_count
     blocks = _pairwise_blocks(0, n)
     width = max(stop - start for start, stop in blocks)
-    term_lists = [
-        [(i, w) for i, w in enumerate(ch.levels[f.id] / MAX_LEVEL for f in factors) if w != 0.0]
-        for ch in characterizations
-    ]
-    product_keys = sorted({term for terms in term_lists for term in terms if term[1] != 1.0})
-    if len(product_keys) * width * 8 > _PRODUCT_CACHE_BYTES:
-        product_keys = []
+    weights = [[ch.levels[f.id] / MAX_LEVEL for f in factors] for ch in characterizations]
     # the kept vectors and, when there are any, the one the caller derives
-    # from them; then each share's scratch: the draw rows, the shared
-    # products, an unkept block, a product temporary and the uniforms' two
-    # temporaries
-    scratch = _share_count(blocks) * (len(factors) + len(product_keys) + 4) * width * 8
+    # from them; then each share's scratch: the draw row and the uniforms'
+    # two temporaries
+    scratch = _share_count(blocks) * 3 * width * 8
     needed = (len(keep) + (1 if keep else 0)) * n * 8 + scratch
     if needed > _physical_memory():
         raise MemoryError(f"{n} samples of {len(factors)} factors need {needed} bytes, more than physical memory")
-    kept = {j: np.empty(n, dtype=np.float64) for j in keep}
+    # a kept vector starts at +0.0, so its first term gives +0.0 + term: a
+    # draw of -0.0 (a minimum of -0.0) still gives +0.0
+    kept = [np.zeros(n, dtype=np.float64) for _ in keep]
+    # for each factor, the (kept vector, level/3) pairs it adds to; a level-0
+    # term is left out, since the draws are >= 0
+    terms = [
+        [(vector, weights[j][i]) for vector, j in zip(kept, keep) if weights[j][i] != 0.0] for i in range(len(factors))
+    ]
     params = [(f.multiplier, factor_stream(f.id)) for f in factors]
     leaf_sums: dict[int, np.ndarray] = {}
 
     def make_task() -> Callable[[int, int], None]:
-        rows = np.empty((len(factors), width), dtype=np.float64)
-        product_rows = np.empty((len(product_keys), width), dtype=np.float64)
-        spare, temp = np.empty((2, width), dtype=np.float64)
+        row = np.empty(width, dtype=np.float64)
 
         def task(start: int, stop: int) -> None:
-            m = stop - start
-            # the variates go straight into the rows, with the fresh uniforms
-            # as scratch; validate_model has checked the multipliers
-            for row, (mult, stream) in zip(rows, params):
-                u = counter_uniforms(cfg.seed, stream, start, m)
-                _triangular_into(row[:m], mult.min, mult.most_likely, mult.max, u, u)
+            draws = row[: stop - start]
+            sums = np.empty(len(factors))
+            for i, (mult, stream) in enumerate(params):
+                # the variates go straight into the row, with the fresh
+                # uniforms as scratch; validate_model has checked the multipliers
+                u = counter_uniforms(cfg.seed, stream, start, stop - start)
+                _triangular_into(draws, mult.min, mult.most_likely, mult.max, u, u)
+                sums[i] = np.add.reduce(draws)
+                for vector, weight in terms[i]:
+                    # u takes the product; a level-3 term (x * 1.0) is the row itself
+                    vector[start:stop] += draws if weight == 1.0 else np.multiply(draws, weight, out=u)
                 del u  # before the next factor's uniforms are drawn
-            products = {key: product[:m] for key, product in zip(product_keys, product_rows)}
-            parts = [kept[j][start:stop] if j in kept else spare[:m] for j in range(len(term_lists))]
-            leaf_sums[start] = _sum_block(rows[:, :m], products, term_lists, parts, temp[:m])
+            leaf_sums[start] = sums
 
         return task
 
     _for_each_block(make_task, blocks)
-    totals = _pairwise_total(iter([leaf_sums[start] for start, _ in blocks]), n)
-    return (totals / n).tolist(), [kept[j] for j in keep]
+    factor_means = (_pairwise_total(iter([leaf_sums[start] for start, _ in blocks]), n) / n).tolist()
+    # plain float additions in model order: not sum(), which compensates its
+    # additions from Python 3.12 on, nor a matrix product, whose order is the
+    # BLAS build's
+    means = []
+    for row_weights in weights:
+        mean = 0.0
+        for weight, factor_mean in zip(row_weights, factor_means):
+            if weight != 0.0:
+                mean += weight * factor_mean
+        means.append(mean)
+    return means, kept
 
 
 def simulate(
@@ -426,11 +399,12 @@ def simulate(
     """Simulate the accumulated relative increase (DDIF or EIF) for one project.
 
     Deterministic for fixed (model, characterization, kind, seed, sample_count):
-    the block size never changes the sample vector.
+    the block size never changes the sample vector. The mean is draw_portfolio's,
+    the one plan, predict and validate use for this project.
     """
     check_portfolio(model, [ch], (kind,))
-    _, (samples,) = draw_portfolio(model, [ch], kind, cfg, keep=[0])
-    return EmpiricalDistribution.from_samples(samples)
+    (mean,), (samples,) = draw_portfolio(model, [ch], kind, cfg, keep=[0])
+    return EmpiricalDistribution.from_samples(samples, mean)
 
 
 def analytic_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorKind) -> float:

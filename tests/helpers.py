@@ -93,6 +93,20 @@ def reference_samples(
     return values
 
 
+def reference_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorKind, cfg: SimulationConfig) -> float:
+    """Independent reference for the engine's mean, by linearity: +0.0 plus level/3 times
+    np.mean of each factor's draws over the whole sample range, in model order, level-0
+    factors skipped."""
+    mean = 0.0
+    for f in model.factors_of_kind(kind):
+        level = ch.levels[f.id]
+        if level:
+            m = f.multiplier
+            u = counter_uniforms(cfg.seed, factor_stream(f.id), 0, cfg.sample_count)
+            mean += (level / MAX_LEVEL) * float(np.mean(triangular_inverse_cdf(m.min, m.most_likely, m.max, u)))
+    return mean
+
+
 def use_cpus(monkeypatch, cpus: int) -> None:
     """Make the engine see cpus usable CPUs: it reads the count from the affinity mask."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)

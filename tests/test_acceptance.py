@@ -123,7 +123,7 @@ def test_criterion_4_equation_round_trip():
             eif = simulate(model, project.characterization, FactorKind.EFFECTIVENESS, cfg)
             pid = project.project_id
             baseline = estimate_baseline([project], {pid: (ddif.mean, eif.mean)})
-            prediction = predict_defects_found(project.size, ddif.samples, eif.samples, baseline)
+            prediction = predict_defects_found(project.size, (ddif.mean, eif.mean), ddif.samples, eif.samples, baseline)
             assert prediction.point == pytest.approx(project.defects_found, rel=1e-12)
 
 

@@ -235,6 +235,29 @@ class TestPlan:
         assert svg_a.read_bytes() == svg_b.read_bytes()
 
 
+    def test_missing_history_is_reported_before_any_draw(self, model_file, tmp_path, monkeypatch, capsys):
+        # no project has defects_found, and one has a level the engine would refuse
+        rows = [project_to_dict(p) for p in exact_projects()]
+        for row in rows:
+            del row["defects_found"]
+        rows[1]["levels"]["exact-dc-1"] = 4
+        projects = tmp_path / "projects.json"
+        write_json(projects, rows)
+
+        def no_draw(*_args):
+            raise AssertionError("plan draws nothing for a portfolio without history")
+
+        monkeypatch.setattr(cli, "project_factor_means", no_draw)
+        out = tmp_path / "chart.csv"
+        code = main([
+            "plan", "--model", str(model_file), "--projects", str(projects),
+            "--seed", "5", "--samples", "1000", "--out", str(out),
+        ])
+        assert code == 1
+        assert "error: no historical project (with defects_found) to anchor the chart" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPredict:
     def test_predict_planned_project(self, model_file, projects_file, tmp_path):
         out = tmp_path / "prediction.json"
@@ -267,6 +290,33 @@ class TestPredict:
         ])
         assert code == 0
         assert read_json(out)["quantile_pair"] == [0.25, 0.75]
+
+
+class TestOneMeanPerProject:
+    """simulate, plan and predict report one mean for a project, seed and sample count."""
+
+    @pytest.mark.parametrize("samples", [1000, 70_000])
+    def test_simulate_plan_and_predict_agree(self, tmp_path, monkeypatch, samples):
+        files = ["--model", str(EXAMPLES / "model.json"), "--projects", str(EXAMPLES / "projects.json")]
+        seeded = ["--seed", "7", "--samples", str(samples)]
+        simulated = []
+        for kind in ("dc", "eff"):
+            out = tmp_path / f"{kind}.json"
+            assert main(["simulate", *files, "--project", "review-c", "--kind", kind, *seeded, "--out", str(out)]) == 0
+            simulated.append(read_json(out)["mean"])
+        charted = {}
+        build_risk_chart = cli.planning.build_risk_chart
+
+        def recorded(triples, *args, **kwargs):
+            charted.update((pid, (ddif, eif)) for pid, ddif, eif in triples)
+            return build_risk_chart(triples, *args, **kwargs)
+
+        monkeypatch.setattr(cli.planning, "build_risk_chart", recorded)
+        assert main(["plan", *files, *seeded, "--out", str(tmp_path / "chart.csv")]) == 0
+        out = tmp_path / "prediction.json"
+        assert main(["predict", *files, "--target", "review-c", *seeded, "--out", str(out)]) == 0
+        predicted = read_json(out)
+        assert simulated == list(charted["review-c"]) == [predicted["ddif_mean"], predicted["eif_mean"]]
 
 
 class TestPredictOnePass:
@@ -359,16 +409,12 @@ class TestPredictOnSeveralCpus:
     def test_draws_beyond_physical_memory_are_refused_before_any_thread(self, tmp_path, monkeypatch, capsys):
         dc = load_model(EXAMPLES / "model.json").factors_of_kind(simulation.FactorKind.DEFECT_CONTENT)
         factors = len(dc)
-        # predict keeps the target's vector and derives one more; each of the 4 shares holds a block of
-        # every draw row, an unkept vector, a product temporary and two uniform temporaries (the
-        # products are too many at this block width to be shared)
-        products = {(f.id, p.characterization.levels[f.id]) for p in load_projects(EXAMPLES / "projects.json")
-                    for f in dc if p.characterization.levels[f.id] in (1, 2)}
+        # predict keeps the target's vector and derives one more; each of the 4 shares holds a block
+        # of one draw row and two uniform temporaries, whatever the factor count
         blocks = simulation._pairwise_blocks(0, self.SAMPLES)
         assert len(blocks) == 4
         width = max(stop - start for start, stop in blocks)
-        assert len(products) * width * 8 > simulation._PRODUCT_CACHE_BYTES
-        needed = 2 * self.SAMPLES * 8 + 4 * (factors + 4) * width * 8
+        needed = 2 * self.SAMPLES * 8 + 4 * 3 * width * 8
 
         def no_pool(_threads):
             raise AssertionError("no thread may start before the memory bound is checked")

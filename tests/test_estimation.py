@@ -23,7 +23,7 @@ def project(pid, size, df, levels=None):
 
 
 def constant_distribution(value, n=100):
-    return EmpiricalDistribution.from_samples(np.full(n, float(value)))
+    return EmpiricalDistribution.from_samples(np.full(n, float(value)), float(value))
 
 
 def zero_means(projects):
@@ -121,7 +121,8 @@ class TestBaseline:
 class TestPrediction:
     def test_degenerate_distributions(self):
         baseline = estimate_baseline([project("a", 100, 16)], {"a": (0.0, 0.0)})
-        prediction = predict_defects_found(100, constant_distribution(0).samples, constant_distribution(0).samples, baseline)
+        zero = constant_distribution(0).samples
+        prediction = predict_defects_found(100, (0.0, 0.0), zero, zero, baseline)
         assert prediction.point == pytest.approx(16.0)
         assert prediction.interval == (pytest.approx(16.0), pytest.approx(16.0))
 
@@ -129,22 +130,22 @@ class TestPrediction:
         baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
         assert baseline.estimate == pytest.approx(0.16)
         prediction = predict_defects_found(
-            100, constant_distribution(0.5).samples, constant_distribution(0.25).samples, baseline
+            100, (0.5, 0.25), constant_distribution(0.5).samples, constant_distribution(0.25).samples, baseline
         )
         assert prediction.point == pytest.approx(30.0)
 
     def test_linear_in_size(self):
         baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
         ddif, eif = constant_distribution(0.4), constant_distribution(0.1)
-        small = predict_defects_found(50, ddif.samples, eif.samples, baseline)
-        large = predict_defects_found(100, ddif.samples, eif.samples, baseline)
+        small = predict_defects_found(50, (ddif.mean, eif.mean), ddif.samples, eif.samples, baseline)
+        large = predict_defects_found(100, (ddif.mean, eif.mean), ddif.samples, eif.samples, baseline)
         assert large.point == pytest.approx(2 * small.point)
 
     def test_sample_count_mismatch_rejected(self):
         baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.0, 0.0)})
         with pytest.raises(ValueError, match="mismatch"):
             predict_defects_found(
-                10, constant_distribution(0, 50).samples, constant_distribution(0, 60).samples, baseline
+                10, (0.0, 0.0), constant_distribution(0, 50).samples, constant_distribution(0, 60).samples, baseline
             )
 
     def test_interval_monotone_in_quantile_pair(self):
@@ -154,8 +155,9 @@ class TestPrediction:
         ddif = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
         eif = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
         baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.2, 0.2)})
-        narrow = predict_defects_found(100, ddif.samples, eif.samples, baseline, quantile_pair=(0.25, 0.75))
-        wide = predict_defects_found(100, ddif.samples, eif.samples, baseline, quantile_pair=(0.05, 0.95))
+        means = (ddif.mean, eif.mean)
+        narrow = predict_defects_found(100, means, ddif.samples, eif.samples, baseline, quantile_pair=(0.25, 0.75))
+        wide = predict_defects_found(100, means, ddif.samples, eif.samples, baseline, quantile_pair=(0.05, 0.95))
         assert wide.interval[0] <= narrow.interval[0]
         assert wide.interval[1] >= narrow.interval[1]
         assert narrow.interval[0] <= narrow.point <= narrow.interval[1]
@@ -171,7 +173,7 @@ class TestPrediction:
         eif = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
         p = HistoricalProject(characterization=ch, size=137.0, defects_found=41)
         baseline = estimate_baseline([p], {"rt": (ddif.mean, eif.mean)})
-        prediction = predict_defects_found(p.size, ddif.samples, eif.samples, baseline)
+        prediction = predict_defects_found(p.size, (ddif.mean, eif.mean), ddif.samples, eif.samples, baseline)
         assert prediction.point == pytest.approx(41.0, rel=1e-12)
 
     def test_monotone_in_means_and_baseline(self):
@@ -181,10 +183,10 @@ class TestPrediction:
         ddif_lo, ddif_hi = constant_distribution(0.1), constant_distribution(0.4)
         eif = constant_distribution(0.2)
         assert (
-            predict_defects_found(100, ddif_hi.samples, eif.samples, baseline_small).point
-            >= predict_defects_found(100, ddif_lo.samples, eif.samples, baseline_small).point
+            predict_defects_found(100, (ddif_hi.mean, eif.mean), ddif_hi.samples, eif.samples, baseline_small).point
+            >= predict_defects_found(100, (ddif_lo.mean, eif.mean), ddif_lo.samples, eif.samples, baseline_small).point
         )
         assert (
-            predict_defects_found(100, ddif_lo.samples, eif.samples, baseline_large).point
-            >= predict_defects_found(100, ddif_lo.samples, eif.samples, baseline_small).point
+            predict_defects_found(100, (ddif_lo.mean, eif.mean), ddif_lo.samples, eif.samples, baseline_large).point
+            >= predict_defects_found(100, (ddif_lo.mean, eif.mean), ddif_lo.samples, eif.samples, baseline_small).point
         )

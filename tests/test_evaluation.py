@@ -27,6 +27,7 @@ from hdce.evaluation import (
     run_validation,
     wilcoxon_signed_rank,
 )
+from hdce.io import load_model, load_projects
 from hdce.model import CausalModel, Factor, FactorKind, HistoricalProject, Multiplier, ProjectCharacterization
 from hdce.simulation import SimulationConfig, simulate
 from hdce.synthetic import build_synthetic_model, generate_projects
@@ -36,6 +37,7 @@ from helpers import (
     former_exact_two_sided,
     former_prediction,
     oracle_wilcoxon,
+    reference_mean,
     reference_model,
     reference_samples,
 )
@@ -160,10 +162,9 @@ class TestWilcoxon:
         rng = np.random.default_rng(5)
         x = list(rng.normal(0.5, 1.0, 18))
         y = list(rng.normal(0.0, 1.0, 18))
-        exact = wilcoxon_signed_rank(x, y, exact_limit=20)
-        approx = wilcoxon_signed_rank(x, y, exact_limit=5)
-        assert approx.method == "normal-approximation"
-        assert approx.p_value == pytest.approx(exact.p_value, abs=0.02)
+        exact = wilcoxon_signed_rank(x, y)
+        assert exact.method == "exact"
+        assert evaluation._normal_two_sided(*signed_ranks(x, y)) == pytest.approx(exact.p_value, abs=0.02)
 
     def test_large_sample_uses_normal_approximation(self):
         rng = np.random.default_rng(6)
@@ -172,6 +173,13 @@ class TestWilcoxon:
         result = wilcoxon_signed_rank(x, y)
         assert result.method == "normal-approximation"
         assert 0.0 < result.p_value <= 1.0
+
+
+def signed_ranks(x, y):
+    """The mid-ranks of the nonzero |x - y| and their W+, as wilcoxon_signed_rank forms them."""
+    nonzero = [a - b for a, b in zip(x, y) if a - b != 0.0]
+    ranks = evaluation._midranks([abs(d) for d in nonzero])
+    return ranks, sum(r for r, d in zip(ranks, nonzero) if d > 0)
 
 
 # untied and tied rank sets, k = 1..20; magnitudes rounded to 3 or 6 values tie often
@@ -223,19 +231,14 @@ class TestExactCountBits:
         assert all(type(c) is int for c in table)
         assert table[-1] == 2**20
 
-    def test_exact_limit_above_int64_counts_rejected(self):
-        with pytest.raises(ValueError, match="exact_limit"):
-            wilcoxon_signed_rank([1.0, 2.0], [0.0, 0.0], exact_limit=evaluation.MAX_EXACT_LIMIT + 1)
-
     def test_forty_pair_exact_test_near_normal_approximation(self):
         rng = np.random.default_rng(40)
         x = list(rng.normal(0.3, 1.0, 40))
         y = list(rng.normal(0.0, 1.0, 40))
-        exact = wilcoxon_signed_rank(x, y, exact_limit=40)
+        ranks, w_plus = signed_ranks(x, y)
         approx = wilcoxon_signed_rank(x, y)
-        assert (exact.method, exact.n_nonzero) == ("exact", 40)
-        assert approx.method == "normal-approximation"
-        assert exact.p_value == pytest.approx(approx.p_value, abs=0.01)
+        assert (len(ranks), approx.method) == (40, "normal-approximation")
+        assert evaluation._exact_two_sided(ranks, w_plus) == pytest.approx(approx.p_value, abs=0.01)
 
 
 class TestMidranks:
@@ -503,11 +506,22 @@ class TestRunValidation:
 
 
 def reference_factor_means(model, projects, cfg):
-    """Per-project (mean DDIF, mean EIF) from the per-factor reference loop, one project at a time."""
+    """Per-project (mean DDIF, mean EIF) from per-factor reference means, one project at a time."""
     return {
         p.project_id: (
-            float(np.mean(reference_samples(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg))),
-            float(np.mean(reference_samples(model, p.characterization, FactorKind.EFFECTIVENESS, cfg))),
+            reference_mean(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg),
+            reference_mean(model, p.characterization, FactorKind.EFFECTIVENESS, cfg),
+        )
+        for p in projects
+    }
+
+
+def vector_factor_means(model, projects, cfg):
+    """Per-project (mean DDIF, mean EIF) as np.mean of each reference sample vector."""
+    return {
+        p.project_id: tuple(
+            float(np.mean(reference_samples(model, p.characterization, kind, cfg)))
+            for kind in (FactorKind.DEFECT_CONTENT, FactorKind.EFFECTIVENESS)
         )
         for p in projects
     }
@@ -634,6 +648,45 @@ class TestReferenceFormulas:
             assert [r.predicted for r in records] == expected, variant.value
 
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "schemas" / "examples"
+
+
+def zero_differences(model, projects, cfg, means):
+    """For every pair of variants, which paired MRE differences are zero under these means."""
+    mres = {v: [r.mre for r in loocv(model, projects, v, cfg, means=means)[0]] for v in ALL_VARIANTS}
+    return [
+        [a - b == 0.0 for a, b in zip(mres[x], mres[y])]
+        for i, x in enumerate(ALL_VARIANTS)
+        for y in ALL_VARIANTS[i + 1 :]
+    ]
+
+
+class TestLinearMeansKeepZeroDifferences:
+    """The linear means move no Wilcoxon difference between zero and nonzero,
+    against np.mean of each vector."""
+
+    def check(self, model, projects, cfg):
+        usable, _ = evaluation.usable_history(projects)
+        linear = project_factor_means(model, usable, cfg)
+        assert linear == reference_factor_means(model, usable, cfg)
+        assert zero_differences(model, usable, cfg, linear) == zero_differences(
+            model, usable, cfg, vector_factor_means(model, usable, cfg)
+        )
+
+    def test_examples(self):
+        model = load_model(EXAMPLES / "model.json")
+        projects = load_projects(EXAMPLES / "projects.json")
+        self.check(model, projects, SimulationConfig(seed=7, sample_count=10_000))
+
+    def test_synthetic_study_defaults(self):
+        # scripts/run_synthetic_study.py: 25 replications of 6 projects, noise 0.2, 2000 samples, seed 1000
+        for rep in range(25):
+            rng = np.random.default_rng(1000 + rep)
+            model = build_synthetic_model(rng)
+            projects = generate_projects(model, 6, rng, noise_sigma=0.2)
+            self.check(model, projects, SimulationConfig(seed=6000 + rep, sample_count=2000))
+
+
 class TestPredictPass:
     """One checked pass per kind over history + [target] gives what the former
     history means plus two target simulate calls gave, bit for bit."""
@@ -648,7 +701,8 @@ class TestPredictPass:
     @staticmethod
     def predict(model, history, target, cfg, quantile_pair=(0.10, 0.90)):
         means, ddif, eif = means_and_target_samples(model, history, target, cfg)
-        prediction = predict_defects_found(target.size, ddif, eif, estimate_baseline(history, means), quantile_pair)
+        baseline = estimate_baseline(history, means)
+        prediction = predict_defects_found(target.size, means[target.project_id], ddif, eif, baseline, quantile_pair)
         return prediction.point, prediction.interval, prediction.ddif_mean, prediction.eif_mean
 
     @pytest.mark.parametrize(
@@ -662,7 +716,7 @@ class TestPredictPass:
             model, history, target, cfg, quantile_pair
         )
         means, _, _ = means_and_target_samples(model, history, target, cfg)
-        assert means == project_factor_means(model, history, cfg)
+        assert means == project_factor_means(model, [*history, target], cfg)
 
     @pytest.mark.parametrize(
         "tweak, bad_project, codes",

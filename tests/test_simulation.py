@@ -15,6 +15,7 @@ from hdce import simulation
 from hdce.diagnostics import ModelValidationError
 from hdce.evaluation import project_factor_means
 from hdce.model import CausalModel, Factor, FactorKind, HistoricalProject, Multiplier
+from hdce.synthetic import build_synthetic_model, generate_projects
 from hdce.simulation import (
     BLOCK_SIZE,
     EmpiricalDistribution,
@@ -30,6 +31,7 @@ from helpers import (
     characterization,
     former_counter_uniforms,
     former_triangular_inverse_cdf,
+    reference_mean,
     reference_model,
     reference_samples,
     scale_for,
@@ -359,9 +361,10 @@ class TestSimulate:
     def test_summary_recomputable_from_samples(self):
         model = reference_model()
         ch = characterization(model, 3)
-        dist = simulate(model, ch, FactorKind.EFFECTIVENESS, SimulationConfig(seed=7, sample_count=4_000))
-        recomputed = EmpiricalDistribution.from_samples(dist.samples)
-        assert recomputed.mean == dist.mean
+        cfg = SimulationConfig(seed=7, sample_count=4_000)
+        dist = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
+        assert dist.mean == reference_mean(model, ch, FactorKind.EFFECTIVENESS, cfg)
+        recomputed = EmpiricalDistribution.from_samples(dist.samples, dist.mean)
         assert recomputed.sd == dist.sd
         assert recomputed.quantiles == dist.quantiles
 
@@ -384,16 +387,16 @@ class TestSimulate:
 
 
 def draw_all(model, chs, kind, cfg):
-    """draw_portfolio keeping every vector; asserts that each mean is np.mean of its vector."""
+    """draw_portfolio keeping every vector; asserts that keeping them changes no mean."""
     means, vectors = draw_portfolio(model, chs, kind, cfg, keep=range(len(chs)))
     assert len(means) == len(vectors) == len(chs)
-    assert means == [float(np.mean(v)) for v in vectors]
+    assert means == draw_portfolio(model, chs, kind, cfg, keep=[])[0]
     return means, vectors
 
 
 def reference_means_and_bytes(model, chs, kind, cfg):
-    references = [reference_samples(model, ch, kind, cfg) for ch in chs]
-    return [float(np.mean(r)) for r in references], [r.tobytes() for r in references]
+    means = [reference_mean(model, ch, kind, cfg) for ch in chs]
+    return means, [reference_samples(model, ch, kind, cfg).tobytes() for ch in chs]
 
 
 class TestPortfolioEngine:
@@ -451,18 +454,13 @@ class TestPortfolioEngine:
                     assert values.tobytes() == reference, (ch.project_id, kind)
 
     def test_negative_zero_first_draw_sums_to_positive_zero(self):
-        # a minimum of -0.0 draws -0.0 at u == 0, and the sum still starts at +0.0
-        draws = np.array([[-0.0, 0.25, -0.0]])
-        for level in (1, 3):
-            weight = level / 3
-            expected = np.zeros(3)
-            expected += weight * draws[0]
-            for products in ({}, {(0, weight): np.empty(3)}):  # formed per term, or shared
-                values = np.empty(3)
-                (total,) = simulation._sum_block(draws, products, [[(0, weight)]], [values], np.empty(3))
-                assert values.tobytes() == expected.tobytes()
-                assert not np.signbit(values[0])
-                assert total == np.add.reduce(expected)
+        # a multiplier of -0.0 draws -0.0, and every vector and mean still starts at +0.0
+        zero = single_factor_model(-0.0, -0.0, -0.0)
+        chs = [characterization(zero, {"lone-dc": level, "lone-eff": 0}, f"L{level}") for level in (1, 3)]
+        cfg = SimulationConfig(seed=3, sample_count=5)
+        means, vectors = draw_portfolio(zero, chs, FactorKind.DEFECT_CONTENT, cfg, keep=[0, 1])
+        assert [np.signbit(m) for m in means] == [False, False]
+        assert [v.tobytes() for v in vectors] == [np.zeros(5).tobytes()] * 2
 
     def test_empty_portfolio_yields_nothing(self):
         model = reference_model()
@@ -578,13 +576,11 @@ class TestBlockParallelism:
 
     def test_memory_bound_is_checked_before_allocating(self, monkeypatch):
         model = reference_model()
-        factors = model.factors_of_kind(FactorKind.DEFECT_CONTENT)
         samples = 3 * BLOCK_SIZE + 7
         blocks = simulation._pairwise_blocks(0, samples)
         width = max(stop - start for start, stop in blocks)
-        # every level is 1, so there is a product per row, too large at this width to share
-        assert len(factors) * width * 8 > simulation._PRODUCT_CACHE_BYTES
-        scratch = min(len(blocks), 4) * (len(factors) + 4) * width * 8
+        # each share's draw row and two uniform temporaries, whatever the factor count
+        scratch = min(len(blocks), 4) * 3 * width * 8
         needed = 2 * samples * 8 + scratch  # the kept vector, the caller's, and each share's scratch
         cfg = SimulationConfig(seed=6, sample_count=samples)
         ch = characterization(model, 1)
@@ -592,13 +588,15 @@ class TestBlockParallelism:
         monkeypatch.setattr(simulation, "_physical_memory", lambda: needed - 1)
         monkeypatch.setattr(simulation, "_block_pool", None)  # no thread may start
         monkeypatch.setattr(simulation.np, "empty", None)  # and no array be allocated
+        monkeypatch.setattr(simulation.np, "zeros", None)
         with pytest.raises(MemoryError, match=f"need {needed} bytes"):
             draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg, keep=[0])
         monkeypatch.undo()
         use_cpus(monkeypatch, 4)
         expected = reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg)
         monkeypatch.setattr(simulation, "_physical_memory", lambda: scratch)  # means alone need no vector
-        assert draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg, keep=[]) == ([float(np.mean(expected))], [])
+        mean = reference_mean(model, ch, FactorKind.DEFECT_CONTENT, cfg)
+        assert draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg, keep=[]) == ([mean], [])
         monkeypatch.setattr(simulation, "_physical_memory", lambda: needed)
         _, (values,) = draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg, keep=[0])
         assert values.tobytes() == expected.tobytes()
@@ -647,7 +645,7 @@ class TestPairwiseBlocks:
     @settings(max_examples=25, deadline=None)
     @given(samples=st.integers(1, 20_000), block=st.sampled_from([1, 7, 127, 128, 129, 997]),
            kind=st.sampled_from(list(FactorKind)), levels=PORTFOLIO_LEVELS, seed=st.integers(0, 2**64 - 1))
-    def test_means_equal_np_mean_of_reference_at_any_block_size(self, samples, block, kind, levels, seed):
+    def test_means_equal_reference_at_any_block_size(self, samples, block, kind, levels, seed):
         self.check_means(samples, block, kind, levels, seed)
 
     @settings(max_examples=6, deadline=None)
@@ -655,7 +653,7 @@ class TestPairwiseBlocks:
            seed=st.integers(0, 2**64 - 1))
     @example(samples=300_000, kind=FactorKind.EFFECTIVENESS, levels=[[1, 2, 3, 0, 2] * 2, [3] * 10], seed=5)
     @example(samples=2 * BLOCK_SIZE + 1, kind=FactorKind.DEFECT_CONTENT, levels=[[0] * 10, [2] * 10], seed=0)
-    def test_means_equal_np_mean_of_reference_at_the_default_block_size(self, samples, kind, levels, seed):
+    def test_means_equal_reference_at_the_default_block_size(self, samples, kind, levels, seed):
         self.check_means(samples, BLOCK_SIZE, kind, levels, seed)
 
     @staticmethod
@@ -664,7 +662,7 @@ class TestPairwiseBlocks:
         ids = [f.id for f in model.factors]
         chs = [characterization(model, dict(zip(ids, project)), f"P{i}") for i, project in enumerate(levels)]
         cfg = SimulationConfig(seed=seed, sample_count=samples)
-        expected = [float(np.mean(reference_samples(model, ch, kind, cfg))) for ch in chs]
+        expected = [reference_mean(model, ch, kind, cfg) for ch in chs]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulation, "BLOCK_SIZE", block)
             for cpus in (1, 4):
@@ -690,6 +688,44 @@ class TestPairwiseBlocks:
         small, large = peak(4 * BLOCK_SIZE), peak(16 * BLOCK_SIZE)
         assert abs(large - small) <= 1 << 20, (small, large)
         assert large < 16 * BLOCK_SIZE * 8
+
+    def test_means_alone_peak_at_one_draw_row_whatever_the_factor_count(self, monkeypatch):
+        # one factor at a time: 12 factors per kind peak within a quarter of a draw row of 2
+        use_cpus(monkeypatch, 1)
+        cfg = SimulationConfig(seed=4, sample_count=4 * BLOCK_SIZE)
+
+        def peak(factors):
+            rng = np.random.default_rng(factors)
+            model = build_synthetic_model(rng, n_dc=factors, n_eff=factors)
+            projects = generate_projects(model, 6, rng)
+            project_factor_means(model, projects, cfg)  # lazy state first
+            tracemalloc.start()
+            try:
+                project_factor_means(model, projects, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(2), peak(12)
+        assert abs(many - few) <= BLOCK_SIZE * 8 // 4, (few, many)
+
+
+class TestLinearMeans:
+    """A project's mean, by linearity from the factor means, against np.mean of its vector."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(samples=st.integers(1, 200_000), kind=st.sampled_from(list(FactorKind)),
+           levels=TestPairwiseBlocks.PORTFOLIO_LEVELS, seed=st.integers(0, 2**64 - 1))
+    @example(samples=200_000, kind=FactorKind.DEFECT_CONTENT, levels=[[1, 2, 3, 1, 2] * 2, [0] * 10], seed=1)
+    def test_within_a_few_ulp_of_np_mean_of_the_vector(self, samples, kind, levels, seed):
+        model = reference_model()
+        ids = [f.id for f in model.factors]
+        chs = [characterization(model, dict(zip(ids, project)), f"P{i}") for i, project in enumerate(levels)]
+        cfg = SimulationConfig(seed=seed, sample_count=samples)
+        means, vectors = draw_portfolio(model, chs, kind, cfg, keep=range(len(chs)))
+        for mean, vector in zip(means, vectors):
+            # every term is >= 0, so the sum of their magnitudes is the mean itself, up to rounding
+            assert abs(mean - float(np.mean(vector))) <= 4 * np.finfo(float).eps * mean, (mean, np.mean(vector))
 
 
 class TestSimulationConfig:
