@@ -281,7 +281,7 @@ def cmd_simulate(args) -> int:
         "quantiles": {format(q, "g"): v for q, v in sorted(distribution.quantiles.items())},
     }
     if args.emit_samples:
-        payload["samples"] = [float(s) for s in distribution.samples]
+        payload["samples"] = distribution.samples.tolist()
     io.write_json(args.out, payload)
     io.write_manifest(
         "simulate",

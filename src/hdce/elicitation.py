@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from .diagnostics import Diagnostic, InputFormatError, advisory
 from .model import FactorCategory, FactorKind
+from .pvalues import chi_square_sf
 
 CategoryKey = tuple[FactorKind, FactorCategory]
 
@@ -171,13 +172,10 @@ def w_significance(w: float, m: int, n: int) -> WSignificance:
         raise ValueError("significance needs m >= 2 experts and n >= 2 factors")
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"W must lie in [0, 1], got {w}")
-    # imported here, not at module level, so that importing hdce never loads scipy
-    from scipy.special import chdtrc
-
     chi_square = m * (n - 1) * w
     dof = n - 1
     return WSignificance(
-        p_value=float(chdtrc(dof, chi_square)),
+        p_value=chi_square_sf(chi_square, dof),
         chi_square=chi_square,
         dof=dof,
         small_n_approximation=n <= SMALL_N_LIMIT,

@@ -18,6 +18,7 @@ import numpy as np
 from .diagnostics import Diagnostic, error
 from .estimation import expected_defects_found
 from .model import CausalModel, FactorKind, HistoricalProject, ProjectCharacterization
+from .pvalues import normal_two_sided
 from .simulation import SimulationConfig, check_portfolio, draw_portfolio
 
 # beyond this many nonzero differences, the exact test gives way to the normal
@@ -144,13 +145,10 @@ def _exact_two_sided(ranks: Sequence[float], w_plus: float) -> float:
 
 
 def _normal_two_sided(ranks: Sequence[float], w_plus: float) -> float:
-    # imported here, not at module level, so that importing hdce never loads scipy
-    from scipy.special import ndtr
-
     mu = sum(ranks) / 2.0
     sigma = sqrt(sum(r * r for r in ranks) / 4.0)
     deviation = max(abs(w_plus - mu) - 0.5, 0.0)  # continuity correction
-    return min(1.0, 2.0 * float(ndtr(-(deviation / sigma))))
+    return min(1.0, normal_two_sided(deviation / sigma))
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResult:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import os
 
 import numpy as np
@@ -105,6 +106,12 @@ def reference_mean(model: CausalModel, ch: ProjectCharacterization, kind: Factor
             u = counter_uniforms(cfg.seed, factor_stream(f.id), 0, cfg.sample_count)
             mean += (level / MAX_LEVEL) * float(np.mean(triangular_inverse_cdf(m.min, m.most_likely, m.max, u)))
     return mean
+
+
+def ulp_distance(got: float, reference) -> float:
+    """|got - reference| in units in the last place of the double nearest reference, an
+    mpmath number; below the normal range the unit is the smallest subnormal."""
+    return float(abs(reference - got)) / math.ulp(float(reference))
 
 
 def use_cpus(monkeypatch, cpus: int) -> None:

@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hdce
 from hdce import cli, simulation
 from hdce.cli import main
 from hdce.io import load_model, load_projects, write_json
+from hdce.synthetic import build_synthetic_model, generate_projects
 from helpers import (
     EXPECTED_DC_SELECTION,
     EXPECTED_EFF_SELECTION,
@@ -614,12 +616,22 @@ for name, argv in json.loads(sys.argv[1]):
 print(json.dumps(loaded))
 """
 
+PROBED = ("import", "model-check", "simulate", "plan", "predict", "validate", "validate-normal-approximation",
+          "rank-analyze")
+
+
 def probe_imports(tmp_path, package):
-    """In a fresh interpreter: {"import" or subcommand: [exit code, modules of package loaded so far]},
-    after import hdce.cli and then after each subcommand on the examples (N=1000)."""
+    """In a fresh interpreter: {"import" or run: [exit code, modules of package loaded so far]},
+    after import hdce.cli and then after each subcommand on the examples (N=1000), and after a
+    validate on a synthetic 30-project portfolio, whose Wilcoxon tests take the normal approximation."""
     model, projects = str(EXAMPLES / "model.json"), str(EXAMPLES / "projects.json")
     files = ["--model", model, "--projects", projects]
     stochastic = ["--seed", "7", "--samples", "1000"]
+    rng = np.random.default_rng(30)
+    synthetic_model = build_synthetic_model(rng)
+    write_json(tmp_path / "synthetic-model.json", model_to_dict(synthetic_model))
+    write_json(tmp_path / "synthetic-projects.json",
+               [project_to_dict(p) for p in generate_projects(synthetic_model, 30, rng)])
     commands = [
         ["model-check", ["model-check", *files, "--require-quantified"]],
         ["simulate", ["simulate", *files, *stochastic, "--project", "review-c", "--kind", "dc",
@@ -629,6 +641,9 @@ def probe_imports(tmp_path, package):
         ["predict", ["predict", *files, *stochastic, "--target", "review-next",
                      "--out", str(tmp_path / "prediction.json")]],
         ["validate", ["validate", *files, *stochastic, "--out", str(tmp_path / "report.json")]],
+        ["validate-normal-approximation", ["validate", "--model", str(tmp_path / "synthetic-model.json"),
+                                           "--projects", str(tmp_path / "synthetic-projects.json"), *stochastic,
+                                           "--out", str(tmp_path / "report-normal.json")]],
         ["rank-analyze", ["rank-analyze", "--rankings", str(EXAMPLES / "rankings.csv"),
                           "--out", str(tmp_path / "analysis.json")]],
     ]
@@ -642,16 +657,13 @@ def probe_imports(tmp_path, package):
 
 
 class TestScipyImports:
-    """Only the two p-values load scipy, and only scipy.special."""
+    """No subcommand loads scipy: both p-values come from math."""
 
-    def test_only_rank_analyze_loads_scipy_special(self, tmp_path):
+    def test_no_subcommand_loads_scipy(self, tmp_path):
         loaded = probe_imports(tmp_path, "scipy")
-        for name in ("import", "model-check", "simulate", "plan", "predict", "validate"):
-            assert loaded[name] == [0, []], name
-        code, modules = loaded["rank-analyze"]
-        assert code == 0
-        assert "scipy.special" in modules
-        assert "scipy.stats" not in modules
+        assert loaded == {name: [0, []] for name in PROBED}
+        report = json.loads((tmp_path / "report-normal.json").read_text(encoding="utf-8"))
+        assert {c["method"] for c in report["comparisons"]} == {"normal-approximation"}
 
 
 class TestThreadPoolImports:
@@ -659,6 +671,4 @@ class TestThreadPoolImports:
 
     def test_no_subcommand_at_one_block_loads_concurrent_futures(self, tmp_path):
         loaded = probe_imports(tmp_path, "concurrent.futures")
-        # rank-analyze runs last and draws nothing; the scipy.special it loads imports concurrent.futures
-        for name in ("import", "model-check", "simulate", "plan", "predict", "validate"):
-            assert loaded[name] == [0, []], name
+        assert loaded == {name: [0, []] for name in PROBED}

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,14 @@ from helpers import (
     REFERENCE_MEAN_RANKS,
     REFERENCE_W,
     brute_force_w,
+    ulp_distance,
 )
+
+
+def mpmath_chi_square_tail(chi_square, dof):
+    """P(X >= chi_square) for X chi-square with dof degrees of freedom, at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(chi_square) / 2, mpmath.inf, regularized=True)
 
 
 def sheet(expert, ranks, kind=DC, category=PRODUCT):
@@ -228,13 +237,36 @@ class TestWSignificance:
         assert result.small_n_approximation
 
     @pytest.mark.parametrize("m", [2, 7, 15])
-    def test_p_value_is_bit_identical_to_scipy_stats_chi2_sf(self, m):
-        from scipy.stats import chi2  # the reference the p-value used to be computed with
-
+    def test_p_value_within_16_ulp_of_mpmath(self, m):
         for n in range(2, 41):
             for w in [i / 50 for i in range(51)] + [1e-9, 0.123, 0.999999]:
-                expected = float(chi2.sf(m * (n - 1) * w, n - 1))
-                assert w_significance(w, m, n).p_value == expected, (w, m, n)
+                result = w_significance(w, m, n)
+                reference = mpmath_chi_square_tail(result.chi_square, result.dof)
+                assert ulp_distance(result.p_value, reference) <= 16, (w, m, n)
+
+    @pytest.mark.parametrize("n", [101, 199, 200])
+    def test_far_tail_at_large_dof_nonzero_and_within_16_ulp_of_mpmath(self, n):
+        # chi2 up to 1600: e^(-chi2/2) alone underflows past chi2 = 1490, long before the p-value
+        m = 9
+        underflowing = 0
+        for i in range(161):
+            w = min(1.0, 10.0 * i / (m * (n - 1)))
+            result = w_significance(w, m, n)
+            reference = mpmath_chi_square_tail(result.chi_square, result.dof)
+            if reference >= sys.float_info.min:
+                assert result.p_value > 0.0, (w, n)
+                underflowing += math.exp(-result.chi_square / 2) == 0.0
+            assert ulp_distance(result.p_value, reference) <= 16, (w, n)
+        if n > 101:
+            assert underflowing, "no point where e^(-chi2/2) underflows and the p-value does not"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 30), st.integers(2, 250), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_p_value_in_unit_interval_and_non_increasing_in_w(self, m, n, i, j):
+        low, high = sorted((i, j))
+        p_low = w_significance(low / 10**6, m, n).p_value
+        p_high = w_significance(high / 10**6, m, n).p_value
+        assert 0.0 <= p_high <= p_low <= 1.0
 
 
 class TestSelectFactors:

@@ -7,12 +7,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdce import evaluation, simulation
+from hdce import evaluation, pvalues, simulation
 from hdce.diagnostics import ModelValidationError
 from hdce.estimation import estimate_baseline, predict_defects_found
 from hdce.evaluation import (
@@ -40,6 +41,7 @@ from helpers import (
     reference_mean,
     reference_model,
     reference_samples,
+    ulp_distance,
 )
 
 
@@ -251,26 +253,26 @@ class TestMidranks:
         assert sorted(json.loads(proc.stdout)) == [1.0, 2.0, 3.0]
 
 
-def former_normal_two_sided(ranks, w_plus):
-    """The normal-approximation p-value as computed with scipy.stats.norm.sf."""
-    from scipy.stats import norm
-
+def mpmath_normal_two_sided(ranks, w_plus):
+    """The normal-approximation p-value at 50 digits, at the z that _normal_two_sided forms."""
     mu = sum(ranks) / 2.0
     sigma = math.sqrt(sum(r * r for r in ranks) / 4.0)
-    deviation = max(abs(w_plus - mu) - 0.5, 0.0)
-    return min(1.0, 2.0 * float(norm.sf(deviation / sigma)))
+    z = max(abs(w_plus - mu) - 0.5, 0.0) / sigma
+    with mpmath.workdps(50):
+        return min(mpmath.mpf(1), 2 * mpmath.ncdf(-mpmath.mpf(z)))
 
 
-class TestNormalApproximationBits:
+class TestNormalApproximationAccuracy:
     @pytest.mark.parametrize("n", [21, 30, 57, 100])
-    def test_equals_scipy_stats_norm_sf_over_every_statistic(self, n):
+    def test_within_8_ulp_of_mpmath_over_every_statistic(self, n):
         ranks = [float(r) for r in range(1, n + 1)]
         for step in range(n * (n + 1) + 1):  # every W+ from 0 to n(n+1)/2 in steps of 0.5
             w_plus = step / 2
-            assert evaluation._normal_two_sided(ranks, w_plus) == former_normal_two_sided(ranks, w_plus), w_plus
+            p_value = evaluation._normal_two_sided(ranks, w_plus)
+            assert ulp_distance(p_value, mpmath_normal_two_sided(ranks, w_plus)) <= 8, w_plus
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_wilcoxon_beyond_the_exact_limit_keeps_its_p_value(self, seed):
+    def test_wilcoxon_beyond_the_exact_limit_within_8_ulp_of_mpmath(self, seed):
         rng = np.random.default_rng(seed)
         n = 30 + 10 * seed
         x = list(np.round(rng.normal(0.3, 1.0, n), 1))  # rounding leaves tied magnitudes
@@ -280,7 +282,28 @@ class TestNormalApproximationBits:
         assert result.n_nonzero > 20
         nonzero = [a - b for a, b in zip(x, y) if a - b != 0.0]
         ranks = evaluation._midranks([abs(d) for d in nonzero])
-        assert result.p_value == former_normal_two_sided(ranks, result.statistic)
+        assert ulp_distance(result.p_value, mpmath_normal_two_sided(ranks, result.statistic)) <= 8
+
+    def test_normal_tail_within_8_ulp_of_mpmath_for_z_up_to_38(self):
+        # z * sqrt(1/2) rounds to within half an ulp, which alone would cost about z^2 ulp
+        for i in range(3801):
+            z = i / 100 + 0.0013 * (i % 7)
+            with mpmath.workdps(50):
+                reference = 2 * mpmath.ncdf(-mpmath.mpf(z))
+            p_value = pvalues.normal_two_sided(z)
+            assert ulp_distance(p_value, reference) <= 8, z
+            assert p_value > 0.0 or reference < sys.float_info.min, z
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(21, 400), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_p_value_in_unit_interval_and_non_increasing_in_the_statistic(self, n, i, j):
+        ranks = [float(r) for r in range(1, n + 1)]
+        top = n * (n + 1) // 2  # untied, W+ ranges over the integers 0..top, centred on top/2
+        far, near = sorted((i % (top // 2 + 1), j % (top // 2 + 1)))
+        p_far = evaluation._normal_two_sided(ranks, float(far))
+        p_near = evaluation._normal_two_sided(ranks, float(near))
+        assert 0.0 <= p_far <= p_near <= 1.0
+        assert evaluation._normal_two_sided(ranks, float(top - far)) == p_far
 
 
 def loocv_predictions(projects, variant):
