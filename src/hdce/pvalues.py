@@ -113,9 +113,10 @@ def chi_square_sf(chi_square: float, dof: int) -> float:
         pre *= (math.isqrt((x_num << 2 * _BITS) // x_den) << (_BITS + 1)) // _SQRT_PI
         shift += _BITS
     if odd and x < m:
-        # here erfc(sqrt(x)) is near 1 and its error of order ulp(1) could lift the tail
-        # above 1: take 1 minus the lower tail, pre * sum_{i>=m} (2x)^i / (2i+1)!!, whose
-        # first term is exact and whose ratios 2x/(2i+3) are below 1
+        # here erfc(sqrt(x)) is near 1, and its error of order ulp(1) would make the tail
+        # step up and down by an ulp as chi2 grows: take 1 minus the lower tail,
+        # pre * sum_{i>=m} (2x)^i / (2i+1)!!, whose first term is exact and whose ratios
+        # 2x/(2i+3) are below 1, and round once
         first_num, first_den = y_num**m, y_den**m * math.prod(range(3, 2 * m + 2, 2))
         series = term = 1 << _BITS
         j = m + 1
