@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 validation/data error, 2 usage error. Diagnostics go
 to stderr; data goes to the --out files. Every stochastic subcommand requires an
-explicit --seed so reruns are reproducible, and every written artifact gets a
-sidecar manifest recording input digests, seed, and tool version.
+explicit --seed so reruns are reproducible. A run's outputs and their manifest
+(input digests, seed, tool version) are written together or not at all.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from .diagnostics import (
     error,
     has_errors,
 )
-from .elicitation import analyze_rankings
+from .elicitation import DEFAULT_SELECTION_THRESHOLD, analyze_rankings
 from .evaluation import ALL_VARIANTS, Variant, means_and_target_samples, project_factor_means, run_validation
 from .model import FactorKind, validate_characterization, validate_model
-from .simulation import SimulationConfig, simulate
+from .simulation import DEFAULT_SAMPLE_COUNT, SimulationConfig, simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -130,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     stochastic = argparse.ArgumentParser(add_help=False)
     stochastic.add_argument("--seed", type=_seed_type, required=True, help="simulation seed (required)")
-    stochastic.add_argument("--samples", type=_sample_count_type, default=10000, help="Monte Carlo sample count")
+    stochastic.add_argument("--samples", type=_sample_count_type, default=DEFAULT_SAMPLE_COUNT, help="Monte Carlo sample count")
 
     p = sub.add_parser("rank-analyze", help="analyze expert ranking questionnaires")
     p.add_argument("--rankings", required=True, help="rankings CSV file")
     p.add_argument("--out", required=True, help="analysis report JSON")
-    p.add_argument("--threshold", type=_finite_float, default=1.1, help="selection threshold on the minimal mean rank")
+    p.add_argument("--threshold", type=_finite_float, default=DEFAULT_SELECTION_THRESHOLD, help="selection threshold on the minimal mean rank")
     p.add_argument("--alpha", type=_probability, default=0.05, help="significance level for Kendall's W")
     p.set_defaults(handler=cmd_rank_analyze)
 
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", parents=[common_files, stochastic], help="predict defects found for a project")
     p.add_argument("--projects", required=True, help="projects JSON file")
     p.add_argument("--target", required=True, help="project id to predict")
-    p.add_argument("--quantiles", type=_parse_quantiles, default=(0.10, 0.90), help="interval quantile pair, e.g. 0.10,0.90")
+    p.add_argument("--quantiles", type=_parse_quantiles, default=estimation.DEFAULT_PREDICTION_QUANTILES, help="interval quantile pair, e.g. 0.10,0.90")
     p.add_argument("--out", required=True, help="prediction JSON")
     p.set_defaults(handler=cmd_predict)
 
@@ -216,13 +216,9 @@ def cmd_rank_analyze(args) -> int:
         ],
         "selected": sorted(analysis.selected),
     }
-    io.write_json(args.out, report)
-    io.write_manifest(
-        "rank-analyze",
-        [args.rankings],
-        [args.out],
-        parameters={"threshold": args.threshold, "alpha": args.alpha},
-    )
+    with io.RunOutputs("rank-analyze", [args.rankings],
+                       parameters={"threshold": args.threshold, "alpha": args.alpha}) as run:
+        io.write_json(run.path(args.out), report)
     return EXIT_OK
 
 
@@ -230,17 +226,14 @@ def cmd_model_check(args) -> int:
     parse_diags: list[Diagnostic] = []
     model = io.load_model(args.model, strict=args.strict, diagnostics=parse_diags)
     diagnostics = parse_diags + validate_model(model, require_quantified=args.require_quantified)
-    inputs = [args.model]
     if args.projects:
         projects = io.load_projects(args.projects, strict=args.strict, diagnostics=diagnostics)
-        inputs.append(args.projects)
         for project in projects:
             diagnostics.extend(validate_characterization(model, project.characterization))
     _print_diagnostics(diagnostics)
     if args.out:
-        io.write_json(
-            args.out,
-            {
+        with io.RunOutputs("model-check", [args.model] + ([args.projects] if args.projects else [])) as run:
+            io.write_json(run.path(args.out), {
                 "errors": sum(d.severity is Severity.ERROR for d in diagnostics),
                 "warnings": sum(d.severity is Severity.WARNING for d in diagnostics),
                 "advisories": sum(d.severity is Severity.ADVISORY for d in diagnostics),
@@ -248,9 +241,7 @@ def cmd_model_check(args) -> int:
                     {"severity": d.severity.value, "code": d.code, "message": d.message}
                     for d in diagnostics
                 ],
-            },
-        )
-        io.write_manifest("model-check", inputs, [args.out])
+            })
     if has_errors(diagnostics):
         return EXIT_VALIDATION
     print(f"model ok: {len(model.factors)} factors", file=sys.stderr)
@@ -261,6 +252,11 @@ def _load_checked(args, diagnostics: list[Diagnostic]):
     model = io.load_model(args.model, strict=args.strict, diagnostics=diagnostics)
     projects = io.load_projects(args.projects, strict=args.strict, diagnostics=diagnostics)
     return model, projects
+
+
+def _stochastic_run(command: str, args, **parameters) -> io.RunOutputs:
+    return io.RunOutputs(command, [args.model, args.projects], seed=args.seed, sample_count=args.samples,
+                         parameters=parameters)
 
 
 def cmd_simulate(args) -> int:
@@ -282,15 +278,9 @@ def cmd_simulate(args) -> int:
     }
     if args.emit_samples:
         payload["samples"] = distribution.samples.tolist()
-    io.write_json(args.out, payload)
-    io.write_manifest(
-        "simulate",
-        [args.model, args.projects],
-        [args.out],
-        seed=args.seed,
-        sample_count=args.samples,
-        parameters={"project": args.project, "kind": args.kind, "emit_samples": bool(args.emit_samples)},
-    )
+    with _stochastic_run("simulate", args, project=args.project, kind=args.kind,
+                         emit_samples=bool(args.emit_samples)) as run:
+        io.write_json(run.path(args.out), payload)
     return EXIT_OK
 
 
@@ -306,25 +296,12 @@ def cmd_plan(args) -> int:
     triples = [(p.project_id, *means[p.project_id]) for p in projects]
     chart = planning.build_risk_chart(triples, f=args.scale_factor, baseline_ids=baseline_ids)
     rows = [[p.project_id, p.relative_dd, p.relative_eff, p.quadrant.value] for p in chart.points]
-    io.write_csv(args.out, ["project_id", "relative_dd", "relative_eff", "quadrant"], rows)
-    outputs = [args.out]
-    if args.svg:
-        try:
-            Path(args.svg).write_text(planning.risk_chart_svg(chart), encoding="utf-8")
-        except OSError:
-            Path(args.out).unlink(missing_ok=True)  # leave no CSV without its manifest
-            raise
-        outputs.append(args.svg)
-    for point in chart.points:
-        print(planning.risk_narrative(point), file=sys.stderr)
-    io.write_manifest(
-        "plan",
-        [args.model, args.projects],
-        outputs,
-        seed=args.seed,
-        sample_count=args.samples,
-        parameters={"scale_factor": args.scale_factor},
-    )
+    with _stochastic_run("plan", args, scale_factor=args.scale_factor) as run:
+        io.write_csv(run.path(args.out), ["project_id", "relative_dd", "relative_eff", "quadrant"], rows)
+        if args.svg:
+            Path(run.path(args.svg)).write_text(planning.risk_chart_svg(chart), encoding="utf-8")
+        for point in chart.points:
+            print(planning.risk_narrative(point), file=sys.stderr)
     return EXIT_OK
 
 
@@ -350,9 +327,8 @@ def cmd_predict(args) -> int:
         target.size, means[args.target], target_ddif, target_eif, baseline, quantile_pair=args.quantiles
     )
     _print_diagnostics(diagnostics)
-    io.write_json(
-        args.out,
-        {
+    with _stochastic_run("predict", args, target=args.target, quantiles=list(args.quantiles)) as run:
+        io.write_json(run.path(args.out), {
             "target": args.target,
             "point": prediction.point,
             "interval": list(prediction.interval),
@@ -361,16 +337,7 @@ def cmd_predict(args) -> int:
             "per_project_eq5_values": baseline.per_project_values,
             "ddif_mean": prediction.ddif_mean,
             "eif_mean": prediction.eif_mean,
-        },
-    )
-    io.write_manifest(
-        "predict",
-        [args.model, args.projects],
-        [args.out],
-        seed=args.seed,
-        sample_count=args.samples,
-        parameters={"target": args.target, "quantiles": list(args.quantiles)},
-    )
+        })
     return EXIT_OK
 
 
@@ -415,22 +382,11 @@ def cmd_validate(args) -> int:
             for d in report.excluded
         ],
     }
-    io.write_json(args.out, payload)
     re_csv = args.re_csv or str(Path(args.out).with_name(Path(args.out).name + ".re.csv"))
-    rows = [
-        [v.value, r.project_id, r.re]
-        for v in report.variants
-        for r in report.records[v]
-    ]
-    io.write_csv(re_csv, ["variant", "project_id", "re"], rows)
-    io.write_manifest(
-        "validate",
-        [args.model, args.projects],
-        [args.out, re_csv],
-        seed=args.seed,
-        sample_count=args.samples,
-        parameters={"alpha": args.alpha, "variants": [v.value for v in args.variants]},
-    )
+    rows = [[v.value, r.project_id, r.re] for v in report.variants for r in report.records[v]]
+    with _stochastic_run("validate", args, alpha=args.alpha, variants=[v.value for v in args.variants]) as run:
+        io.write_json(run.path(args.out), payload)
+        io.write_csv(run.path(re_csv), ["variant", "project_id", "re"], rows)
     for v in report.variants:
         print(f"{v.value}: MMRE = {report.mmre[v]:.6g}", file=sys.stderr)
     return EXIT_OK

@@ -2,17 +2,20 @@
 
 Inputs: model JSON, projects JSON, rankings CSV. Outputs: canonical JSON and
 CSV with fixed key order and 17-significant-digit floats, so identical runs are
-byte-identical. Every written artifact gets a sidecar run manifest carrying the
-input digests, seed, and tool version (the timestamp lives only there).
+byte-identical. Every run's outputs get a sidecar run manifest carrying the
+input digests, seed, and tool version (the timestamp lives only there), and
+RunOutputs writes them all or none.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from contextlib import AbstractContextManager
 from datetime import datetime, timezone
 from io import StringIO
 from pathlib import Path
@@ -224,50 +227,61 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    inputs: dict[str, str]
-    outputs: dict[str, str]
-    seed: int | None = None
-    sample_count: int | None = None
-    parameters: dict = field(default_factory=dict)
-    tool_version: str = __version__
-    timestamp: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "parameters": self.parameters,
-            "inputs": dict(sorted(self.inputs.items())),
-            "outputs": dict(sorted(self.outputs.items())),
-            "timestamp": self.timestamp,
-        }
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
-def write_manifest(
-    command: str,
-    input_paths: list[str | Path],
-    output_paths: list[str | Path],
-    *,
-    seed: int | None = None,
-    sample_count: int | None = None,
-    parameters: dict | None = None,
-) -> Path:
-    """Sidecar manifest next to the first output: <out>.manifest.json."""
-    primary = Path(output_paths[0])
-    target = primary.with_name(primary.name + ".manifest.json")
-    manifest = RunManifest(
-        command=command,
-        inputs={str(p): sha256_file(p) for p in input_paths},
-        outputs={str(p): sha256_file(p) for p in output_paths},
-        seed=seed,
-        sample_count=sample_count,
-        parameters=parameters or {},
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    write_json(target, manifest.to_dict())
-    return target
+class RunOutputs(AbstractContextManager):
+    """One run's outputs and their manifest, written together or not at all.
+
+    In ``with RunOutputs(command, inputs, ...) as run:`` each output is written
+    to ``run.path(target)``, a temporary file beside it. When the block ends
+    cleanly, ``<first output>.manifest.json`` records the input and output
+    digests, and each output and then the manifest is moved into place. When
+    it raises, the temporary files are removed: no file is written or changed.
+    """
+
+    def __init__(self, command: str, inputs: list[str], *, seed: int | None = None,
+                 sample_count: int | None = None, parameters: dict | None = None):
+        self._inputs = sorted(map(str, inputs))
+        self._header = {"command": command, "tool_version": __version__, "seed": seed,
+                        "sample_count": sample_count, "parameters": parameters or {}}
+        self._temps: dict[str, str] = {}  # output -> its temporary file
+
+    def path(self, target: str | Path) -> str:
+        """A new name beside target to write it to, created by the writer's own open() so that
+        its mode follows the umask. A directory, an input or another output of the run is refused."""
+        target = str(target)
+        for other, role in [(p, "an input") for p in self._inputs] + [(p, "another output") for p in self._temps]:
+            if _same_file(target, other):  # an OSError, so that main() says "cannot use <target>"
+                raise OSError(errno.EINVAL, f"output path is also {role} of this run", target)
+        head, tail = os.path.split(target)
+        if not tail or os.path.isdir(target):  # "" and "name/" name a directory too
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target or os.curdir)
+        self._temps[target] = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        return self._temps[target]
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc is not None:
+                raise exc
+            if self._temps:
+                outputs = {t: sha256_file(temp) for t, temp in sorted(self._temps.items())}
+                write_json(self.path(next(iter(self._temps)) + ".manifest.json"), {
+                    **self._header,
+                    "inputs": {p: sha256_file(p) for p in self._inputs},
+                    "outputs": outputs,
+                    "timestamp": datetime.now(timezone.utc).isoformat(),
+                })
+                for target, temp in self._temps.items():
+                    os.replace(temp, target)
+                self._temps.clear()
+        except OSError as error:  # name the user's path, not a temporary one
+            error.filename = {temp: t for t, temp in self._temps.items()}.get(error.filename, error.filename)
+            raise
+        finally:
+            for temp in self._temps.values():
+                Path(temp).unlink(missing_ok=True)

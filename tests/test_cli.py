@@ -1,6 +1,8 @@
+import errno
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 import hdce
 from hdce import cli, simulation
 from hdce.cli import main
-from hdce.io import load_model, load_projects, write_json
+from hdce.io import load_model, load_projects, sha256_file, write_json
 from hdce.synthetic import build_synthetic_model, generate_projects
 from helpers import (
     EXPECTED_DC_SELECTION,
@@ -600,6 +602,140 @@ class TestUnreadablePaths:
         # a failed run leaves no output behind, and so no output without its manifest
         assert not (tmp_path / "chart.csv").exists()
         assert not list(tmp_path.glob("*.manifest.json"))
+
+
+_FILES = ["--model", "{model}", "--projects", "{projects}"]
+_SEEDED = ["--seed", "7", "--samples", "200"]
+
+# subcommand: (argv, extra flags of a rerun whose outputs differ); {run} is the output directory
+WRITING_RUNS = {
+    "rank-analyze": (["rank-analyze", "--rankings", "{rankings}", "--out", "{run}/analysis.json"],
+                     ["--threshold", "1.5"]),
+    "model-check": (["model-check", *_FILES, "--out", "{run}/check.json"], ["--require-quantified"]),
+    "simulate": (["simulate", *_FILES, *_SEEDED, "--project", "E1", "--kind", "dc", "--out", "{run}/ddif.json"],
+                 ["--seed", "8"]),
+    "plan": (["plan", *_FILES, *_SEEDED, "--out", "{run}/chart.csv", "--svg", "{run}/chart.svg"], ["--seed", "8"]),
+    "predict": (["predict", *_FILES, *_SEEDED, "--target", "NEW", "--out", "{run}/prediction.json"],
+                ["--seed", "8"]),
+    "validate": (["validate", *_FILES, *_SEEDED, "--out", "{run}/report.json"], ["--seed", "8"]),
+}
+
+
+def snapshot(directory):
+    """Every file in directory: its bytes, inode and mtime, so that a rewrite with equal bytes shows too."""
+    return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir() if p.is_file()}
+
+
+class TestRunOutputs:
+    """A run writes all its outputs and their manifest, or nothing at all."""
+
+    @pytest.fixture
+    def paths(self, rankings_csv, model_file, projects_file, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        return {"run": run, "rankings": rankings_csv, "model": model_file, "projects": projects_file}
+
+    @pytest.mark.parametrize("command", sorted(WRITING_RUNS))
+    def test_failed_rerun_leaves_the_directory_as_it_was(self, command, paths, monkeypatch, capsys):
+        argv, rerun_flags = WRITING_RUNS[command]
+        argv = [a.format(**paths) for a in argv]
+        assert main(argv) == 0
+        before = snapshot(paths["run"])
+        assert len(before) >= 2  # the outputs and their manifest
+
+        writes = []
+
+        def fail_after_first_write(real):
+            def write(path, *args):
+                if writes:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                real(path, *args)
+                writes.append(path)
+            return write
+
+        monkeypatch.setattr(hdce.io, "write_json", fail_after_first_write(hdce.io.write_json))
+        monkeypatch.setattr(hdce.io, "write_csv", fail_after_first_write(hdce.io.write_csv))
+        capsys.readouterr()
+        assert main(argv + rerun_flags) == 2
+        assert "usage error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert len(writes) == 1
+        assert snapshot(paths["run"]) == before  # no new or temporary file, no output rewritten
+
+    def test_re_csv_directory_writes_nothing(self, paths, capsys):
+        directory = paths["run"] / "re-values"
+        directory.mkdir()
+        argv = [a.format(**paths) for a in WRITING_RUNS["validate"][0]]
+        assert main(argv + ["--re-csv", str(directory)]) == 2
+        assert f"usage error: cannot use {directory}: " in capsys.readouterr().err
+        assert [p.name for p in paths["run"].iterdir()] == ["re-values"]
+        assert not list(directory.iterdir())
+
+    @pytest.mark.parametrize("command", ["plan", "validate"])
+    def test_manifest_path_directory_writes_nothing(self, command, paths, capsys):
+        argv = [a.format(**paths) for a in WRITING_RUNS[command][0]]
+        manifest = Path(argv[argv.index("--out") + 1] + ".manifest.json")
+        manifest.mkdir()
+        assert main(argv) == 2
+        assert f"usage error: cannot use {manifest}: " in capsys.readouterr().err
+        assert [p.name for p in paths["run"].iterdir()] == [manifest.name]
+
+    @pytest.mark.parametrize("out, named", [("", "."), ("{run}/new-directory/", "{run}/new-directory/")])
+    def test_output_path_without_a_file_name_is_a_directory(self, out, named, paths, monkeypatch, capsys):
+        monkeypatch.chdir(paths["run"])
+        argv = [a.format(**paths) for a in WRITING_RUNS["predict"][0] + ["--out", out]]
+        assert main(argv) == 2
+        assert f"usage error: cannot use {named.format(**paths)}: Is a directory" in capsys.readouterr().err
+        assert list(paths["run"].iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flags, named, role",
+        [
+            ("predict", ["--out", "{projects}"], "{projects}", "an input"),
+            ("predict", ["--out", "{model}"], "{model}", "an input"),
+            ("predict", ["--out", "{run}/alias.json"], "{run}/alias.json", "an input"),
+            ("rank-analyze", ["--out", "{rankings}"], "{rankings}", "an input"),
+            ("plan", ["--svg", "{run}/chart.csv"], "{run}/chart.csv", "another output"),
+            ("validate", ["--re-csv", "{run}/report.json"], "{run}/report.json", "another output"),
+            ("validate", ["--re-csv", "{run}/report.json.manifest.json"], "{run}/report.json.manifest.json",
+             "another output"),
+            ("predict", ["--out", "{run}/linked.json"], "{run}/linked.json.manifest.json", "an input"),
+        ],
+        ids=["out-is-projects", "out-is-model", "out-is-a-hard-link-to-projects", "out-is-rankings",
+             "svg-is-out", "re-csv-is-out", "re-csv-is-manifest", "manifest-is-a-hard-link-to-projects"],
+    )
+    def test_colliding_output_is_usage_error_and_changes_nothing(self, command, flags, named, role, paths, capsys):
+        os.link(paths["projects"], paths["run"] / "alias.json")
+        os.link(paths["projects"], paths["run"] / "linked.json.manifest.json")
+        inputs = paths["run"].parent
+        before = snapshot(inputs), snapshot(paths["run"])
+        argv = [a.format(**paths) for a in WRITING_RUNS[command][0] + flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: cannot use {named.format(**paths)}: output path is also {role} of this run" in err
+        assert (snapshot(inputs), snapshot(paths["run"])) == before
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)])
+    def test_output_modes_follow_the_umask(self, umask, mode, paths):
+        argv = [a.format(**paths) for a in WRITING_RUNS["plan"][0]]
+        previous = os.umask(umask)
+        try:
+            assert main(argv) == 0
+        finally:
+            os.umask(previous)
+        written = sorted(paths["run"].iterdir())
+        assert [p.name for p in written] == ["chart.csv", "chart.csv.manifest.json", "chart.svg"]
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == dict.fromkeys(
+            [p.name for p in written], mode)
+
+    def test_model_check_writes_its_report_when_the_model_has_errors(self, tmp_path):
+        data = model_to_dict(reference_model())
+        data["factors"][0]["multiplier"] = {"min": 0.3, "most_likely": 0.2, "max": 0.4}
+        model = tmp_path / "model.json"
+        write_json(model, data)
+        out = tmp_path / "check.json"
+        assert main(["model-check", "--model", str(model), "--out", str(out)]) == 1
+        assert read_json(out)["errors"] >= 1
+        assert read_json(tmp_path / "check.json.manifest.json")["outputs"] == {str(out): sha256_file(out)}
 
 
 _IMPORT_PROBE = """

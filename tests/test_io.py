@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import hdce
 from hdce.diagnostics import InputFormatError
 from hdce.io import (
+    RunOutputs,
     canonical_json,
     format_float,
     load_model,
@@ -13,7 +15,6 @@ from hdce.io import (
     sha256_file,
     write_csv,
     write_json,
-    write_manifest,
 )
 from helpers import exact_projects, model_to_dict, project_to_dict, reference_model, write_rankings_csv
 
@@ -217,11 +218,9 @@ class TestCsvOutput:
 class TestManifest:
     def test_manifest_records_digests(self, tmp_path, model_file):
         out = tmp_path / "result.json"
-        write_json(out, {"ok": True})
-        manifest_path = write_manifest(
-            "simulate", [model_file], [out], seed=7, sample_count=100, parameters={"kind": "dc"}
-        )
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        with RunOutputs("simulate", [model_file], seed=7, sample_count=100, parameters={"kind": "dc"}) as run:
+            write_json(run.path(out), {"ok": True})
+        manifest = json.loads((tmp_path / "result.json.manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 7
         assert manifest["inputs"][str(model_file)] == sha256_file(model_file)
@@ -230,6 +229,53 @@ class TestManifest:
 
     def test_manifest_tool_version_is_package_version(self, tmp_path):
         out = tmp_path / "result.json"
-        write_json(out, {"ok": True})
-        manifest = json.loads(write_manifest("plan", [], [out]).read_text(encoding="utf-8"))
+        with RunOutputs("plan", []) as run:
+            write_json(run.path(out), {"ok": True})
+        manifest = json.loads((tmp_path / "result.json.manifest.json").read_text(encoding="utf-8"))
         assert manifest["tool_version"] == hdce.__version__
+
+
+class TestRunOutputs:
+    def test_manifest_keys_in_order_and_inputs_and_outputs_sorted(self, tmp_path, model_file, projects_file):
+        first, second = tmp_path / "z.json", tmp_path / "a.csv"
+        with RunOutputs("validate", [projects_file, model_file], seed=1, sample_count=2,
+                        parameters={"alpha": 0.05}) as run:
+            write_json(run.path(first), [1])
+            write_csv(run.path(second), ["x"], [[1]])
+        manifest = json.loads((tmp_path / "z.json.manifest.json").read_text(encoding="utf-8"))
+        assert list(manifest) == ["command", "tool_version", "seed", "sample_count", "parameters", "inputs",
+                                  "outputs", "timestamp"]
+        assert list(manifest["inputs"]) == [str(model_file), str(projects_file)]
+        assert list(manifest["outputs"]) == [str(second), str(first)]
+        assert manifest["parameters"] == {"alpha": 0.05}
+
+    def test_outputs_appear_only_when_the_block_ends(self, tmp_path):
+        out = tmp_path / "result.json"
+        with RunOutputs("plan", []) as run:
+            temporary = Path(run.path(out))
+            write_json(temporary, {"ok": True})
+            assert temporary.parent == tmp_path and temporary.name.startswith(".result.json.")
+            assert sorted(tmp_path.iterdir()) == [temporary]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json", "result.json.manifest.json"]
+
+    def test_a_block_that_raises_writes_nothing_and_keeps_older_outputs(self, tmp_path):
+        out = tmp_path / "result.json"
+        out.write_text("older\n", encoding="utf-8")
+        with pytest.raises(RuntimeError), RunOutputs("plan", []) as run:
+            write_json(run.path(out), {"ok": True})
+            write_csv(run.path(tmp_path / "second.csv"), ["x"], [[1]])
+            raise RuntimeError("stop")
+        assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
+        assert out.read_text(encoding="utf-8") == "older\n"
+
+    def test_a_run_without_outputs_writes_no_manifest(self, tmp_path, model_file):
+        with RunOutputs("model-check", [model_file]):
+            pass
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_an_error_names_the_output_not_its_temporary_file(self, tmp_path):
+        out = tmp_path / "missing-directory" / "result.json"
+        with pytest.raises(FileNotFoundError) as caught, RunOutputs("plan", []) as run:
+            write_json(run.path(out), {"ok": True})
+        assert caught.value.filename == str(out)
+        assert list(tmp_path.iterdir()) == []
