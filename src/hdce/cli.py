@@ -1,6 +1,6 @@
 """Command-line interface: rank-analyze, model-check, simulate, plan, predict, validate.
 
-Exit codes: 0 success, 1 validation/data error, 2 usage error. Diagnostics go
+Exit codes: 0 success, 1 validation/data or write error, 2 usage error. Diagnostics go
 to stderr; data goes to the --out files. Every stochastic subcommand requires an
 explicit --seed so reruns are reproducible. A run's outputs and their manifest
 (input digests, seed, tool version) are written together or not at all.
@@ -321,10 +321,10 @@ def cmd_predict(args) -> int:
         return EXIT_VALIDATION
 
     cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
-    means, target_ddif, target_eif = means_and_target_samples(model, historical, target, cfg)
+    means, target_scale = means_and_target_samples(model, historical, target, cfg)
     baseline = estimation.estimate_baseline(historical, means, diagnostics)
     prediction = estimation.predict_defects_found(
-        target.size, means[args.target], target_ddif, target_eif, baseline, quantile_pair=args.quantiles
+        target.size, means[args.target], target_scale, baseline, quantile_pair=args.quantiles
     )
     _print_diagnostics(diagnostics)
     with _stochastic_run("predict", args, target=args.target, quantiles=list(args.quantiles)) as run:
@@ -404,9 +404,11 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"usage error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # a directory, no permission, ...
-        where = f"cannot use {exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc)
-        print(f"usage error: {where}", file=sys.stderr)
+    except OSError as exc:  # a path that is a directory, not permitted, ...
+        if exc.filename is None:  # no path to blame: a full disk while writing, ...
+            _print_diagnostics([error("write-failed", str(exc))])
+            return EXIT_VALIDATION
+        print(f"usage error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except EmptyInputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ from .model import HistoricalProject
 DEFAULT_PREDICTION_QUANTILES = (0.10, 0.90)
 # below this many historical projects the baseline is shaky
 RECOMMENDED_MIN_HISTORY = 4
-_BLOCK = 1 << 16  # samples per block of predict_defects_found's per-sample values
 
 
 @dataclass(frozen=True)
@@ -90,33 +89,25 @@ def estimate_baseline(
 def predict_defects_found(
     size: float,
     means: tuple[float, float],
-    ddif_samples: np.ndarray,
-    eif_samples: np.ndarray,
+    scale_samples: np.ndarray,
     baseline: BaselineEstimate,
     quantile_pair: tuple[float, float] = DEFAULT_PREDICTION_QUANTILES,
 ) -> DefectsFoundPrediction:
     """Point prediction from the (DDIF, EIF) means plus a quantile interval.
 
-    means are the target's, as evaluation.means_and_target_samples returns
-    them. The interval comes from the per-sample values
-    size*(1+DDIF_s)*(1+EIF_s)*baseline, pairing the i-th DDIF draw with the
-    i-th EIF draw.
+    means are the target's, and scale_samples its per-sample scale size*(1+DDIF_s)*(1+EIF_s),
+    as evaluation.means_and_target_samples returns them. The interval comes from the values
+    scale_s*baseline: this scales scale_samples by the baseline and reorders it, in place.
     """
     if not size > 0:
         raise ValueError(f"size must be > 0, got {size}")
-    if ddif_samples.size != eif_samples.size:
-        raise ValueError(f"sample-count mismatch: ddif has {ddif_samples.size}, eif has {eif_samples.size}")
     low_q, high_q = quantile_pair
     if not 0.0 <= low_q <= high_q <= 1.0:
         raise ValueError(f"quantile pair must satisfy 0 <= low <= high <= 1, got {quantile_pair}")
 
     ddif_mean, eif_mean = means
     point = expected_defects_found(size, ddif_mean, eif_mean, baseline.estimate)
-    # a block at a time, so that the equation's temporaries stay block-sized
-    per_sample = np.empty(ddif_samples.size)
-    for start in range(0, per_sample.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        per_sample[block] = expected_defects_found(size, ddif_samples[block], eif_samples[block], baseline.estimate)
-    # per_sample is this call's own array, so the quantile may reorder it in place
-    low, high = np.quantile(per_sample, [low_q, high_q], overwrite_input=True)
+    # x * 1.0 == x: the scale times the baseline is expected_defects_found at that baseline, bit for bit
+    scale_samples *= baseline.estimate
+    low, high = np.quantile(scale_samples, [low_q, high_q], overwrite_input=True)
     return DefectsFoundPrediction(point, (float(low), float(high)), ddif_mean, eif_mean)

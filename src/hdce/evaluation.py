@@ -180,7 +180,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
 def project_factor_means(
     model: CausalModel, projects: Sequence[HistoricalProject], cfg: SimulationConfig
 ) -> dict[str, tuple[float, float]]:
-    """Map project_id -> (mean DDIF, mean EIF), with one simulation pass per kind.
+    """Map project_id -> (mean DDIF, mean EIF), from one simulation pass over both kinds.
 
     Every (project, kind) pair is checked once, before any draw, projects in
     order and DDIF before EIF, so an invalid input raises the first pair's
@@ -190,22 +190,24 @@ def project_factor_means(
         return {}
     characterizations = [p.characterization for p in projects]
     check_portfolio(model, characterizations, _KINDS)
-    ddif, eif = (draw_portfolio(model, characterizations, kind, cfg, keep=[])[0] for kind in _KINDS)
+    (ddif, eif), _ = draw_portfolio(model, characterizations, _KINDS, cfg)
     return {p.project_id: pair for p, pair in zip(projects, zip(ddif, eif))}
 
 
 def means_and_target_samples(
     model: CausalModel, history: Sequence[HistoricalProject], target: HistoricalProject, cfg: SimulationConfig
-) -> tuple[dict[str, tuple[float, float]], np.ndarray, np.ndarray]:
-    """project_factor_means of history + [target], plus the target's DDIF and EIF sample
-    vectors from the same pass per kind; the target goes last, so it is also checked last."""
+) -> tuple[dict[str, tuple[float, float]], np.ndarray]:
+    """project_factor_means of history + [target], plus the target's per-sample scale
+    Size*(1+DDIF_s)*(1+EIF_s), from one pass that forms its DDIF and EIF a block at a
+    time; the target goes last, so it is also checked last."""
     projects = [*history, target]
     characterizations = [p.characterization for p in projects]
     check_portfolio(model, characterizations, _KINDS)
-    (ddif_means, (ddif,)), (eif_means, (eif,)) = (
-        draw_portfolio(model, characterizations, kind, cfg, keep=[len(history)]) for kind in _KINDS
+    (ddif_means, eif_means), scale = draw_portfolio(
+        model, characterizations, _KINDS, cfg, target=len(history),
+        combine=lambda ddif, eif: expected_defects_found(target.size, ddif, eif),
     )
-    return {p.project_id: pair for p, pair in zip(projects, zip(ddif_means, eif_means))}, ddif, eif
+    return {p.project_id: pair for p, pair in zip(projects, zip(ddif_means, eif_means))}, scale
 
 
 def _scale(variant: Variant, project: HistoricalProject, means: Mapping[str, tuple[float, float]]) -> float:

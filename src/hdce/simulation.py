@@ -7,10 +7,11 @@ contributions add up across the factors of one kind (no interaction terms).
 Sampling is counter-based: the uniform variate for (seed, factor, sample index)
 is derived by hashing, never by advancing shared generator state. Chunked runs
 therefore produce bit-identical sample vectors, and since the draws never
-depend on the project, each factor is drawn once for a whole portfolio. The
-chunks are leaves of numpy's pairwise summation tree, so a factor's draws are
-summed a chunk at a time, bit for bit as np.mean sums them whole. A project's
-mean follows by linearity from the factor means, without forming its vector.
+depend on the project, each factor is drawn once for a whole portfolio, and
+one pass draws every kind. The chunks are leaves of numpy's pairwise summation
+tree, so a factor's draws are summed a chunk at a time, bit for bit as np.mean
+sums them whole. A project's mean follows by linearity from the factor means,
+without forming its vector.
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, mean: float) -> "EmpiricalDistribution":
-        """sd and quantiles of samples, beside their mean as the caller computed it
-        (draw_portfolio's linear mean, for the engine's vectors)."""
+        """sd and quantiles of samples, kept in their order beside their mean as the caller computed
+        it (draw_portfolio's linear mean); the quantiles read a copy, which draw_portfolio counts."""
         samples = np.asarray(samples, dtype=np.float64)
         if samples.size == 0:
             raise ValueError("cannot build a distribution from zero samples")
@@ -313,68 +314,74 @@ def _physical_memory() -> float:
 def draw_portfolio(
     model: CausalModel,
     characterizations: Sequence[ProjectCharacterization],
-    kind: FactorKind,
+    kinds: Sequence[FactorKind],
     cfg: SimulationConfig,
-    keep: Sequence[int],
-) -> tuple[list[float], list[np.ndarray]]:
-    """Means of the accumulated relative increase (DDIF or EIF), one per characterization,
-    and the sample vectors of the characterizations at the indices in keep, in keep's order.
+    target: int | None = None,
+    combine: Callable[..., np.ndarray] | None = None,
+) -> tuple[list[list[float]], np.ndarray | None]:
+    """Means of the accumulated relative increases (DDIF, EIF), a list per kind in kinds with a
+    mean per characterization, and combine of the target's vectors of each kind (or None).
 
-    The caller runs check_portfolio on these characterizations and this kind
-    first; the draws are not checked again. A characterization's vector is
-    +0.0 plus level/3 times each factor's draws, in model order. One pass over
-    the blocks draws one factor at a time into a single row, records the
-    row's sum and adds the row into the kept vectors only. The blocks are
-    leaves of np.mean's pairwise summation tree, so each factor's mean is
-    np.mean of its draws, bit for bit. By linearity, a characterization's
-    mean is then +0.0 plus level/3 times each factor's mean, in model order,
-    level-0 factors skipped: within a few ulp of np.mean of its vector, and
-    the same whether or not the vector is kept. Means and vectors depend only
-    on (model, characterization, kind, seed, sample_count): neither the rest
-    of the portfolio, BLOCK_SIZE nor the CPU count changes them.
+    The caller runs check_portfolio on these characterizations and kinds
+    first; the draws are not checked again. A characterization's vector of a
+    kind is +0.0 plus level/3 times each of the kind's factor draws, in model
+    order. One pass over the blocks draws one factor at a time into a single
+    row, records the row's sum and adds the row into the target's block vector
+    of its kind; each block of the returned vector is combine of those, in
+    kinds' order. Without a combine, the one kind's own vector is returned, for
+    a summary that copies it (EmpiricalDistribution.from_samples); a combined
+    vector is the caller's to reorder in place. The blocks are leaves of
+    np.mean's pairwise summation tree, so each factor's mean is np.mean of its
+    draws, bit for bit, and by linearity a characterization's mean is +0.0 plus
+    level/3 times each factor's mean, in model order, level-0 factors skipped.
+    Nothing but (model, characterization, kind, seed, sample_count) changes them.
     """
     if not characterizations:
-        return [], []
-    factors = model.factors_of_kind(kind)
+        return [[] for _ in kinds], None
+    by_kind = [model.factors_of_kind(kind) for kind in kinds]
+    factors = [f for kind_factors in by_kind for f in kind_factors]
     n = cfg.sample_count
     blocks = _pairwise_blocks(0, n)
     width = max(stop - start for start, stop in blocks)
     weights = [[ch.levels[f.id] / MAX_LEVEL for f in factors] for ch in characterizations]
-    # the kept vectors and, when there are any, the one the caller derives
-    # from them; then each share's scratch: the draw row and the uniforms'
-    # two temporaries
-    scratch = _share_count(blocks) * 3 * width * 8
-    needed = (len(keep) + (1 if keep else 0)) * n * 8 + scratch
+    # the returned vector, plus without a combine the copy its summary takes; then each
+    # share's scratch: the draw row, the uniforms' two temporaries and a target block per kind
+    vectors, accumulators = (0, 0) if target is None else (2 if combine is None else 1, len(kinds))
+    needed = vectors * n * 8 + _share_count(blocks) * (3 + accumulators) * width * 8
     if needed > _physical_memory():
         raise MemoryError(f"{n} samples of {len(factors)} factors need {needed} bytes, more than physical memory")
-    # a kept vector starts at +0.0, so its first term gives +0.0 + term: a
-    # draw of -0.0 (a minimum of -0.0) still gives +0.0
-    kept = [np.zeros(n, dtype=np.float64) for _ in keep]
-    # for each factor, the (kept vector, level/3) pairs it adds to; a level-0
-    # term is left out, since the draws are >= 0
-    terms = [
-        [(vector, weights[j][i]) for vector, j in zip(kept, keep) if weights[j][i] != 0.0] for i in range(len(factors))
-    ]
-    params = [(f.multiplier, factor_stream(f.id)) for f in factors]
+    vector = None if target is None else np.empty(n, dtype=np.float64)
+    # per factor: its multiplier, stream, kind's index and the target's level/3,
+    # where 0.0 leaves the term out (the draws are >= 0)
+    kind_index = [k for k, kind_factors in enumerate(by_kind) for _ in kind_factors]
+    target_weights = [0.0] * len(factors) if target is None else weights[target]
+    params = [(f.multiplier, factor_stream(f.id), k, w) for f, k, w in zip(factors, kind_index, target_weights)]
     leaf_sums: dict[int, np.ndarray] = {}
 
     def make_task() -> Callable[[int, int], None]:
         row = np.empty(width, dtype=np.float64)
+        scratch = np.empty((accumulators, width), dtype=np.float64)
 
         def task(start: int, stop: int) -> None:
             draws = row[: stop - start]
+            # each block vector starts at +0.0, so its first term gives +0.0 +
+            # term: a draw of -0.0 (a minimum of -0.0) still gives +0.0
+            block_vectors = scratch[:, : stop - start]
+            block_vectors.fill(0.0)
             sums = np.empty(len(factors))
-            for i, (mult, stream) in enumerate(params):
+            for i, (mult, stream, k, weight) in enumerate(params):
                 # the variates go straight into the row, with the fresh
                 # uniforms as scratch; validate_model has checked the multipliers
                 u = counter_uniforms(cfg.seed, stream, start, stop - start)
                 _triangular_into(draws, mult.min, mult.most_likely, mult.max, u, u)
                 sums[i] = np.add.reduce(draws)
-                for vector, weight in terms[i]:
+                if weight != 0.0:
                     # u takes the product; a level-3 term (x * 1.0) is the row itself
-                    vector[start:stop] += draws if weight == 1.0 else np.multiply(draws, weight, out=u)
+                    block_vectors[k] += draws if weight == 1.0 else np.multiply(draws, weight, out=u)
                 del u  # before the next factor's uniforms are drawn
             leaf_sums[start] = sums
+            if vector is not None:
+                vector[start:stop] = combine(*block_vectors) if combine else block_vectors[0]
 
         return task
 
@@ -383,14 +390,12 @@ def draw_portfolio(
     # plain float additions in model order: not sum(), which compensates its
     # additions from Python 3.12 on, nor a matrix product, whose order is the
     # BLAS build's
-    means = []
-    for row_weights in weights:
-        mean = 0.0
-        for weight, factor_mean in zip(row_weights, factor_means):
+    means_by_kind = [[0.0] * len(characterizations) for _ in kinds]
+    for j, row_weights in enumerate(weights):
+        for k, weight, factor_mean in zip(kind_index, row_weights, factor_means):
             if weight != 0.0:
-                mean += weight * factor_mean
-        means.append(mean)
-    return means, kept
+                means_by_kind[k][j] += weight * factor_mean
+    return means_by_kind, vector
 
 
 def simulate(
@@ -403,7 +408,7 @@ def simulate(
     the one plan, predict and validate use for this project.
     """
     check_portfolio(model, [ch], (kind,))
-    (mean,), (samples,) = draw_portfolio(model, [ch], kind, cfg, keep=[0])
+    ((mean,),), samples = draw_portfolio(model, [ch], (kind,), cfg, target=0)
     return EmpiricalDistribution.from_samples(samples, mean)
 
 

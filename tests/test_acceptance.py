@@ -13,7 +13,7 @@ import pytest
 from hdce import simulation
 from hdce.cli import main
 from hdce.elicitation import RankingSheet, kendalls_w, select_factors
-from hdce.estimation import estimate_baseline, predict_defects_found
+from hdce.estimation import estimate_baseline, expected_defects_found, predict_defects_found
 from hdce.evaluation import Variant, run_validation, wilcoxon_signed_rank
 from hdce.io import write_json
 from hdce.model import FactorKind
@@ -123,7 +123,8 @@ def test_criterion_4_equation_round_trip():
             eif = simulate(model, project.characterization, FactorKind.EFFECTIVENESS, cfg)
             pid = project.project_id
             baseline = estimate_baseline([project], {pid: (ddif.mean, eif.mean)})
-            prediction = predict_defects_found(project.size, (ddif.mean, eif.mean), ddif.samples, eif.samples, baseline)
+            scale = expected_defects_found(project.size, ddif.samples, eif.samples)
+            prediction = predict_defects_found(project.size, (ddif.mean, eif.mean), scale, baseline)
             assert prediction.point == pytest.approx(project.defects_found, rel=1e-12)
 
 

@@ -411,14 +411,14 @@ class TestPredictOnSeveralCpus:
         assert not out.exists()
 
     def test_draws_beyond_physical_memory_are_refused_before_any_thread(self, tmp_path, monkeypatch, capsys):
-        dc = load_model(EXAMPLES / "model.json").factors_of_kind(simulation.FactorKind.DEFECT_CONTENT)
-        factors = len(dc)
-        # predict keeps the target's vector and derives one more; each of the 4 shares holds a block
-        # of one draw row and two uniform temporaries, whatever the factor count
+        model = load_model(EXAMPLES / "model.json")
+        factors = sum(len(model.factors_of_kind(kind)) for kind in simulation.FactorKind)  # one pass draws both kinds
+        # predict keeps one vector, the target's per-sample scale; each of the 4 shares holds a block
+        # of one draw row, two uniform temporaries and the target's DDIF and EIF, whatever the factor count
         blocks = simulation._pairwise_blocks(0, self.SAMPLES)
         assert len(blocks) == 4
         width = max(stop - start for start, stop in blocks)
-        needed = 2 * self.SAMPLES * 8 + 4 * 3 * width * 8
+        needed = self.SAMPLES * 8 + 4 * 5 * width * 8
 
         def no_pool(_threads):
             raise AssertionError("no thread may start before the memory bound is checked")
@@ -656,8 +656,10 @@ class TestRunOutputs:
         monkeypatch.setattr(hdce.io, "write_json", fail_after_first_write(hdce.io.write_json))
         monkeypatch.setattr(hdce.io, "write_csv", fail_after_first_write(hdce.io.write_csv))
         capsys.readouterr()
-        assert main(argv + rerun_flags) == 2
-        assert "usage error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert main(argv + rerun_flags) == 1  # a failed write, not a wrong flag
+        err = capsys.readouterr().err
+        assert "error: [write-failed] [Errno 28] No space left on device" in err
+        assert "usage error" not in err
         assert len(writes) == 1
         assert snapshot(paths["run"]) == before  # no new or temporary file, no output rewritten
 

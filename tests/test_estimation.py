@@ -26,6 +26,11 @@ def constant_distribution(value, n=100):
     return EmpiricalDistribution.from_samples(np.full(n, float(value)), float(value))
 
 
+def scale(size, ddif, eif):
+    """The per-sample scale predict_defects_found takes, from DDIF and EIF distributions."""
+    return expected_defects_found(size, ddif.samples, eif.samples)
+
+
 def zero_means(projects):
     """{project_id: (DDIF, EIF)} with both points 0."""
     return {p.project_id: (0.0, 0.0) for p in projects}
@@ -122,7 +127,7 @@ class TestPrediction:
     def test_degenerate_distributions(self):
         baseline = estimate_baseline([project("a", 100, 16)], {"a": (0.0, 0.0)})
         zero = constant_distribution(0).samples
-        prediction = predict_defects_found(100, (0.0, 0.0), zero, zero, baseline)
+        prediction = predict_defects_found(100, (0.0, 0.0), expected_defects_found(100, zero, zero), baseline)
         assert prediction.point == pytest.approx(16.0)
         assert prediction.interval == (pytest.approx(16.0), pytest.approx(16.0))
 
@@ -130,23 +135,24 @@ class TestPrediction:
         baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
         assert baseline.estimate == pytest.approx(0.16)
         prediction = predict_defects_found(
-            100, (0.5, 0.25), constant_distribution(0.5).samples, constant_distribution(0.25).samples, baseline
+            100, (0.5, 0.25), scale(100, constant_distribution(0.5), constant_distribution(0.25)), baseline
         )
         assert prediction.point == pytest.approx(30.0)
 
     def test_linear_in_size(self):
         baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
         ddif, eif = constant_distribution(0.4), constant_distribution(0.1)
-        small = predict_defects_found(50, (ddif.mean, eif.mean), ddif.samples, eif.samples, baseline)
-        large = predict_defects_found(100, (ddif.mean, eif.mean), ddif.samples, eif.samples, baseline)
+        small = predict_defects_found(50, (ddif.mean, eif.mean), scale(50, ddif, eif), baseline)
+        large = predict_defects_found(100, (ddif.mean, eif.mean), scale(100, ddif, eif), baseline)
         assert large.point == pytest.approx(2 * small.point)
 
-    def test_sample_count_mismatch_rejected(self):
-        baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.0, 0.0)})
-        with pytest.raises(ValueError, match="mismatch"):
-            predict_defects_found(
-                10, (0.0, 0.0), constant_distribution(0, 50).samples, constant_distribution(0, 60).samples, baseline
-            )
+    def test_scales_and_reorders_the_scale_vector_in_place(self):
+        baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
+        values = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
+        per_sample = values * baseline.estimate
+        prediction = predict_defects_found(10, (0.5, 0.25), values, baseline, quantile_pair=(0.0, 1.0))
+        assert prediction.interval == (per_sample.min(), per_sample.max())
+        assert sorted(values.tolist()) == sorted(per_sample.tolist())  # the same values, maybe reordered
 
     def test_interval_monotone_in_quantile_pair(self):
         model = reference_model()
@@ -156,8 +162,8 @@ class TestPrediction:
         eif = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
         baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.2, 0.2)})
         means = (ddif.mean, eif.mean)
-        narrow = predict_defects_found(100, means, ddif.samples, eif.samples, baseline, quantile_pair=(0.25, 0.75))
-        wide = predict_defects_found(100, means, ddif.samples, eif.samples, baseline, quantile_pair=(0.05, 0.95))
+        narrow = predict_defects_found(100, means, scale(100, ddif, eif), baseline, quantile_pair=(0.25, 0.75))
+        wide = predict_defects_found(100, means, scale(100, ddif, eif), baseline, quantile_pair=(0.05, 0.95))
         assert wide.interval[0] <= narrow.interval[0]
         assert wide.interval[1] >= narrow.interval[1]
         assert narrow.interval[0] <= narrow.point <= narrow.interval[1]
@@ -173,7 +179,7 @@ class TestPrediction:
         eif = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
         p = HistoricalProject(characterization=ch, size=137.0, defects_found=41)
         baseline = estimate_baseline([p], {"rt": (ddif.mean, eif.mean)})
-        prediction = predict_defects_found(p.size, (ddif.mean, eif.mean), ddif.samples, eif.samples, baseline)
+        prediction = predict_defects_found(p.size, (ddif.mean, eif.mean), scale(p.size, ddif, eif), baseline)
         assert prediction.point == pytest.approx(41.0, rel=1e-12)
 
     def test_monotone_in_means_and_baseline(self):
@@ -183,10 +189,10 @@ class TestPrediction:
         ddif_lo, ddif_hi = constant_distribution(0.1), constant_distribution(0.4)
         eif = constant_distribution(0.2)
         assert (
-            predict_defects_found(100, (ddif_hi.mean, eif.mean), ddif_hi.samples, eif.samples, baseline_small).point
-            >= predict_defects_found(100, (ddif_lo.mean, eif.mean), ddif_lo.samples, eif.samples, baseline_small).point
+            predict_defects_found(100, (ddif_hi.mean, eif.mean), scale(100, ddif_hi, eif), baseline_small).point
+            >= predict_defects_found(100, (ddif_lo.mean, eif.mean), scale(100, ddif_lo, eif), baseline_small).point
         )
         assert (
-            predict_defects_found(100, (ddif_lo.mean, eif.mean), ddif_lo.samples, eif.samples, baseline_large).point
-            >= predict_defects_found(100, (ddif_lo.mean, eif.mean), ddif_lo.samples, eif.samples, baseline_small).point
+            predict_defects_found(100, (ddif_lo.mean, eif.mean), scale(100, ddif_lo, eif), baseline_large).point
+            >= predict_defects_found(100, (ddif_lo.mean, eif.mean), scale(100, ddif_lo, eif), baseline_small).point
         )

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdce import evaluation, pvalues, simulation
+from hdce.cli import main
 from hdce.diagnostics import ModelValidationError
 from hdce.estimation import estimate_baseline, predict_defects_found
 from hdce.evaluation import (
@@ -42,6 +43,7 @@ from helpers import (
     reference_model,
     reference_samples,
     ulp_distance,
+    use_cpus,
 )
 
 
@@ -711,7 +713,7 @@ class TestLinearMeansKeepZeroDifferences:
 
 
 class TestPredictPass:
-    """One checked pass per kind over history + [target] gives what the former
+    """One checked pass over both kinds and history + [target] gives what the former
     history means plus two target simulate calls gave, bit for bit."""
 
     @staticmethod
@@ -723,9 +725,9 @@ class TestPredictPass:
 
     @staticmethod
     def predict(model, history, target, cfg, quantile_pair=(0.10, 0.90)):
-        means, ddif, eif = means_and_target_samples(model, history, target, cfg)
+        means, scale = means_and_target_samples(model, history, target, cfg)
         baseline = estimate_baseline(history, means)
-        prediction = predict_defects_found(target.size, means[target.project_id], ddif, eif, baseline, quantile_pair)
+        prediction = predict_defects_found(target.size, means[target.project_id], scale, baseline, quantile_pair)
         return prediction.point, prediction.interval, prediction.ddif_mean, prediction.eif_mean
 
     @pytest.mark.parametrize(
@@ -738,7 +740,7 @@ class TestPredictPass:
         assert self.predict(model, history, target, cfg, quantile_pair) == former_prediction(
             model, history, target, cfg, quantile_pair
         )
-        means, _, _ = means_and_target_samples(model, history, target, cfg)
+        means, _ = means_and_target_samples(model, history, target, cfg)
         assert means == project_factor_means(model, [*history, target], cfg)
 
     @pytest.mark.parametrize(
@@ -790,3 +792,24 @@ class TestPredictPass:
         one_pass()
         former()
         assert peak(one_pass) <= peak(former)
+
+    def test_peak_memory_is_one_vector_and_block_scratch(self, tmp_path, monkeypatch):
+        # the target's DDIF and EIF vectors and its per-sample values would be 3 vectors of N floats
+        samples = 500_000
+        use_cpus(monkeypatch, 1)
+        blocks = simulation._pairwise_blocks(0, samples)
+        width = max(stop - start for start, stop in blocks)
+        # one share: the draw row, the uniforms' two temporaries, the target's DDIF and EIF blocks
+        scratch = 5 * width * 8
+        argv = [
+            "predict", "--model", str(EXAMPLES / "model.json"), "--projects", str(EXAMPLES / "projects.json"),
+            "--target", "review-next", "--seed", "7", "--samples", str(samples), "--out", str(tmp_path / "p.json"),
+        ]
+        assert main(argv) == 0  # lazy state first
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * samples * 8 + scratch, (peak, samples * 8, scratch)

@@ -386,11 +386,20 @@ class TestSimulate:
             simulate(model, ch, FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1, sample_count=10))
 
 
+def identity(vector):
+    return vector
+
+
 def draw_all(model, chs, kind, cfg):
-    """draw_portfolio keeping every vector; asserts that keeping them changes no mean."""
-    means, vectors = draw_portfolio(model, chs, kind, cfg, keep=range(len(chs)))
-    assert len(means) == len(vectors) == len(chs)
-    assert means == draw_portfolio(model, chs, kind, cfg, keep=[])[0]
+    """draw_portfolio of one kind once per target, with an identity combine, and once with
+    none; asserts that no target changes a mean."""
+    (means,), vector = draw_portfolio(model, chs, (kind,), cfg)
+    assert len(means) == len(chs) and vector is None
+    vectors = []
+    for target in range(len(chs)):
+        (target_means,), vector = draw_portfolio(model, chs, (kind,), cfg, target=target, combine=identity)
+        assert target_means == means
+        vectors.append(vector)
     return means, vectors
 
 
@@ -458,19 +467,68 @@ class TestPortfolioEngine:
         zero = single_factor_model(-0.0, -0.0, -0.0)
         chs = [characterization(zero, {"lone-dc": level, "lone-eff": 0}, f"L{level}") for level in (1, 3)]
         cfg = SimulationConfig(seed=3, sample_count=5)
-        means, vectors = draw_portfolio(zero, chs, FactorKind.DEFECT_CONTENT, cfg, keep=[0, 1])
+        means, vectors = draw_all(zero, chs, FactorKind.DEFECT_CONTENT, cfg)
         assert [np.signbit(m) for m in means] == [False, False]
         assert [v.tobytes() for v in vectors] == [np.zeros(5).tobytes()] * 2
 
     def test_empty_portfolio_yields_nothing(self):
         model = reference_model()
-        assert draw_portfolio(model, [], FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1), keep=[]) == ([], [])
+        cfg = SimulationConfig(seed=1)
+        assert draw_portfolio(model, [], tuple(FactorKind), cfg) == ([[], []], None)
 
     def test_check_portfolio_rejects_bad_characterization(self):
         model = reference_model()
         bad = characterization(model, {f.id: 1 for f in model.factors[:-1]})
         with pytest.raises(ModelValidationError):
             check_portfolio(model, [bad], (FactorKind.DEFECT_CONTENT,))
+
+
+class TestMultiKindPass:
+    """One pass over several kinds forms each kind's vectors and means as one-kind passes do."""
+
+    BLOCKS_AND_CPUS = pytest.mark.parametrize("block, cpus", [(b, c) for b in (None, 7, 1000) for c in (1, 4)])
+
+    @staticmethod
+    def config(monkeypatch, block, cpus, seed):
+        # more than one block at any of the block sizes
+        cfg = SimulationConfig(seed=seed, sample_count=BLOCK_SIZE + 3 if block is None else 3 * block + 300)
+        if block is not None:
+            monkeypatch.setattr(simulation, "BLOCK_SIZE", block)
+        use_cpus(monkeypatch, cpus)
+        assert len(simulation._pairwise_blocks(0, cfg.sample_count)) > 1
+        return cfg
+
+    @staticmethod
+    def pick(k):
+        # a combine that returns the target's block vector of the k-th kind
+        return lambda *vectors: vectors[k]
+
+    @BLOCKS_AND_CPUS
+    def test_every_vector_of_each_kind_matches_reference(self, monkeypatch, block, cpus):
+        model = reference_model()
+        chs = TestPortfolioEngine.portfolio(model, 4)  # levels 0-3, so every weight occurs
+        cfg = self.config(monkeypatch, block, cpus, seed=37)
+        expected = {kind: reference_means_and_bytes(model, chs, kind, cfg) for kind in FactorKind}
+        for kinds in (tuple(FactorKind), tuple(reversed(FactorKind))):
+            one_kind_means = [draw_portfolio(model, chs, (kind,), cfg)[0][0] for kind in kinds]
+            assert one_kind_means == [expected[kind][0] for kind in kinds]
+            assert draw_portfolio(model, chs, kinds, cfg) == (one_kind_means, None)
+            for target in range(len(chs)):
+                for k, kind in enumerate(kinds):
+                    means, vector = draw_portfolio(model, chs, kinds, cfg, target=target, combine=self.pick(k))
+                    assert means == one_kind_means
+                    assert vector.tobytes() == expected[kind][1][target], (kinds, target, kind)
+
+    @BLOCKS_AND_CPUS
+    def test_negative_zero_first_draw_of_either_kind_sums_to_positive_zero(self, monkeypatch, block, cpus):
+        zero = single_factor_model(-0.0, -0.0, -0.0)
+        chs = [characterization(zero, {"lone-dc": level, "lone-eff": 0}, f"L{level}") for level in (1, 3)]
+        cfg = self.config(monkeypatch, block, cpus, seed=3)
+        for target in range(len(chs)):
+            for k in range(2):
+                means, vector = draw_portfolio(zero, chs, tuple(FactorKind), cfg, target=target, combine=self.pick(k))
+                assert [np.signbit(m) for kind_means in means for m in kind_means] == [False] * 4
+                assert vector.tobytes() == np.zeros(cfg.sample_count).tobytes()
 
 
 class TestBlockParallelism:
@@ -574,14 +632,26 @@ class TestBlockParallelism:
         # W = 4: the share of blocks 2 and 6 stops at 2; every other share runs to its end
         assert sorted(done) == [(s, s + 1) for s in (0, 1, 3, 4, 5, 7, 8, 9)]
 
-    def test_memory_bound_is_checked_before_allocating(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kinds, combine, vectors",
+        [
+            # simulate: the target's vector, and the copy its summary takes
+            ((FactorKind.DEFECT_CONTENT,), None, 2),
+            # predict: one combined vector, which the caller reorders in place
+            (tuple(FactorKind), lambda ddif, eif: ddif + eif, 1),
+        ],
+        ids=["one-kind-uncombined", "two-kinds-combined"],
+    )
+    def test_memory_bound_is_checked_before_allocating(self, monkeypatch, kinds, combine, vectors):
         model = reference_model()
         samples = 3 * BLOCK_SIZE + 7
         blocks = simulation._pairwise_blocks(0, samples)
         width = max(stop - start for start, stop in blocks)
+        shares = min(len(blocks), 4)
         # each share's draw row and two uniform temporaries, whatever the factor count
-        scratch = min(len(blocks), 4) * 3 * width * 8
-        needed = 2 * samples * 8 + scratch  # the kept vector, the caller's, and each share's scratch
+        scratch = shares * 3 * width * 8
+        # and with a target, each share's block vector of each kind
+        needed = vectors * samples * 8 + scratch + shares * len(kinds) * width * 8
         cfg = SimulationConfig(seed=6, sample_count=samples)
         ch = characterization(model, 1)
         use_cpus(monkeypatch, 4)
@@ -590,16 +660,16 @@ class TestBlockParallelism:
         monkeypatch.setattr(simulation.np, "empty", None)  # and no array be allocated
         monkeypatch.setattr(simulation.np, "zeros", None)
         with pytest.raises(MemoryError, match=f"need {needed} bytes"):
-            draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg, keep=[0])
+            draw_portfolio(model, [ch], kinds, cfg, target=0, combine=combine)
         monkeypatch.undo()
         use_cpus(monkeypatch, 4)
-        expected = reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg)
+        expected = [reference_samples(model, ch, kind, cfg) for kind in kinds]
         monkeypatch.setattr(simulation, "_physical_memory", lambda: scratch)  # means alone need no vector
-        mean = reference_mean(model, ch, FactorKind.DEFECT_CONTENT, cfg)
-        assert draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg, keep=[]) == ([mean], [])
+        means = [[reference_mean(model, ch, kind, cfg)] for kind in kinds]
+        assert draw_portfolio(model, [ch], kinds, cfg) == (means, None)
         monkeypatch.setattr(simulation, "_physical_memory", lambda: needed)
-        _, (values,) = draw_portfolio(model, [ch], FactorKind.DEFECT_CONTENT, cfg, keep=[0])
-        assert values.tobytes() == expected.tobytes()
+        _, values = draw_portfolio(model, [ch], kinds, cfg, target=0, combine=combine)
+        assert values.tobytes() == (combine or identity)(*expected).tobytes()
 
 
 class TestPairwiseBlocks:
@@ -667,7 +737,7 @@ class TestPairwiseBlocks:
             patch.setattr(simulation, "BLOCK_SIZE", block)
             for cpus in (1, 4):
                 use_cpus(patch, cpus)
-                assert draw_portfolio(model, chs, kind, cfg, keep=[])[0] == expected, cpus
+                assert draw_portfolio(model, chs, (kind,), cfg) == ([expected], None), cpus
 
     def test_means_alone_peak_at_block_scratch_whatever_the_sample_count(self, monkeypatch):
         # no vector of N samples is allocated: 16 times the samples peak within 1 MB of 4 times
@@ -722,7 +792,7 @@ class TestLinearMeans:
         ids = [f.id for f in model.factors]
         chs = [characterization(model, dict(zip(ids, project)), f"P{i}") for i, project in enumerate(levels)]
         cfg = SimulationConfig(seed=seed, sample_count=samples)
-        means, vectors = draw_portfolio(model, chs, kind, cfg, keep=range(len(chs)))
+        means, vectors = draw_all(model, chs, kind, cfg)
         for mean, vector in zip(means, vectors):
             # every term is >= 0, so the sum of their magnitudes is the mean itself, up to rounding
             assert abs(mean - float(np.mean(vector))) <= 4 * np.finfo(float).eps * mean, (mean, np.mean(vector))
