@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import estimation, io, planning
 from .diagnostics import (
     Diagnostic,
@@ -90,6 +92,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _threshold(text: str) -> float:
+    value = _finite_float(text)
+    if not value >= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 1.0, got {text!r}")
+    return value
+
+
 def _probability(text: str) -> float:
     value = _finite_float(text)
     if not 0.0 < value < 1.0:
@@ -135,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank-analyze", help="analyze expert ranking questionnaires")
     p.add_argument("--rankings", required=True, help="rankings CSV file")
     p.add_argument("--out", required=True, help="analysis report JSON")
-    p.add_argument("--threshold", type=_finite_float, default=DEFAULT_SELECTION_THRESHOLD, help="selection threshold on the minimal mean rank")
+    p.add_argument("--threshold", type=_threshold, default=DEFAULT_SELECTION_THRESHOLD, help="selection threshold on the minimal mean rank")
     p.add_argument("--alpha", type=_probability, default=0.05, help="significance level for Kendall's W")
     p.set_defaults(handler=cmd_rank_analyze)
 
@@ -400,7 +409,11 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; normalize other exits
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        return args.handler(args)
+        with np.errstate(over="raise", invalid="raise"):  # the engine's block threads run under it too
+            return args.handler(args)
+    except FloatingPointError as exc:
+        _print_diagnostics([error("non-finite-result", f"{exc}: a multiplier or a size is too large")])
+        return EXIT_VALIDATION
     except FileNotFoundError as exc:
         print(f"usage error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,7 @@ from .diagnostics import Diagnostic, error
 from .estimation import expected_defects_found
 from .model import CausalModel, FactorKind, HistoricalProject, ProjectCharacterization
 from .pvalues import normal_two_sided
-from .simulation import SimulationConfig, check_portfolio, draw_portfolio
+from .simulation import SimulationConfig, draw_portfolio
 
 # beyond this many nonzero differences, the exact test gives way to the normal
 # approximation; kept at 20 so that no reported p-value changes method or bits
@@ -186,11 +186,7 @@ def project_factor_means(
     order and DDIF before EIF, so an invalid input raises the first pair's
     diagnostics.
     """
-    if not projects:
-        return {}
-    characterizations = [p.characterization for p in projects]
-    check_portfolio(model, characterizations, _KINDS)
-    (ddif, eif), _ = draw_portfolio(model, characterizations, _KINDS, cfg)
+    (ddif, eif), _ = draw_portfolio(model, [p.characterization for p in projects], _KINDS, cfg)
     return {p.project_id: pair for p, pair in zip(projects, zip(ddif, eif))}
 
 
@@ -201,10 +197,8 @@ def means_and_target_samples(
     Size*(1+DDIF_s)*(1+EIF_s), from one pass that forms its DDIF and EIF a block at a
     time; the target goes last, so it is also checked last."""
     projects = [*history, target]
-    characterizations = [p.characterization for p in projects]
-    check_portfolio(model, characterizations, _KINDS)
     (ddif_means, eif_means), scale = draw_portfolio(
-        model, characterizations, _KINDS, cfg, target=len(history),
+        model, [p.characterization for p in projects], _KINDS, cfg, target=len(history),
         combine=lambda ddif, eif: expected_defects_found(target.size, ddif, eif),
     )
     return {p.project_id: pair for p, pair in zip(projects, zip(ddif_means, eif_means))}, scale

@@ -16,6 +16,7 @@ without forming its vector.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import math
 import os
@@ -83,37 +84,13 @@ def counter_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarr
     return z * 2.0**-53
 
 
-def triangular_inverse_cdf(minimum: float, mode: float, maximum: float, u):
-    """Inverse CDF of Triangular(minimum, mode, maximum) at u in [0,1).
-
-    Accepts a scalar or array u; the degenerate minimum == maximum case returns
-    the constant.
-    """
-    if not all(math.isfinite(v) for v in (minimum, mode, maximum)):
-        raise ValueError(f"triangular parameters must be finite, got ({minimum}, {mode}, {maximum})")
-    if not minimum <= mode <= maximum:
-        raise ValueError(f"triangular parameters must satisfy min <= mode <= max, got ({minimum}, {mode}, {maximum})")
-    u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("u must lie in [0, 1)")
-    block = np.atleast_1d(u_arr)
-    # the kernel tells its branches apart by sign bit, so u = -0.0 goes in as
-    # -0.0 + 0.0 == +0.0 (the engine's uniforms are never -0.0)
-    work = np.add(block, 0.0)
-    out = np.empty_like(block)
-    _triangular_into(out, minimum, mode, maximum, work, work)
-    if minimum == 0.0 and np.signbit(minimum) and mode > minimum:
-        # below the mode, u = -0.0 gives -0.0 + sqrt(-0.0) == -0.0, not +0.0
-        np.copysign(out, block, out=out, where=block == 0.0)
-    out = out.reshape(u_arr.shape)
-    return float(out) if np.isscalar(u) else out
-
-
 def _triangular_into(
     out: np.ndarray, minimum: float, mode: float, maximum: float, u: np.ndarray, work: np.ndarray
 ) -> None:
-    # triangular_inverse_cdf of checked inputs into out; work is scratch the
-    # size of u and may be u itself, which is then overwritten
+    # The inverse CDF of Triangular(minimum, mode, maximum) at each u in [0, 1),
+    # into out: the constant for minimum == maximum. The parameters are finite
+    # with minimum <= mode <= maximum; work is scratch the size of u and may be
+    # u itself, which is then overwritten.
     if minimum == maximum:
         out.fill(minimum)
         return
@@ -219,26 +196,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool = None  # threads for _for_each_block, created on the first run above one block
-
-
-def _forget_pool() -> None:
-    # a forked child has none of the pool's threads, so work sent there would never run
-    global _pool
-    _pool = None
-
-
-def _block_pool(threads: int):
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(threads, thread_name_prefix="hdce-block")
-        if hasattr(os, "register_at_fork"):
-            os.register_at_fork(after_in_child=_forget_pool)
-    return _pool
-
-
 def _share_count(blocks: Sequence[tuple[int, int]]) -> int:
     return 1 if len(blocks) == 1 else min(len(blocks), _usable_cpus())
 
@@ -246,12 +203,14 @@ def _share_count(blocks: Sequence[tuple[int, int]]) -> int:
 def _for_each_block(make_task: Callable[[], Callable[[int, int], None]], blocks: Sequence[tuple[int, int]]) -> None:
     # Run task(start, stop) over the given blocks; tasks must write disjoint
     # data. There are W = min(blocks, usable CPUs) shares: the calling thread
-    # takes blocks 0, W, 2W, ... and the pool the other strided shares, so one
-    # block or one CPU runs inline and never creates the pool. The arithmetic
-    # of a block is the same on any thread, so W never changes a result. Each
-    # share's task comes from make_task(), called here before any share
-    # starts, so that scratch a task owns exists for the whole run and the
-    # memory peak never depends on thread timing.
+    # takes blocks 0, W, 2W, ... and the W - 1 threads of this run's own pool
+    # the other strided shares, each in a copy of the caller's context, so
+    # under the caller's numpy error state. One block or one CPU runs inline
+    # and starts no thread. The arithmetic of a block is the same on any
+    # thread, so W never changes a result. Each share's task comes from
+    # make_task(), called here before any share starts, so that scratch a task
+    # owns exists for the whole run and the memory peak never depends on
+    # thread timing.
     workers = _share_count(blocks)
     tasks = [make_task() for _ in range(workers)]
 
@@ -259,11 +218,17 @@ def _for_each_block(make_task: Callable[[], Callable[[int, int], None]], blocks:
         for start, stop in blocks[k::workers]:
             tasks[k](start, stop)
 
-    futures = [_block_pool(workers - 1).submit(share, k) for k in range(1, workers)]  # none for W = 1
-    try:
+    if workers == 1:
         share(0)
-    finally:
-        failures = [future.exception() for future in futures]  # waits for every share
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="hdce-block") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, share, k) for k in range(1, workers)]
+        try:
+            share(0)
+        finally:
+            failures = [future.exception() for future in futures]  # waits for every share
     for failure in failures:
         if failure is not None:
             raise failure
@@ -322,20 +287,21 @@ def draw_portfolio(
     """Means of the accumulated relative increases (DDIF, EIF), a list per kind in kinds with a
     mean per characterization, and combine of the target's vectors of each kind (or None).
 
-    The caller runs check_portfolio on these characterizations and kinds
-    first; the draws are not checked again. A characterization's vector of a
-    kind is +0.0 plus level/3 times each of the kind's factor draws, in model
-    order. One pass over the blocks draws one factor at a time into a single
-    row, records the row's sum and adds the row into the target's block vector
-    of its kind; each block of the returned vector is combine of those, in
-    kinds' order. Without a combine, the one kind's own vector is returned, for
-    a summary that copies it (EmpiricalDistribution.from_samples); a combined
-    vector is the caller's to reorder in place. The blocks are leaves of
-    np.mean's pairwise summation tree, so each factor's mean is np.mean of its
-    draws, bit for bit, and by linearity a characterization's mean is +0.0 plus
-    level/3 times each factor's mean, in model order, level-0 factors skipped.
-    Nothing but (model, characterization, kind, seed, sample_count) changes them.
+    check_portfolio runs first, on these characterizations and kinds. A
+    characterization's vector of a kind is +0.0 plus level/3 times each of the
+    kind's factor draws, in model order. One pass over the blocks draws one
+    factor at a time into a single row, records the row's sum and adds the row
+    into the target's block vector of its kind; each block of the returned
+    vector is combine of those, in kinds' order. Without a combine, the one
+    kind's own vector is returned, for a summary that copies it
+    (EmpiricalDistribution.from_samples); a combined vector is the caller's to
+    reorder in place. The blocks are leaves of np.mean's pairwise summation
+    tree, so each factor's mean is np.mean of its draws, bit for bit, and by
+    linearity a characterization's mean is +0.0 plus level/3 times each
+    factor's mean, in model order, level-0 factors skipped. Nothing but
+    (model, characterization, kind, seed, sample_count) changes them.
     """
+    check_portfolio(model, characterizations, kinds)
     if not characterizations:
         return [[] for _ in kinds], None
     by_kind = [model.factors_of_kind(kind) for kind in kinds]
@@ -371,7 +337,7 @@ def draw_portfolio(
             sums = np.empty(len(factors))
             for i, (mult, stream, k, weight) in enumerate(params):
                 # the variates go straight into the row, with the fresh
-                # uniforms as scratch; validate_model has checked the multipliers
+                # uniforms as scratch; check_portfolio has checked the multipliers
                 u = counter_uniforms(cfg.seed, stream, start, stop - start)
                 _triangular_into(draws, mult.min, mult.most_likely, mult.max, u, u)
                 sums[i] = np.add.reduce(draws)
@@ -407,7 +373,6 @@ def simulate(
     the block size never changes the sample vector. The mean is draw_portfolio's,
     the one plan, predict and validate use for this project.
     """
-    check_portfolio(model, [ch], (kind,))
     ((mean,),), samples = draw_portfolio(model, [ch], (kind,), cfg, target=0)
     return EmpiricalDistribution.from_samples(samples, mean)
 

@@ -21,7 +21,7 @@ from hdce.model import (
 )
 from hdce.estimation import estimate_baseline, expected_defects_found
 from hdce.evaluation import project_factor_means
-from hdce.simulation import SimulationConfig, counter_uniforms, factor_stream, simulate, triangular_inverse_cdf
+from hdce.simulation import SimulationConfig, counter_uniforms, factor_stream, simulate
 
 DC = FactorKind.DEFECT_CONTENT
 EFF = FactorKind.EFFECTIVENESS
@@ -90,7 +90,7 @@ def reference_samples(
     for f in model.factors_of_kind(kind):
         m = f.multiplier
         u = counter_uniforms(cfg.seed, factor_stream(f.id), 0, n)
-        values += (ch.levels[f.id] / MAX_LEVEL) * triangular_inverse_cdf(m.min, m.most_likely, m.max, u)
+        values += (ch.levels[f.id] / MAX_LEVEL) * former_triangular_inverse_cdf(m.min, m.most_likely, m.max, u)
     return values
 
 
@@ -104,7 +104,7 @@ def reference_mean(model: CausalModel, ch: ProjectCharacterization, kind: Factor
         if level:
             m = f.multiplier
             u = counter_uniforms(cfg.seed, factor_stream(f.id), 0, cfg.sample_count)
-            mean += (level / MAX_LEVEL) * float(np.mean(triangular_inverse_cdf(m.min, m.most_likely, m.max, u)))
+            mean += (level / MAX_LEVEL) * float(np.mean(former_triangular_inverse_cdf(m.min, m.most_likely, m.max, u)))
     return mean
 
 
@@ -173,7 +173,8 @@ def former_counter_uniforms(seed: int, stream: int, start: int, count: int) -> n
 
 
 def former_triangular_inverse_cdf(minimum: float, mode: float, maximum: float, u):
-    """triangular_inverse_cdf as hdce first computed it: each branch on a boolean gather."""
+    """The inverse CDF of Triangular(minimum, mode, maximum) at u as hdce first computed it:
+    each branch on a boolean gather. The engine's kernel gives these bits."""
     u_arr = np.asarray(u, dtype=np.float64)
     if minimum == maximum:
         out = np.full_like(u_arr, minimum)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -397,7 +399,7 @@ class TestPredictOnSeveralCpus:
         counter_uniforms = simulation.counter_uniforms
 
         def exhausted_after_first_block(seed, stream, start, count):
-            if start > 0:  # with 4 CPUs, every block after the first is drawn on a pool thread
+            if start > 0:  # with 4 CPUs, every block after the first is drawn on a block thread
                 raise MemoryError
             return counter_uniforms(seed, stream, start, count)
 
@@ -420,12 +422,12 @@ class TestPredictOnSeveralCpus:
         width = max(stop - start for start, stop in blocks)
         needed = self.SAMPLES * 8 + 4 * 5 * width * 8
 
-        def no_pool(_threads):
+        def no_pool(*_args, **_kwargs):
             raise AssertionError("no thread may start before the memory bound is checked")
 
         use_cpus(monkeypatch, 4)
         monkeypatch.setattr(simulation, "_physical_memory", lambda: needed - 1)
-        monkeypatch.setattr(simulation, "_block_pool", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         out = tmp_path / "prediction.json"
         assert self.run(out) == 1
         err = capsys.readouterr().err
@@ -555,6 +557,18 @@ class TestNonFiniteInputs:
         assert "expected a number > 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("chart.csv*"))
 
+    @pytest.mark.parametrize("value", ["0.5"])
+    def test_threshold_below_one_rejected_before_any_output(self, value, rankings_csv, tmp_path, capsys, monkeypatch):
+        def no_input(*_args, **_kwargs):
+            raise AssertionError("read an input before rejecting --threshold")
+
+        monkeypatch.setattr(cli.io, "load_rankings", no_input)
+        out = tmp_path / "analysis.json"
+        code = main(["rank-analyze", "--rankings", str(rankings_csv), f"--threshold={value}", "--out", str(out)])
+        assert code == 2
+        assert "expected a number >= 1.0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("analysis.json*"))
+
     @pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e400"])
     @pytest.mark.parametrize("field", ["size", "max"])
     def test_json_literal_is_input_error(self, field, literal, model_file, projects_file, tmp_path):
@@ -574,6 +588,54 @@ class TestNonFiniteInputs:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f'.{field}: expected a finite number' in proc.stderr
+
+
+class TestNonFiniteResults:
+    """Finite inputs whose results overflow the float range end in one coded error, no warning."""
+
+    SAMPLES = 3 * simulation.BLOCK_SIZE + 7
+
+    @staticmethod
+    def inputs(tmp_path, multiplier=None, target_size=None):
+        model, projects = read_json(EXAMPLES / "model.json"), read_json(EXAMPLES / "projects.json")
+        if multiplier is not None:
+            model["factors"][0]["multiplier"] = multiplier
+        if target_size is not None:
+            next(p for p in projects if p["project_id"] == "review-next")["size"] = target_size
+        write_json(tmp_path / "model.json", model)
+        write_json(tmp_path / "projects.json", projects)
+        return ["--model", str(tmp_path / "model.json"), "--projects", str(tmp_path / "projects.json")]
+
+    def assert_one_coded_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out" / "result"
+        out.parent.mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--seed", "1", "--samples", str(self.SAMPLES), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [non-finite-result] overflow encountered in multiply: a multiplier or a size is too large"
+        ]
+        assert [str(w.message) for w in caught] == []
+        assert not list(out.parent.iterdir())
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate", "--project", "review-a", "--kind", "dc"], ["plan"], ["predict", "--target", "review-next"],
+         ["validate"]],
+        ids=["simulate", "plan", "predict", "validate"],
+    )
+    def test_huge_multiplier(self, command, cpus, tmp_path, capsys, monkeypatch):
+        use_cpus(monkeypatch, cpus)
+        files = self.inputs(tmp_path, multiplier={"min": 0, "most_likely": 1e307, "max": 1.7e308})
+        self.assert_one_coded_error(command + files, tmp_path, capsys)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_huge_target_size(self, cpus, tmp_path, capsys, monkeypatch):
+        use_cpus(monkeypatch, cpus)
+        files = self.inputs(tmp_path, target_size=1.7e308)
+        self.assert_one_coded_error(["predict", "--target", "review-next"] + files, tmp_path, capsys)
 
 
 class TestUnreadablePaths:

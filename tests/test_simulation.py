@@ -1,4 +1,4 @@
-import math
+import concurrent.futures
 import os
 import signal
 import sys
@@ -25,7 +25,6 @@ from hdce.simulation import (
     counter_uniforms,
     draw_portfolio,
     simulate,
-    triangular_inverse_cdf,
 )
 from helpers import (
     characterization,
@@ -55,37 +54,30 @@ class TestCounterUniforms:
         assert not np.array_equal(a, b)
 
 
+def triangular(minimum, mode, maximum, u):
+    """The engine's kernel at each u, into a new array."""
+    u = np.array(u, dtype=np.float64, ndmin=1)
+    out = np.empty_like(u)
+    simulation._triangular_into(out, minimum, mode, maximum, u, u.copy())
+    return out
+
+
 class TestTriangular:
     def test_support_endpoints(self):
-        assert triangular_inverse_cdf(0.1, 0.2, 0.3, 0.0) == pytest.approx(0.1, abs=0)
-        assert triangular_inverse_cdf(0.1, 0.2, 0.3, 1.0 - 1e-12) == pytest.approx(0.3, abs=1e-6)
+        low, high = triangular(0.1, 0.2, 0.3, [0.0, 1.0 - 1e-12])
+        assert low == 0.1
+        assert high == pytest.approx(0.3, abs=1e-6)
 
     def test_degenerate_constant(self):
-        for u in (0.0, 0.3, 0.999):
-            assert triangular_inverse_cdf(0.0, 0.0, 0.0, u) == 0.0
+        assert np.all(triangular(0.0, 0.0, 0.0, [0.0, 0.3, 0.999]) == 0.0)
 
     def test_mode_at_minimum_and_maximum(self):
-        assert triangular_inverse_cdf(0.2, 0.2, 0.5, 0.0) == pytest.approx(0.2, abs=1e-12)
-        assert triangular_inverse_cdf(0.2, 0.5, 0.5, 0.0) == pytest.approx(0.2, abs=0)
-
-    def test_ordering_violation_rejected(self):
-        with pytest.raises(ValueError):
-            triangular_inverse_cdf(0.3, 0.2, 0.4, 0.5)
-
-    @pytest.mark.parametrize("params", [(0.0, 0.0, math.inf), (-math.inf, 0.0, 1.0), (0.0, math.nan, 1.0)])
-    def test_non_finite_parameters_rejected(self, params):
-        with pytest.raises(ValueError, match="finite"):
-            triangular_inverse_cdf(*params, 0.5)
-
-    def test_u_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            triangular_inverse_cdf(0.1, 0.2, 0.3, 1.0)
-        with pytest.raises(ValueError):
-            triangular_inverse_cdf(0.1, 0.2, 0.3, -0.001)
+        assert triangular(0.2, 0.2, 0.5, 0.0)[0] == pytest.approx(0.2, abs=1e-12)
+        assert triangular(0.2, 0.5, 0.5, 0.0)[0] == 0.2
 
     def test_sample_mean_matches_analytic(self):
         u = counter_uniforms(777, 1, 0, 100_000)
-        draws = triangular_inverse_cdf(0.1, 0.2, 0.3, u)
+        draws = triangular(0.1, 0.2, 0.3, u)
         assert np.mean(draws) == pytest.approx(0.2, rel=0.01)
 
     @settings(max_examples=50, deadline=None)
@@ -97,14 +89,12 @@ class TestTriangular:
     )
     def test_output_within_support_and_monotone_in_u(self, low, d1, d2, u):
         mode, high = low + d1, low + d1 + d2
-        x = triangular_inverse_cdf(low, mode, high, u)
+        x, next_x = triangular(low, mode, high, [u, min(u + 1e-6, 1 - 1e-9)])
         assert low <= x <= high
-        assert triangular_inverse_cdf(low, mode, high, min(u + 1e-6, 1 - 1e-9)) >= x - 1e-15
+        assert next_x >= x - 1e-15
 
 
 _EDGE_U = np.array([0.0, 1.0 - 2.0**-53])
-# the public function also takes u = -0.0, which the engine's uniforms never are
-_API_EDGE_U = np.concatenate([[-0.0], _EDGE_U])
 
 
 @st.composite
@@ -159,15 +149,6 @@ class TestKernelBits:
 
     @settings(max_examples=300, deadline=None)
     @given(ordered_triples(), st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=3000))
-    @example((0.0, 0.5, 1.0), 1, 10)
-    @example((-0.0, 0.5, 1.0), 1, 10)
-    @example((0.3, 0.7, 0.7), 1, 10)
-    def test_triangular_equals_former(self, triple, seed, count):
-        u = np.concatenate([_API_EDGE_U, counter_uniforms(seed, 1, 0, count)])
-        assert triangular_inverse_cdf(*triple, u).tobytes() == former_triangular_inverse_cdf(*triple, u).tobytes()
-
-    @settings(max_examples=300, deadline=None)
-    @given(ordered_triples(), st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=3000))
     def test_engine_kernel_over_its_own_uniforms_equals_former(self, triple, seed, count):
         # the engine writes into a row view and uses the fresh uniforms as scratch
         u = np.concatenate([_EDGE_U, counter_uniforms(seed, 1, 0, count)])
@@ -188,27 +169,11 @@ class TestKernelBits:
     def test_branch_boundary_and_zero_minimum_equal_former(self, triple, seed, count):
         # u at mode_cdf and one ulp either side of it picks the branch as the former kernel did
         u = branch_boundary_u(triple, counter_uniforms(seed, 2, 0, count))
-        api_u = np.concatenate([[-0.0], u])
-        through_api = triangular_inverse_cdf(*triple, api_u)
-        assert through_api.tobytes() == former_triangular_inverse_cdf(*triple, api_u).tobytes()  # -0.0 and +0.0 too
         expected = former_triangular_inverse_cdf(*triple, u)
         row = np.full(u.size, -1.0)
         simulation._triangular_into(row, *triple, u, u)
         assert np.array_equal(row, expected)
         assert row.tobytes() == expected.tobytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        zero_minimum_triples(),
-        st.sampled_from([-0.0, 0.0, 0.5, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0, exclude_max=True),
-    )
-    @example((0.0, 0.5, 1.0), -0.0)
-    @example((-0.0, 0.5, 1.0), -0.0)
-    def test_scalar_u_gives_the_former_float(self, triple, u):
-        value = triangular_inverse_cdf(*triple, u)
-        former = former_triangular_inverse_cdf(*triple, u)
-        assert type(value) is float
-        assert value == former and math.copysign(1.0, value) == math.copysign(1.0, former)
 
 
 class TestFactorContribution:
@@ -462,8 +427,10 @@ class TestPortfolioEngine:
                 for ch, values, reference in zip(chs, vectors, expected):
                     assert values.tobytes() == reference, (ch.project_id, kind)
 
-    def test_negative_zero_first_draw_sums_to_positive_zero(self):
+    def test_negative_zero_first_draw_sums_to_positive_zero(self, monkeypatch):
         # a multiplier of -0.0 draws -0.0, and every vector and mean still starts at +0.0
+        # (validate_model rejects a multiplier whose max is not > 0, so the check is left out)
+        monkeypatch.setattr(simulation, "check_portfolio", lambda *_args: None)
         zero = single_factor_model(-0.0, -0.0, -0.0)
         chs = [characterization(zero, {"lone-dc": level, "lone-eff": 0}, f"L{level}") for level in (1, 3)]
         cfg = SimulationConfig(seed=3, sample_count=5)
@@ -521,6 +488,7 @@ class TestMultiKindPass:
 
     @BLOCKS_AND_CPUS
     def test_negative_zero_first_draw_of_either_kind_sums_to_positive_zero(self, monkeypatch, block, cpus):
+        monkeypatch.setattr(simulation, "check_portfolio", lambda *_args: None)  # as above
         zero = single_factor_model(-0.0, -0.0, -0.0)
         chs = [characterization(zero, {"lone-dc": level, "lone-eff": 0}, f"L{level}") for level in (1, 3)]
         cfg = self.config(monkeypatch, block, cpus, seed=3)
@@ -565,11 +533,11 @@ class TestBlockParallelism:
 
     @pytest.mark.parametrize("cpus, samples", [(4, 1), (4, BLOCK_SIZE), (1, 3 * BLOCK_SIZE + 7)])
     def test_one_block_or_one_cpu_creates_no_pool(self, monkeypatch, cpus, samples):
-        def no_pool(_threads):
+        def no_pool(*_args, **_kwargs):
             raise AssertionError("a run on one block or one CPU needs no thread pool")
 
         use_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(simulation, "_block_pool", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         model = reference_model()
         ch = characterization(model, 3)
         cfg = SimulationConfig(seed=5, sample_count=samples)
@@ -593,15 +561,51 @@ class TestBlockParallelism:
             sys.setswitchinterval(interval)
         assert (means, [v.tobytes() for v in vectors]) == expected
 
+    def test_each_pass_starts_one_thread_per_share(self, monkeypatch):
+        # a pass of 2 blocks, then one of 16 blocks in 4 shares; each share waits at its
+        # first block until all 4 have started, so no thread can take two shares
+        model = reference_model()
+        ch = characterization(model, 2)
+        use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(simulation, "BLOCK_SIZE", 1000)
+        simulate(model, ch, FactorKind.DEFECT_CONTENT, SimulationConfig(seed=4, sample_count=2000))
+        started = threading.Barrier(4, timeout=10)
+        threads = set()
+        uniforms = simulation.counter_uniforms
+
+        def recorded(*args):
+            if threading.get_ident() not in threads:
+                threads.add(threading.get_ident())
+                started.wait()
+            return uniforms(*args)
+
+        monkeypatch.setattr(simulation, "counter_uniforms", recorded)
+        cfg = SimulationConfig(seed=4, sample_count=16_000)
+        assert len(simulation._pairwise_blocks(0, cfg.sample_count)) == 16
+        vector = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg).samples
+        assert len(threads) == 4
+        assert vector.tobytes() == reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg).tobytes()
+
+    def test_shares_run_under_the_callers_numpy_error_state(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        seen = []
+
+        def task(start, stop):
+            seen.append(np.geterr()["over"])
+
+        with np.errstate(over="raise"):
+            simulation._for_each_block(lambda: task, [(s, s + 1) for s in range(8)])
+        assert seen == ["raise"] * 8
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_runs_its_blocks(self, monkeypatch):
-        # the child inherits the pool object but none of its threads
+        # a child forked after a pass above one block runs its own pass
         use_cpus(monkeypatch, 2)
         model = reference_model()
         ch = characterization(model, 2)
         cfg = SimulationConfig(seed=9, sample_count=3 * BLOCK_SIZE + 7)
         expected = reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg).tobytes()
-        assert simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg).samples.tobytes() == expected  # starts the pool
+        assert simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg).samples.tobytes() == expected
         pid = os.fork()
         if pid == 0:  # the child exits 0 only when its own run above one block gives the same vector
             code = 1
@@ -656,7 +660,7 @@ class TestBlockParallelism:
         ch = characterization(model, 1)
         use_cpus(monkeypatch, 4)
         monkeypatch.setattr(simulation, "_physical_memory", lambda: needed - 1)
-        monkeypatch.setattr(simulation, "_block_pool", None)  # no thread may start
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # no thread may start
         monkeypatch.setattr(simulation.np, "empty", None)  # and no array be allocated
         monkeypatch.setattr(simulation.np, "zeros", None)
         with pytest.raises(MemoryError, match=f"need {needed} bytes"):
