@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation/data or write error, 2 usage error. Diagnostics go
 to stderr; data goes to the --out files. Every stochastic subcommand requires an
-explicit --seed so reruns are reproducible. A run's outputs and their manifest
-(input digests, seed, tool version) are written together or not at all.
+explicit --seed so reruns are reproducible; plan and validate use exact means, so
+their outputs depend on neither --seed nor --samples. A run's outputs and their
+manifest (input digests, seed, tool version) are written together or not at all.
 """
 
 from __future__ import annotations
@@ -359,8 +360,6 @@ def cmd_validate(args) -> int:
     _print_diagnostics(list(report.excluded))
     payload = {
         "alpha": report.alpha,
-        "seed": args.seed,
-        "sample_count": args.samples,
         "variants": [v.value for v in report.variants],
         "mmre": {v.value: report.mmre[v] for v in report.variants},
         "records": {

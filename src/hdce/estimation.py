@@ -66,7 +66,7 @@ def estimate_baseline(
 ) -> BaselineEstimate:
     """Median of the per-project eq. 5 values; even counts average the middle two.
 
-    means maps each project id to its (DDIF, EIF) point pair, as returned by
+    means maps each project id to its exact (DDIF, EIF) means, as returned by
     evaluation.project_factor_means.
     """
     if not historical:
@@ -107,6 +107,8 @@ def predict_defects_found(
 
     ddif_mean, eif_mean = means
     point = expected_defects_found(size, ddif_mean, eif_mean, baseline.estimate)
+    if not np.isfinite(point):  # Python floats overflow to inf silently
+        raise FloatingPointError("overflow encountered in multiply")
     # x * 1.0 == x: the scale times the baseline is expected_defects_found at that baseline, bit for bit
     scale_samples *= baseline.estimate
     low, high = np.quantile(scale_samples, [low_q, high_q], overwrite_input=True)

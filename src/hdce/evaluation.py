@@ -1,8 +1,9 @@
 """Validation harness: LOOCV, relative-error accuracy, baselines, Wilcoxon test.
 
-Every variant is evaluated on the same leave-one-out folds with the same cached
-simulation means, so per-project errors stay paired and the exact two-sided
-Wilcoxon signed-rank test applies directly to the MRE differences.
+Every variant is evaluated on the same leave-one-out folds with the same exact
+DDIF/EIF means (nothing is drawn, so no seed or sample count changes a result),
+so per-project errors stay paired and the exact two-sided Wilcoxon signed-rank
+test applies directly to the MRE differences.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 from .diagnostics import Diagnostic, error
 from .estimation import expected_defects_found
-from .model import CausalModel, FactorKind, HistoricalProject, ProjectCharacterization
+from .model import CausalModel, FactorKind, HistoricalProject
 from .pvalues import normal_two_sided
-from .simulation import SimulationConfig, draw_portfolio
+from .simulation import SimulationConfig, draw_vector, project_means
 
 # beyond this many nonzero differences, the exact test gives way to the normal
 # approximation; kept at 20 so that no reported p-value changes method or bits
@@ -180,13 +181,13 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
 def project_factor_means(
     model: CausalModel, projects: Sequence[HistoricalProject], cfg: SimulationConfig
 ) -> dict[str, tuple[float, float]]:
-    """Map project_id -> (mean DDIF, mean EIF), from one simulation pass over both kinds.
+    """Map project_id -> (mean DDIF, mean EIF), the exact means of simulation.project_means.
 
-    Every (project, kind) pair is checked once, before any draw, projects in
-    order and DDIF before EIF, so an invalid input raises the first pair's
-    diagnostics.
+    Nothing is drawn, so cfg changes no mean. Every (project, kind) pair is
+    checked once, projects in order and DDIF before EIF, so an invalid input
+    raises the first pair's diagnostics.
     """
-    (ddif, eif), _ = draw_portfolio(model, [p.characterization for p in projects], _KINDS, cfg)
+    ddif, eif = project_means(model, [p.characterization for p in projects], _KINDS)
     return {p.project_id: pair for p, pair in zip(projects, zip(ddif, eif))}
 
 
@@ -194,22 +195,24 @@ def means_and_target_samples(
     model: CausalModel, history: Sequence[HistoricalProject], target: HistoricalProject, cfg: SimulationConfig
 ) -> tuple[dict[str, tuple[float, float]], np.ndarray]:
     """project_factor_means of history + [target], plus the target's per-sample scale
-    Size*(1+DDIF_s)*(1+EIF_s), from one pass that forms its DDIF and EIF a block at a
-    time; the target goes last, so it is also checked last."""
-    projects = [*history, target]
-    (ddif_means, eif_means), scale = draw_portfolio(
-        model, [p.characterization for p in projects], _KINDS, cfg, target=len(history),
-        combine=lambda ddif, eif: expected_defects_found(target.size, ddif, eif),
-    )
-    return {p.project_id: pair for p, pair in zip(projects, zip(ddif_means, eif_means))}, scale
+    Size*(1+DDIF_s)*(1+EIF_s), from one pass that draws only the target's factors and
+    forms its DDIF and EIF a block at a time; the target goes last, so it is also
+    checked last, and every check comes before any draw."""
+    means = project_factor_means(model, [*history, target], cfg)
+    scale = draw_vector(model, target.characterization, _KINDS, cfg,
+                        combine=lambda ddif, eif: expected_defects_found(target.size, ddif, eif))
+    return means, scale
 
 
 def _scale(variant: Variant, project: HistoricalProject, means: Mapping[str, tuple[float, float]]) -> float:
     keep_size, keep_ddif, keep_eif = _SCALE_TERMS[variant]
     ddif, eif = means[project.project_id]
-    return expected_defects_found(
+    scale = expected_defects_found(
         project.size if keep_size else 1.0, ddif if keep_ddif else 0.0, eif if keep_eif else 0.0
     )
+    if not isfinite(scale):  # Python floats overflow to inf silently
+        raise FloatingPointError("overflow encountered in multiply")
+    return scale
 
 
 def usable_history(
@@ -251,8 +254,8 @@ def loocv(
     w/o_Size, w/o_DDIF and w/o_EIF drop their term, HDCE keeps all three. For
     HDCE the median is the eq. 5 baseline. Each fold takes its median over the
     remaining projects only, so no target leaks into its own prediction.
-    Simulation means can be passed in to share one pass across variants (the
-    default computes them here).
+    The exact means can be passed in to share them across variants (the
+    default computes them here); cfg changes no record.
     """
     usable, excluded = usable_history(historical)
     if len(usable) < MIN_HISTORY_FOR_LOOCV:
@@ -326,7 +329,7 @@ def run_validation(
     variants: Sequence[Variant] = ALL_VARIANTS,
     alpha: float = 0.05,
 ) -> ValidationReport:
-    """LOOCV over all requested variants with shared simulation means."""
+    """LOOCV over all requested variants with shared exact means; cfg changes no result."""
     if not variants:
         raise ValueError("no variants requested")
     variants = tuple(variants)

@@ -153,16 +153,18 @@ def load_rankings(path: str | Path) -> list[RankingSheet]:
     """Parse the rankings CSV into one sheet per (expert, kind, category)."""
     reader = csv.reader(StringIO(_read_text(path, "rankings")))
     try:
-        header = next(reader)
-    except StopIteration:
+        header, *rows = reader
+    except ValueError:
         raise EmptyInputError(f"rankings file {path} is empty") from None
+    except csv.Error as exc:  # a field over csv.field_size_limit(), ...
+        raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if [h.strip() for h in header] != RANKINGS_HEADER:
         raise InputFormatError(
             f"rankings file {path}: header must be {','.join(RANKINGS_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
     grouped: dict[tuple[str, FactorKind, FactorCategory], dict[str, float]] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(RANKINGS_HEADER):

@@ -2,16 +2,14 @@
 
 Each factor's multiplier is treated as a triangular distribution over its
 (min, most_likely, max) estimate; a project contributes level/3 of each draw and
-contributions add up across the factors of one kind (no interaction terms).
+contributions add up across the factors of one kind (no interaction terms). The
+mean of such a sum is exactly the sum of level/3 times each triangular mean, so
+every mean is computed, not drawn (project_means); only a distribution's
+samples, sd and quantiles come from draws (draw_vector).
 
 Sampling is counter-based: the uniform variate for (seed, factor, sample index)
-is derived by hashing, never by advancing shared generator state. Chunked runs
-therefore produce bit-identical sample vectors, and since the draws never
-depend on the project, each factor is drawn once for a whole portfolio, and
-one pass draws every kind. The chunks are leaves of numpy's pairwise summation
-tree, so a factor's draws are summed a chunk at a time, bit for bit as np.mean
-sums them whole. A project's mean follows by linearity from the factor means,
-without forming its vector.
+is derived by hashing, never by advancing shared generator state. Blocked runs
+therefore produce bit-identical sample vectors, on any number of threads.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +36,7 @@ from .model import (
 
 DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_QUANTILE_LEVELS = (0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95)
-# samples drawn per block; any block size gives the same vectors and means
+# samples drawn per block; any block size gives the same vectors
 BLOCK_SIZE = 1 << 16
 
 _MASK64 = (1 << 64) - 1
@@ -150,7 +148,7 @@ class EmpiricalDistribution:
     @classmethod
     def from_samples(cls, samples: np.ndarray, mean: float) -> "EmpiricalDistribution":
         """sd and quantiles of samples, kept in their order beside their mean as the caller computed
-        it (draw_portfolio's linear mean); the quantiles read a copy, which draw_portfolio counts."""
+        it (project_means' exact mean); the quantiles read a copy, which draw_vector counts."""
         samples = np.asarray(samples, dtype=np.float64)
         if samples.size == 0:
             raise ValueError("cannot build a distribution from zero samples")
@@ -234,41 +232,6 @@ def _for_each_block(make_task: Callable[[], Callable[[int, int], None]], blocks:
             raise failure
 
 
-# numpy's pairwise summation adds up a node of at most this many elements in one loop
-_PAIRWISE_LEAF = 128
-
-
-def _pairwise_split(m: int) -> int:
-    # where np.add.reduce splits a node of m contiguous elements (half of it,
-    # rounded down to a multiple of 8), or 0 for a node the engine takes as
-    # one block; numpy never splits a node of _PAIRWISE_LEAF or fewer, so
-    # neither may the engine, whatever BLOCK_SIZE is
-    if m <= max(BLOCK_SIZE, _PAIRWISE_LEAF):
-        return 0
-    half = m // 2
-    return half - half % 8
-
-
-def _pairwise_blocks(start: int, stop: int) -> list[tuple[int, int]]:
-    # the blocks of range(start, stop), in order: the nodes of numpy's
-    # pairwise-sum tree that _pairwise_split leaves whole
-    split = _pairwise_split(stop - start)
-    if not split:
-        return [(start, stop)]
-    return _pairwise_blocks(start, start + split) + _pairwise_blocks(start + split, stop)
-
-
-def _pairwise_total(leaf_sums: Iterator, m: int):
-    # the sum of m elements from the sums of their _pairwise_blocks, in order,
-    # added as numpy adds those nodes: np.add.reduce of all m, bit for bit
-    # (np.add.reduce starts each leaf sum at +0.0, which can change only the
-    # sign of a zero, and it starts its own total at +0.0 too)
-    split = _pairwise_split(m)
-    if not split:
-        return next(leaf_sums)
-    return _pairwise_total(leaf_sums, split) + _pairwise_total(leaf_sums, m - split)
-
-
 def _physical_memory() -> float:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -276,57 +239,55 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def draw_portfolio(
+def project_means(
+    model: CausalModel, characterizations: Sequence[ProjectCharacterization], kinds: Sequence[FactorKind]
+) -> list[list[float]]:
+    """The exact means of the accumulated relative increases (DDIF, EIF): a list per kind in
+    kinds, with analytic_mean of each characterization. check_portfolio runs first, on these
+    characterizations and kinds, and nothing is drawn."""
+    check_portfolio(model, characterizations, kinds)
+    return [[analytic_mean(model, ch, kind) for ch in characterizations] for kind in kinds]
+
+
+def draw_vector(
     model: CausalModel,
-    characterizations: Sequence[ProjectCharacterization],
+    ch: ProjectCharacterization,
     kinds: Sequence[FactorKind],
     cfg: SimulationConfig,
-    target: int | None = None,
     combine: Callable[..., np.ndarray] | None = None,
-) -> tuple[list[list[float]], np.ndarray | None]:
-    """Means of the accumulated relative increases (DDIF, EIF), a list per kind in kinds with a
-    mean per characterization, and combine of the target's vectors of each kind (or None).
+) -> np.ndarray:
+    """combine of ch's sample vectors of each kind in kinds, or without a combine the one
+    kind's own vector, for a summary that copies it (EmpiricalDistribution.from_samples).
 
-    check_portfolio runs first, on these characterizations and kinds. A
-    characterization's vector of a kind is +0.0 plus level/3 times each of the
-    kind's factor draws, in model order. One pass over the blocks draws one
-    factor at a time into a single row, records the row's sum and adds the row
-    into the target's block vector of its kind; each block of the returned
-    vector is combine of those, in kinds' order. Without a combine, the one
-    kind's own vector is returned, for a summary that copies it
-    (EmpiricalDistribution.from_samples); a combined vector is the caller's to
-    reorder in place. The blocks are leaves of np.mean's pairwise summation
-    tree, so each factor's mean is np.mean of its draws, bit for bit, and by
-    linearity a characterization's mean is +0.0 plus level/3 times each
-    factor's mean, in model order, level-0 factors skipped. Nothing but
-    (model, characterization, kind, seed, sample_count) changes them.
+    The caller checks model and ch first (project_means does). A vector of a
+    kind is +0.0 plus level/3 times each of the kind's factor draws, in model
+    order; only ch's nonzero-level factors are drawn. One pass over blocks of
+    BLOCK_SIZE samples draws one factor at a time into a single row and adds
+    the row into the block vector of its kind; each block of the returned
+    vector is combine of those, in kinds' order. A combined vector is the
+    caller's to reorder in place. Nothing but (model, ch, kinds, seed,
+    sample_count) changes it.
     """
-    check_portfolio(model, characterizations, kinds)
-    if not characterizations:
-        return [[] for _ in kinds], None
-    by_kind = [model.factors_of_kind(kind) for kind in kinds]
-    factors = [f for kind_factors in by_kind for f in kind_factors]
     n = cfg.sample_count
-    blocks = _pairwise_blocks(0, n)
-    width = max(stop - start for start, stop in blocks)
-    weights = [[ch.levels[f.id] / MAX_LEVEL for f in factors] for ch in characterizations]
+    blocks = [(start, min(start + BLOCK_SIZE, n)) for start in range(0, n, BLOCK_SIZE)]
+    width = blocks[0][1]
+    # per drawn factor: its multiplier, stream, kind's index and level/3
+    params = [
+        (f.multiplier, factor_stream(f.id), k, ch.levels[f.id] / MAX_LEVEL)
+        for k, kind in enumerate(kinds)
+        for f in model.factors_of_kind(kind)
+        if ch.levels[f.id]
+    ]
     # the returned vector, plus without a combine the copy its summary takes; then each
-    # share's scratch: the draw row, the uniforms' two temporaries and a target block per kind
-    vectors, accumulators = (0, 0) if target is None else (2 if combine is None else 1, len(kinds))
-    needed = vectors * n * 8 + _share_count(blocks) * (3 + accumulators) * width * 8
+    # share's scratch: the draw row, the uniforms' two temporaries and a block vector per kind
+    needed = (2 if combine is None else 1) * n * 8 + _share_count(blocks) * (3 + len(kinds)) * width * 8
     if needed > _physical_memory():
-        raise MemoryError(f"{n} samples of {len(factors)} factors need {needed} bytes, more than physical memory")
-    vector = None if target is None else np.empty(n, dtype=np.float64)
-    # per factor: its multiplier, stream, kind's index and the target's level/3,
-    # where 0.0 leaves the term out (the draws are >= 0)
-    kind_index = [k for k, kind_factors in enumerate(by_kind) for _ in kind_factors]
-    target_weights = [0.0] * len(factors) if target is None else weights[target]
-    params = [(f.multiplier, factor_stream(f.id), k, w) for f, k, w in zip(factors, kind_index, target_weights)]
-    leaf_sums: dict[int, np.ndarray] = {}
+        raise MemoryError(f"{n} samples of {len(params)} factors need {needed} bytes, more than physical memory")
+    vector = np.empty(n, dtype=np.float64)
 
     def make_task() -> Callable[[int, int], None]:
         row = np.empty(width, dtype=np.float64)
-        scratch = np.empty((accumulators, width), dtype=np.float64)
+        scratch = np.empty((len(kinds), width), dtype=np.float64)
 
         def task(start: int, stop: int) -> None:
             draws = row[: stop - start]
@@ -334,34 +295,20 @@ def draw_portfolio(
             # term: a draw of -0.0 (a minimum of -0.0) still gives +0.0
             block_vectors = scratch[:, : stop - start]
             block_vectors.fill(0.0)
-            sums = np.empty(len(factors))
-            for i, (mult, stream, k, weight) in enumerate(params):
+            for mult, stream, k, weight in params:
                 # the variates go straight into the row, with the fresh
-                # uniforms as scratch; check_portfolio has checked the multipliers
+                # uniforms as scratch; the caller's check_portfolio has checked the multipliers
                 u = counter_uniforms(cfg.seed, stream, start, stop - start)
                 _triangular_into(draws, mult.min, mult.most_likely, mult.max, u, u)
-                sums[i] = np.add.reduce(draws)
-                if weight != 0.0:
-                    # u takes the product; a level-3 term (x * 1.0) is the row itself
-                    block_vectors[k] += draws if weight == 1.0 else np.multiply(draws, weight, out=u)
+                # u takes the product; a level-3 term (x * 1.0) is the row itself
+                block_vectors[k] += draws if weight == 1.0 else np.multiply(draws, weight, out=u)
                 del u  # before the next factor's uniforms are drawn
-            leaf_sums[start] = sums
-            if vector is not None:
-                vector[start:stop] = combine(*block_vectors) if combine else block_vectors[0]
+            vector[start:stop] = combine(*block_vectors) if combine else block_vectors[0]
 
         return task
 
     _for_each_block(make_task, blocks)
-    factor_means = (_pairwise_total(iter([leaf_sums[start] for start, _ in blocks]), n) / n).tolist()
-    # plain float additions in model order: not sum(), which compensates its
-    # additions from Python 3.12 on, nor a matrix product, whose order is the
-    # BLAS build's
-    means_by_kind = [[0.0] * len(characterizations) for _ in kinds]
-    for j, row_weights in enumerate(weights):
-        for k, weight, factor_mean in zip(kind_index, row_weights, factor_means):
-            if weight != 0.0:
-                means_by_kind[k][j] += weight * factor_mean
-    return means_by_kind, vector
+    return vector
 
 
 def simulate(
@@ -370,19 +317,28 @@ def simulate(
     """Simulate the accumulated relative increase (DDIF or EIF) for one project.
 
     Deterministic for fixed (model, characterization, kind, seed, sample_count):
-    the block size never changes the sample vector. The mean is draw_portfolio's,
-    the one plan, predict and validate use for this project.
+    the block size never changes the sample vector. The mean is project_means',
+    exact, and the one plan, predict and validate use for this project.
     """
-    ((mean,),), samples = draw_portfolio(model, [ch], (kind,), cfg, target=0)
-    return EmpiricalDistribution.from_samples(samples, mean)
+    ((mean,),) = project_means(model, [ch], (kind,))
+    return EmpiricalDistribution.from_samples(draw_vector(model, ch, (kind,), cfg), mean)
 
 
 def analytic_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorKind) -> float:
-    """Expected value of the simulated sum: sum of (level/3)*(min+mode+max)/3."""
+    """Expected value of the simulated sum: sum of (level/3)*(min+mode+max)/3.
+
+    Plain float additions in model order from +0.0, level-0 factors skipped
+    (not sum(), which compensates its additions from Python 3.12 on). Python
+    floats overflow to inf silently, so a result outside the float range
+    raises FloatingPointError.
+    """
     total = 0.0
     for f in model.factors_of_kind(kind):
         m = f.multiplier
         if m is None:
             raise ValueError(f"factor {f.id!r} is not quantified")
-        total += (ch.levels[f.id] / MAX_LEVEL) * (m.min + m.most_likely + m.max) / 3.0
+        if ch.levels[f.id]:
+            total += (ch.levels[f.id] / MAX_LEVEL) * (m.min + m.most_likely + m.max) / 3.0
+    if not math.isfinite(total):
+        raise FloatingPointError("overflow encountered in add")
     return total

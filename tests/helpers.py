@@ -94,20 +94,6 @@ def reference_samples(
     return values
 
 
-def reference_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorKind, cfg: SimulationConfig) -> float:
-    """Independent reference for the engine's mean, by linearity: +0.0 plus level/3 times
-    np.mean of each factor's draws over the whole sample range, in model order, level-0
-    factors skipped."""
-    mean = 0.0
-    for f in model.factors_of_kind(kind):
-        level = ch.levels[f.id]
-        if level:
-            m = f.multiplier
-            u = counter_uniforms(cfg.seed, factor_stream(f.id), 0, cfg.sample_count)
-            mean += (level / MAX_LEVEL) * float(np.mean(former_triangular_inverse_cdf(m.min, m.most_likely, m.max, u)))
-    return mean
-
-
 def ulp_distance(got: float, reference) -> float:
     """|got - reference| in units in the last place of the double nearest reference, an
     mpmath number; below the normal range the unit is the smallest subnormal."""

@@ -101,7 +101,8 @@ def test_criterion_3_monte_carlo_convergence_and_determinism():
             for kind in FactorKind:
                 expected = analytic_mean(model, ch, kind)
                 dist = simulate(model, ch, kind, cfg)
-                assert abs(dist.mean - expected) / expected < 0.01
+                assert dist.mean == expected  # the reported mean is exact; the samples converge to it
+                assert abs(float(np.mean(dist.samples)) - expected) / expected < 0.01
         ch = characterization(model, level_patterns[1])
         serial = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
         rerun = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)

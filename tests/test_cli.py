@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hdce
-from hdce import cli, simulation
+from hdce import cli, evaluation, simulation
 from hdce.cli import main
 from hdce.io import load_model, load_projects, sha256_file, write_json
 from hdce.synthetic import build_synthetic_model, generate_projects
@@ -112,6 +112,15 @@ class TestRankAnalyze:
         assert code == 1
         assert ":2:" in capsys.readouterr().err
 
+    def test_field_over_the_csv_limit_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "rankings.csv"
+        path.write_text(f"expert_id,kind,category,factor_id,rank\ne1,DefectContent,Product,{'x' * 200_000},1\n",
+                        encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert main(["rank-analyze", "--rankings", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"input error: {path}:2: field larger than field limit (131072)\n"
+        assert not out.exists()
+
 
 class TestModelCheck:
     def test_valid_model_passes(self, model_file, projects_file, tmp_path):
@@ -199,7 +208,7 @@ class TestSimulate:
         def exhausted(*_args, **_kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(simulation, "draw_portfolio", exhausted)
+        monkeypatch.setattr(simulation, "draw_vector", exhausted)
         out = tmp_path / "o.json"
         code = main([
             "simulate", "--model", str(model_file), "--projects", str(projects_file),
@@ -299,42 +308,89 @@ class TestPredict:
 
 
 class TestOneMeanPerProject:
-    """simulate, plan and predict report one mean for a project, seed and sample count."""
+    """simulate, plan, predict and validate report one mean for a project: the exact analytic_mean."""
 
     @pytest.mark.parametrize("samples", [1000, 70_000])
-    def test_simulate_plan_and_predict_agree(self, tmp_path, monkeypatch, samples):
+    def test_every_reported_mean_is_the_analytic_mean(self, tmp_path, monkeypatch, samples):
         files = ["--model", str(EXAMPLES / "model.json"), "--projects", str(EXAMPLES / "projects.json")]
         seeded = ["--seed", "7", "--samples", str(samples)]
+        model = load_model(EXAMPLES / "model.json")
+        exact = {p.project_id: tuple(simulation.analytic_mean(model, p.characterization, kind)
+                                     for kind in simulation.FactorKind)
+                 for p in load_projects(EXAMPLES / "projects.json")}
         simulated = []
         for kind in ("dc", "eff"):
             out = tmp_path / f"{kind}.json"
             assert main(["simulate", *files, "--project", "review-c", "--kind", kind, *seeded, "--out", str(out)]) == 0
             simulated.append(read_json(out)["mean"])
-        charted = {}
-        build_risk_chart = cli.planning.build_risk_chart
+        assert tuple(simulated) == exact["review-c"]
+        charted, validated = {}, []
+        build_risk_chart, loocv = cli.planning.build_risk_chart, evaluation.loocv
 
-        def recorded(triples, *args, **kwargs):
+        def recorded_chart(triples, *args, **kwargs):
             charted.update((pid, (ddif, eif)) for pid, ddif, eif in triples)
             return build_risk_chart(triples, *args, **kwargs)
 
-        monkeypatch.setattr(cli.planning, "build_risk_chart", recorded)
+        def recorded_loocv(*args, means, **kwargs):
+            validated.append(dict(means))
+            return loocv(*args, means=means, **kwargs)
+
+        monkeypatch.setattr(cli.planning, "build_risk_chart", recorded_chart)
+        monkeypatch.setattr(evaluation, "loocv", recorded_loocv)
         assert main(["plan", *files, *seeded, "--out", str(tmp_path / "chart.csv")]) == 0
-        out = tmp_path / "prediction.json"
-        assert main(["predict", *files, "--target", "review-c", *seeded, "--out", str(out)]) == 0
-        predicted = read_json(out)
-        assert simulated == list(charted["review-c"]) == [predicted["ddif_mean"], predicted["eif_mean"]]
+        assert charted == exact
+        for target in ("review-c", "review-next"):
+            out = tmp_path / f"prediction-{target}.json"
+            assert main(["predict", *files, "--target", target, *seeded, "--out", str(out)]) == 0
+            predicted = read_json(out)
+            assert (predicted["ddif_mean"], predicted["eif_mean"]) == exact[target]
+        assert main(["validate", *files, *seeded, "--out", str(tmp_path / "report.json")]) == 0
+        history = {pid: pair for pid, pair in exact.items() if pid != "review-next"}
+        assert validated == [history] * len(evaluation.ALL_VARIANTS)
+
+
+class TestExactMeans:
+    """plan and validate draw nothing: their outputs depend on neither --seed nor --samples."""
+
+    FILES = ["--model", str(EXAMPLES / "model.json"), "--projects", str(EXAMPLES / "projects.json")]
+
+    def outputs(self, tmp_path, command, seed, samples):
+        run = tmp_path / f"{command}-{seed}-{samples}"
+        run.mkdir()
+        argv = [command, *self.FILES, "--seed", str(seed), "--samples", str(samples)]
+        if command == "plan":
+            argv += ["--out", str(run / "chart.csv"), "--svg", str(run / "chart.svg")]
+        else:
+            argv += ["--out", str(run / "report.json")]
+        assert main(argv) == 0
+        return {path.name: path.read_bytes() for path in run.iterdir() if not path.name.endswith(".manifest.json")}
+
+    @pytest.mark.parametrize("command", ["plan", "validate"])
+    def test_outputs_do_not_depend_on_seed_or_samples(self, tmp_path, command):
+        reference = self.outputs(tmp_path, command, 1, 1)
+        assert len(reference) == 2  # chart.csv and chart.svg, or report.json and its re.csv
+        for seed, samples in [(2, 1), (1, 100_000), (2, 100_000)]:
+            assert self.outputs(tmp_path, command, seed, samples) == reference, (seed, samples)
+
+    @pytest.mark.parametrize("command", ["plan", "validate"])
+    def test_draws_no_uniform(self, tmp_path, monkeypatch, command):
+        def no_draw(*_args):
+            raise AssertionError(f"{command} draws nothing")
+
+        monkeypatch.setattr(simulation, "counter_uniforms", no_draw)
+        assert len(self.outputs(tmp_path, command, 7, 10_000)) == 2
 
 
 class TestPredictOnePass:
-    """predict draws each factor once, for the history and the target together."""
+    """predict draws only the target's factors, each once; the history's means are exact."""
 
     EXAMPLES = Path(__file__).resolve().parents[1] / "schemas" / "examples"
 
-    def run(self, tmp_path, samples):
+    def run(self, tmp_path, samples, target="review-next"):
         out = tmp_path / "prediction.json"
         code = main([
             "predict", "--model", str(self.EXAMPLES / "model.json"), "--projects", str(self.EXAMPLES / "projects.json"),
-            "--target", "review-next", "--seed", "7", "--samples", str(samples), "--out", str(out),
+            "--target", target, "--seed", "7", "--samples", str(samples), "--out", str(out),
         ])
         assert code == 0
         return read_json(out)
@@ -350,7 +406,8 @@ class TestPredictOnePass:
         assert (payload["point"], tuple(payload["interval"])) == (point, interval)
         assert (payload["ddif_mean"], payload["eif_mean"]) == (ddif_mean, eif_mean)
 
-    def test_each_factor_draws_its_uniforms_exactly_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("target", ["review-next", "review-c"])  # review-c has level-0 factors of both kinds
+    def test_draws_exactly_the_targets_nonzero_level_factors_once(self, tmp_path, monkeypatch, target):
         drawn = {}
         counter_uniforms = simulation.counter_uniforms
 
@@ -365,11 +422,11 @@ class TestPredictOnePass:
         monkeypatch.setattr(cli, "simulate", no_summary)
         monkeypatch.setattr(simulation.EmpiricalDistribution, "from_samples", no_summary)
         samples = 100_000  # two blocks per factor
-        self.run(tmp_path, samples)
+        self.run(tmp_path, samples, target)
         model = load_model(self.EXAMPLES / "model.json")
-        assert set(drawn) == {simulation.factor_stream(f.id) for f in model.factors}
-        blocks = [(start, stop - start) for start, stop in simulation._pairwise_blocks(0, samples)]
-        assert len(blocks) == 2
+        levels = next(p for p in load_projects(self.EXAMPLES / "projects.json") if p.project_id == target).characterization.levels
+        assert set(drawn) == {simulation.factor_stream(f.id) for f in model.factors if levels[f.id]}
+        blocks = [(0, simulation.BLOCK_SIZE), (simulation.BLOCK_SIZE, samples - simulation.BLOCK_SIZE)]
         for ranges in drawn.values():
             assert sum(count for _, count in ranges) == samples
             assert sorted(ranges) == blocks
@@ -414,13 +471,10 @@ class TestPredictOnSeveralCpus:
 
     def test_draws_beyond_physical_memory_are_refused_before_any_thread(self, tmp_path, monkeypatch, capsys):
         model = load_model(EXAMPLES / "model.json")
-        factors = sum(len(model.factors_of_kind(kind)) for kind in simulation.FactorKind)  # one pass draws both kinds
+        factors = len(model.factors)  # one pass draws both kinds, and review-next has no level-0 factor
         # predict keeps one vector, the target's per-sample scale; each of the 4 shares holds a block
         # of one draw row, two uniform temporaries and the target's DDIF and EIF, whatever the factor count
-        blocks = simulation._pairwise_blocks(0, self.SAMPLES)
-        assert len(blocks) == 4
-        width = max(stop - start for start, stop in blocks)
-        needed = self.SAMPLES * 8 + 4 * 5 * width * 8
+        needed = self.SAMPLES * 8 + 4 * 5 * simulation.BLOCK_SIZE * 8
 
         def no_pool(*_args, **_kwargs):
             raise AssertionError("no thread may start before the memory bound is checked")
@@ -594,48 +648,72 @@ class TestNonFiniteResults:
     """Finite inputs whose results overflow the float range end in one coded error, no warning."""
 
     SAMPLES = 3 * simulation.BLOCK_SIZE + 7
+    ADD = "error: [non-finite-result] overflow encountered in add: a multiplier or a size is too large"
+    MULTIPLY = "error: [non-finite-result] overflow encountered in multiply: a multiplier or a size is too large"
 
     @staticmethod
-    def inputs(tmp_path, multiplier=None, target_size=None):
+    def inputs(tmp_path, multipliers=(), sizes=None):
         model, projects = read_json(EXAMPLES / "model.json"), read_json(EXAMPLES / "projects.json")
-        if multiplier is not None:
-            model["factors"][0]["multiplier"] = multiplier
-        if target_size is not None:
-            next(p for p in projects if p["project_id"] == "review-next")["size"] = target_size
+        for factor, multiplier in zip(model["factors"], multipliers):
+            factor["multiplier"] = multiplier
+        for project in projects:
+            project["size"] = (sizes or {}).get(project["project_id"], project["size"])
         write_json(tmp_path / "model.json", model)
         write_json(tmp_path / "projects.json", projects)
         return ["--model", str(tmp_path / "model.json"), "--projects", str(tmp_path / "projects.json")]
 
-    def assert_one_coded_error(self, argv, tmp_path, capsys):
+    def assert_one_coded_error(self, argv, tmp_path, capsys, message, samples=SAMPLES):
         out = tmp_path / "out" / "result"
         out.parent.mkdir()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(argv + ["--seed", "1", "--samples", str(self.SAMPLES), "--out", str(out)])
+            code = main(argv + ["--seed", "1", "--samples", str(samples), "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: [non-finite-result] overflow encountered in multiply: a multiplier or a size is too large"
-        ]
+        assert capsys.readouterr().err.splitlines() == [message]
         assert [str(w.message) for w in caught] == []
         assert not list(out.parent.iterdir())
 
-    @pytest.mark.parametrize("cpus", [1, 4])
-    @pytest.mark.parametrize(
+    COMMANDS = pytest.mark.parametrize(
         "command",
         [["simulate", "--project", "review-a", "--kind", "dc"], ["plan"], ["predict", "--target", "review-next"],
          ["validate"]],
         ids=["simulate", "plan", "predict", "validate"],
     )
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @COMMANDS
     def test_huge_multiplier(self, command, cpus, tmp_path, capsys, monkeypatch):
+        # 0 + 1e307 + 1.7e308 overflows in the exact mean, before any draw
         use_cpus(monkeypatch, cpus)
-        files = self.inputs(tmp_path, multiplier={"min": 0, "most_likely": 1e307, "max": 1.7e308})
-        self.assert_one_coded_error(command + files, tmp_path, capsys)
+        files = self.inputs(tmp_path, [{"min": 0, "most_likely": 1e307, "max": 1.7e308}])
+        self.assert_one_coded_error(command + files, tmp_path, capsys, self.ADD)
+
+    @COMMANDS
+    def test_mean_overflow_of_two_factors(self, command, tmp_path, capsys):
+        # the first two defect-content multipliers are all 1e308: a Python float sum, which
+        # overflows to inf silently, once ended plan in "non-finite float -inf cannot be serialized"
+        files = self.inputs(tmp_path, [{"min": 1e308, "most_likely": 1e308, "max": 1e308}] * 2)
+        self.assert_one_coded_error(command + files, tmp_path, capsys, self.ADD, samples=1)
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_huge_target_size(self, cpus, tmp_path, capsys, monkeypatch):
         use_cpus(monkeypatch, cpus)
-        files = self.inputs(tmp_path, target_size=1.7e308)
-        self.assert_one_coded_error(["predict", "--target", "review-next"] + files, tmp_path, capsys)
+        files = self.inputs(tmp_path, sizes={"review-next": 1.7e308})
+        self.assert_one_coded_error(["predict", "--target", "review-next"] + files, tmp_path, capsys, self.MULTIPLY)
+
+    def test_point_overflow_with_finite_samples(self, tmp_path, capsys):
+        # the one sample at seed 1 lies below the means, so only the point's Python float product overflows
+        model = load_model(EXAMPLES / "model.json")
+        ch = next(p for p in load_projects(EXAMPLES / "projects.json") if p.project_id == "review-next").characterization
+        ddif, eif = (simulation.analytic_mean(model, ch, kind) for kind in simulation.FactorKind)
+        files = self.inputs(tmp_path, sizes={"review-next": 1.7976e308 / ((1 + ddif) * (1 + eif)) * 1.01})
+        argv = ["predict", "--target", "review-next"] + files
+        self.assert_one_coded_error(argv, tmp_path, capsys, self.MULTIPLY, samples=1)
+
+    def test_huge_history_size_in_validate(self, tmp_path, capsys):
+        # a history project's scale Size*(1+DDIF)*(1+EIF) overflows, once "paired samples must be finite"
+        files = self.inputs(tmp_path, sizes={"review-a": 1.7e308})
+        self.assert_one_coded_error(["validate"] + files, tmp_path, capsys, self.MULTIPLY)
 
 
 class TestUnreadablePaths:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hdce import evaluation, pvalues, simulation
 from hdce.cli import main
 from hdce.diagnostics import ModelValidationError
-from hdce.estimation import estimate_baseline, predict_defects_found
+from hdce.estimation import estimate_baseline, expected_defects_found, predict_defects_found
 from hdce.evaluation import (
     ALL_VARIANTS,
     PredictionRecord,
@@ -29,9 +29,8 @@ from hdce.evaluation import (
     run_validation,
     wilcoxon_signed_rank,
 )
-from hdce.io import load_model, load_projects
 from hdce.model import CausalModel, Factor, FactorKind, HistoricalProject, Multiplier, ProjectCharacterization
-from hdce.simulation import SimulationConfig, simulate
+from hdce.simulation import SimulationConfig, analytic_mean, simulate
 from hdce.synthetic import build_synthetic_model, generate_projects
 from helpers import (
     exact_model,
@@ -39,7 +38,6 @@ from helpers import (
     former_exact_two_sided,
     former_prediction,
     oracle_wilcoxon,
-    reference_mean,
     reference_model,
     reference_samples,
     ulp_distance,
@@ -530,23 +528,12 @@ class TestRunValidation:
             assert count > seeds / 2, f"{variant.value}: {count}/{seeds}"
 
 
-def reference_factor_means(model, projects, cfg):
-    """Per-project (mean DDIF, mean EIF) from per-factor reference means, one project at a time."""
+def analytic_factor_means(model, projects):
+    """Per-project (mean DDIF, mean EIF) from analytic_mean, one project at a time."""
     return {
         p.project_id: (
-            reference_mean(model, p.characterization, FactorKind.DEFECT_CONTENT, cfg),
-            reference_mean(model, p.characterization, FactorKind.EFFECTIVENESS, cfg),
-        )
-        for p in projects
-    }
-
-
-def vector_factor_means(model, projects, cfg):
-    """Per-project (mean DDIF, mean EIF) as np.mean of each reference sample vector."""
-    return {
-        p.project_id: tuple(
-            float(np.mean(reference_samples(model, p.characterization, kind, cfg)))
-            for kind in (FactorKind.DEFECT_CONTENT, FactorKind.EFFECTIVENESS)
+            analytic_mean(model, p.characterization, FactorKind.DEFECT_CONTENT),
+            analytic_mean(model, p.characterization, FactorKind.EFFECTIVENESS),
         )
         for p in projects
     }
@@ -597,10 +584,11 @@ class TestReferenceFormulas:
         return model, sorted(projects, key=lambda p: p.project_id)
 
     @pytest.mark.parametrize("count", [1, 13, 200])
-    def test_project_factor_means_matches_per_factor_reference(self, count):
+    def test_project_factor_means_are_the_analytic_means_at_any_config(self, count, monkeypatch):
         model, projects = self.portfolio(count)
-        cfg = SimulationConfig(seed=5, sample_count=700)
-        assert project_factor_means(model, projects, cfg) == reference_factor_means(model, projects, cfg)
+        monkeypatch.setattr(simulation, "counter_uniforms", None)  # nothing is drawn
+        for cfg in (SimulationConfig(seed=5, sample_count=700), SimulationConfig(seed=6, sample_count=1)):
+            assert project_factor_means(model, projects, cfg) == analytic_factor_means(model, projects)
 
     @staticmethod
     def tweaked_model(tweak):
@@ -662,7 +650,7 @@ class TestReferenceFormulas:
         model, projects = self.portfolio(count)
         assert all(p.defects_found > 0 for p in projects)
         cfg = SimulationConfig(seed=6, sample_count=700)
-        means = reference_factor_means(model, projects, cfg)
+        means = analytic_factor_means(model, projects)
         for variant in ALL_VARIANTS:
             records, _ = loocv(model, projects, variant, cfg)
             expected = [
@@ -674,42 +662,6 @@ class TestReferenceFormulas:
 
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "schemas" / "examples"
-
-
-def zero_differences(model, projects, cfg, means):
-    """For every pair of variants, which paired MRE differences are zero under these means."""
-    mres = {v: [r.mre for r in loocv(model, projects, v, cfg, means=means)[0]] for v in ALL_VARIANTS}
-    return [
-        [a - b == 0.0 for a, b in zip(mres[x], mres[y])]
-        for i, x in enumerate(ALL_VARIANTS)
-        for y in ALL_VARIANTS[i + 1 :]
-    ]
-
-
-class TestLinearMeansKeepZeroDifferences:
-    """The linear means move no Wilcoxon difference between zero and nonzero,
-    against np.mean of each vector."""
-
-    def check(self, model, projects, cfg):
-        usable, _ = evaluation.usable_history(projects)
-        linear = project_factor_means(model, usable, cfg)
-        assert linear == reference_factor_means(model, usable, cfg)
-        assert zero_differences(model, usable, cfg, linear) == zero_differences(
-            model, usable, cfg, vector_factor_means(model, usable, cfg)
-        )
-
-    def test_examples(self):
-        model = load_model(EXAMPLES / "model.json")
-        projects = load_projects(EXAMPLES / "projects.json")
-        self.check(model, projects, SimulationConfig(seed=7, sample_count=10_000))
-
-    def test_synthetic_study_defaults(self):
-        # scripts/run_synthetic_study.py: 25 replications of 6 projects, noise 0.2, 2000 samples, seed 1000
-        for rep in range(25):
-            rng = np.random.default_rng(1000 + rep)
-            model = build_synthetic_model(rng)
-            projects = generate_projects(model, 6, rng, noise_sigma=0.2)
-            self.check(model, projects, SimulationConfig(seed=6000 + rep, sample_count=2000))
 
 
 class TestPredictPass:
@@ -742,6 +694,19 @@ class TestPredictPass:
         )
         means, _ = means_and_target_samples(model, history, target, cfg)
         assert means == project_factor_means(model, [*history, target], cfg)
+
+    @pytest.mark.parametrize("samples", [500, 3 * simulation.BLOCK_SIZE + 7])
+    def test_interval_from_reference_samples_and_means_exact(self, samples):
+        model, history, target = self.portfolio(6)
+        cfg = SimulationConfig(seed=13, sample_count=samples)
+        point, interval, ddif_mean, eif_mean = self.predict(model, history, target, cfg)
+        means = analytic_factor_means(model, [*history, target])
+        baseline = estimate_baseline(history, means).estimate
+        assert (ddif_mean, eif_mean) == means[target.project_id]
+        assert point == expected_defects_found(target.size, ddif_mean, eif_mean, baseline)
+        ddif, eif = (reference_samples(model, target.characterization, kind, cfg) for kind in FactorKind)
+        per_sample = expected_defects_found(target.size, ddif, eif, baseline)
+        assert interval == tuple(np.quantile(per_sample, [0.10, 0.90]).tolist())
 
     @pytest.mark.parametrize(
         "tweak, bad_project, codes",
@@ -797,10 +762,8 @@ class TestPredictPass:
         # the target's DDIF and EIF vectors and its per-sample values would be 3 vectors of N floats
         samples = 500_000
         use_cpus(monkeypatch, 1)
-        blocks = simulation._pairwise_blocks(0, samples)
-        width = max(stop - start for start, stop in blocks)
         # one share: the draw row, the uniforms' two temporaries, the target's DDIF and EIF blocks
-        scratch = 5 * width * 8
+        scratch = 5 * simulation.BLOCK_SIZE * 8
         argv = [
             "predict", "--model", str(EXAMPLES / "model.json"), "--projects", str(EXAMPLES / "projects.json"),
             "--target", "review-next", "--seed", "7", "--samples", str(samples), "--out", str(tmp_path / "p.json"),

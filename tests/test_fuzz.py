@@ -208,6 +208,7 @@ CORPUS = [
     ("not-utf-8", "validate", {"projects.json": b"\xff\xfe\x00["}),
     ("empty-rankings", "rank-analyze", {"rankings.csv": ""}),
     ("nan-ranks", "rank-analyze", {"rankings.csv": "\n".join(line.replace(",1", ",nan") for line in RANKINGS)}),
+    ("long-rankings-field", "rank-analyze", {"rankings.csv": f"{RANKINGS[0]}\ne1,DefectContent,Product,{'x' * 200_000},1\n"}),
     ("infinite-size", "validate", {"projects.json": re.sub(r'"size": [-+.\de]+', '"size": 1e999', json.dumps(PROJECTS), 1)}),
     ("duplicate-project", "predict", {"projects.json": json.dumps(PROJECTS + PROJECTS[:1])}),
     ("model-is-a-directory", "model-check", {"model.json": None}),

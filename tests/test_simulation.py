@@ -4,7 +4,7 @@ import signal
 import sys
 import threading
 import time
-import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from hdce import simulation
 from hdce.diagnostics import ModelValidationError
-from hdce.evaluation import project_factor_means
-from hdce.model import CausalModel, Factor, FactorKind, HistoricalProject, Multiplier
-from hdce.synthetic import build_synthetic_model, generate_projects
+from hdce.model import CausalModel, Factor, FactorKind, Multiplier
 from hdce.simulation import (
     BLOCK_SIZE,
     EmpiricalDistribution,
@@ -23,14 +21,14 @@ from hdce.simulation import (
     analytic_mean,
     check_portfolio,
     counter_uniforms,
-    draw_portfolio,
+    draw_vector,
+    project_means,
     simulate,
 )
 from helpers import (
     characterization,
     former_counter_uniforms,
     former_triangular_inverse_cdf,
-    reference_mean,
     reference_model,
     reference_samples,
     scale_for,
@@ -307,13 +305,14 @@ class TestSimulate:
         assert np.all(dist.samples >= lower - 1e-12)
         assert np.all(dist.samples <= upper + 1e-12)
 
-    def test_empirical_mean_close_to_analytic(self):
+    def test_sample_mean_close_to_the_exact_mean(self):
         model = reference_model()
         levels = {f.id: (i % 4) for i, f in enumerate(model.factors)}
         ch = characterization(model, levels)
         for kind in FactorKind:
             dist = simulate(model, ch, kind, SimulationConfig(seed=5, sample_count=100_000))
-            assert dist.mean == pytest.approx(analytic_mean(model, ch, kind), rel=0.01)
+            assert dist.mean == analytic_mean(model, ch, kind)
+            assert np.mean(dist.samples) == pytest.approx(dist.mean, rel=0.01)
 
     def test_quantiles_non_decreasing(self):
         model = reference_model()
@@ -328,7 +327,7 @@ class TestSimulate:
         ch = characterization(model, 3)
         cfg = SimulationConfig(seed=7, sample_count=4_000)
         dist = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
-        assert dist.mean == reference_mean(model, ch, FactorKind.EFFECTIVENESS, cfg)
+        assert dist.mean == analytic_mean(model, ch, FactorKind.EFFECTIVENESS)
         recomputed = EmpiricalDistribution.from_samples(dist.samples, dist.mean)
         assert recomputed.sd == dist.sd
         assert recomputed.quantiles == dist.quantiles
@@ -356,25 +355,19 @@ def identity(vector):
 
 
 def draw_all(model, chs, kind, cfg):
-    """draw_portfolio of one kind once per target, with an identity combine, and once with
-    none; asserts that no target changes a mean."""
-    (means,), vector = draw_portfolio(model, chs, (kind,), cfg)
-    assert len(means) == len(chs) and vector is None
-    vectors = []
-    for target in range(len(chs)):
-        (target_means,), vector = draw_portfolio(model, chs, (kind,), cfg, target=target, combine=identity)
-        assert target_means == means
-        vectors.append(vector)
-    return means, vectors
+    """project_means of one kind, and draw_vector of each characterization with an identity combine."""
+    (means,) = project_means(model, chs, (kind,))
+    return means, [draw_vector(model, ch, (kind,), cfg, combine=identity) for ch in chs]
 
 
 def reference_means_and_bytes(model, chs, kind, cfg):
-    means = [reference_mean(model, ch, kind, cfg) for ch in chs]
+    means = [analytic_mean(model, ch, kind) for ch in chs]
     return means, [reference_samples(model, ch, kind, cfg).tobytes() for ch in chs]
 
 
 class TestPortfolioEngine:
-    """draw_portfolio against the per-factor reference loop, byte for byte."""
+    """draw_vector against the per-factor reference loop, byte for byte, and project_means against
+    analytic_mean."""
 
     @staticmethod
     def portfolio(model, count):
@@ -392,8 +385,10 @@ class TestPortfolioEngine:
         if block is not None:
             monkeypatch.setattr(simulation, "BLOCK_SIZE", block)
         for kind in FactorKind:
-            samples = simulate(model, ch, kind, cfg).samples
-            assert samples.tobytes() == reference_samples(model, ch, kind, cfg).tobytes()
+            dist, reference = simulate(model, ch, kind, cfg), reference_samples(model, ch, kind, cfg)
+            assert dist.samples.tobytes() == reference.tobytes()
+            assert dist.sd == float(np.std(reference))
+            assert list(dist.quantiles.values()) == np.quantile(reference, list(dist.quantiles)).tolist()
 
     @pytest.mark.parametrize("block", [None, 7])
     def test_every_portfolio_vector_matches_reference(self, monkeypatch, block):
@@ -439,9 +434,7 @@ class TestPortfolioEngine:
         assert [v.tobytes() for v in vectors] == [np.zeros(5).tobytes()] * 2
 
     def test_empty_portfolio_yields_nothing(self):
-        model = reference_model()
-        cfg = SimulationConfig(seed=1)
-        assert draw_portfolio(model, [], tuple(FactorKind), cfg) == ([[], []], None)
+        assert project_means(reference_model(), [], tuple(FactorKind)) == [[], []]
 
     def test_check_portfolio_rejects_bad_characterization(self):
         model = reference_model()
@@ -451,7 +444,7 @@ class TestPortfolioEngine:
 
 
 class TestMultiKindPass:
-    """One pass over several kinds forms each kind's vectors and means as one-kind passes do."""
+    """One pass over several kinds forms each kind's vector as a one-kind pass does."""
 
     BLOCKS_AND_CPUS = pytest.mark.parametrize("block, cpus", [(b, c) for b in (None, 7, 1000) for c in (1, 4)])
 
@@ -462,7 +455,7 @@ class TestMultiKindPass:
         if block is not None:
             monkeypatch.setattr(simulation, "BLOCK_SIZE", block)
         use_cpus(monkeypatch, cpus)
-        assert len(simulation._pairwise_blocks(0, cfg.sample_count)) > 1
+        assert cfg.sample_count > simulation.BLOCK_SIZE
         return cfg
 
     @staticmethod
@@ -477,13 +470,10 @@ class TestMultiKindPass:
         cfg = self.config(monkeypatch, block, cpus, seed=37)
         expected = {kind: reference_means_and_bytes(model, chs, kind, cfg) for kind in FactorKind}
         for kinds in (tuple(FactorKind), tuple(reversed(FactorKind))):
-            one_kind_means = [draw_portfolio(model, chs, (kind,), cfg)[0][0] for kind in kinds]
-            assert one_kind_means == [expected[kind][0] for kind in kinds]
-            assert draw_portfolio(model, chs, kinds, cfg) == (one_kind_means, None)
-            for target in range(len(chs)):
+            assert project_means(model, chs, kinds) == [expected[kind][0] for kind in kinds]
+            for target, ch in enumerate(chs):
                 for k, kind in enumerate(kinds):
-                    means, vector = draw_portfolio(model, chs, kinds, cfg, target=target, combine=self.pick(k))
-                    assert means == one_kind_means
+                    vector = draw_vector(model, ch, kinds, cfg, combine=self.pick(k))
                     assert vector.tobytes() == expected[kind][1][target], (kinds, target, kind)
 
     @BLOCKS_AND_CPUS
@@ -492,10 +482,11 @@ class TestMultiKindPass:
         zero = single_factor_model(-0.0, -0.0, -0.0)
         chs = [characterization(zero, {"lone-dc": level, "lone-eff": 0}, f"L{level}") for level in (1, 3)]
         cfg = self.config(monkeypatch, block, cpus, seed=3)
-        for target in range(len(chs)):
+        means = project_means(zero, chs, tuple(FactorKind))
+        assert [np.signbit(m) for kind_means in means for m in kind_means] == [False] * 4
+        for ch in chs:
             for k in range(2):
-                means, vector = draw_portfolio(zero, chs, tuple(FactorKind), cfg, target=target, combine=self.pick(k))
-                assert [np.signbit(m) for kind_means in means for m in kind_means] == [False] * 4
+                vector = draw_vector(zero, ch, tuple(FactorKind), cfg, combine=self.pick(k))
                 assert vector.tobytes() == np.zeros(cfg.sample_count).tobytes()
 
 
@@ -551,11 +542,11 @@ class TestBlockParallelism:
         expected = reference_means_and_bytes(model, chs, FactorKind.EFFECTIVENESS, cfg)
         use_cpus(monkeypatch, 8)
         monkeypatch.setattr(simulation, "BLOCK_SIZE", 997)
-        assert len(simulation._pairwise_blocks(0, cfg.sample_count)) == 256
+        assert -(-cfg.sample_count // simulation.BLOCK_SIZE) == 132
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # 256 blocks in 8 shares, every vector summed in each block
+            # 132 blocks in 8 shares
             means, vectors = draw_all(model, chs, FactorKind.EFFECTIVENESS, cfg)
         finally:
             sys.setswitchinterval(interval)
@@ -581,7 +572,7 @@ class TestBlockParallelism:
 
         monkeypatch.setattr(simulation, "counter_uniforms", recorded)
         cfg = SimulationConfig(seed=4, sample_count=16_000)
-        assert len(simulation._pairwise_blocks(0, cfg.sample_count)) == 16
+        assert cfg.sample_count == 16 * simulation.BLOCK_SIZE
         vector = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg).samples
         assert len(threads) == 4
         assert vector.tobytes() == reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg).tobytes()
@@ -649,13 +640,10 @@ class TestBlockParallelism:
     def test_memory_bound_is_checked_before_allocating(self, monkeypatch, kinds, combine, vectors):
         model = reference_model()
         samples = 3 * BLOCK_SIZE + 7
-        blocks = simulation._pairwise_blocks(0, samples)
-        width = max(stop - start for start, stop in blocks)
-        shares = min(len(blocks), 4)
-        # each share's draw row and two uniform temporaries, whatever the factor count
-        scratch = shares * 3 * width * 8
-        # and with a target, each share's block vector of each kind
-        needed = vectors * samples * 8 + scratch + shares * len(kinds) * width * 8
+        shares = 4  # one block each
+        # each share's draw row and two uniform temporaries, whatever the factor count,
+        # and its block vector of each kind
+        needed = vectors * samples * 8 + shares * (3 + len(kinds)) * BLOCK_SIZE * 8
         cfg = SimulationConfig(seed=6, sample_count=samples)
         ch = characterization(model, 1)
         use_cpus(monkeypatch, 4)
@@ -664,142 +652,72 @@ class TestBlockParallelism:
         monkeypatch.setattr(simulation.np, "empty", None)  # and no array be allocated
         monkeypatch.setattr(simulation.np, "zeros", None)
         with pytest.raises(MemoryError, match=f"need {needed} bytes"):
-            draw_portfolio(model, [ch], kinds, cfg, target=0, combine=combine)
+            draw_vector(model, ch, kinds, cfg, combine=combine)
         monkeypatch.undo()
         use_cpus(monkeypatch, 4)
         expected = [reference_samples(model, ch, kind, cfg) for kind in kinds]
-        monkeypatch.setattr(simulation, "_physical_memory", lambda: scratch)  # means alone need no vector
-        means = [[reference_mean(model, ch, kind, cfg)] for kind in kinds]
-        assert draw_portfolio(model, [ch], kinds, cfg) == (means, None)
         monkeypatch.setattr(simulation, "_physical_memory", lambda: needed)
-        _, values = draw_portfolio(model, [ch], kinds, cfg, target=0, combine=combine)
+        values = draw_vector(model, ch, kinds, cfg, combine=combine)
         assert values.tobytes() == (combine or identity)(*expected).tobytes()
 
 
-class TestPairwiseBlocks:
-    """The blocks are leaves of np.add.reduce's pairwise tree, so block sums give np.mean's bits."""
+def with_multipliers(model, triples):
+    """model with the multipliers of its first len(triples) factors replaced by triples."""
+    factors = [Factor(f.id, f.name, f.kind, f.category, f.scale, Multiplier(*triple)) for f, triple in zip(model.factors, triples)]
+    return CausalModel(context=model.context, factors=(*factors, *model.factors[len(triples):]))
+
+
+class TestExactMeans:
+    """analytic_mean, the one mean: the former formula's bits, the exact sum within rounding, and
+    an overflow raised, not returned."""
 
     @staticmethod
-    def assert_partition(samples, limit):
-        blocks = simulation._pairwise_blocks(0, samples)
-        assert blocks[0][0] == 0 and blocks[-1][1] == samples
-        assert all(stop == next_start for (_, stop), (next_start, _) in zip(blocks, blocks[1:]))
-        assert all(0 < stop - start <= limit for start, stop in blocks)
-        return blocks
+    def former_analytic_mean(model, ch, kind):
+        # analytic_mean before it skipped level-0 factors
+        total = 0.0
+        for f in model.factors_of_kind(kind):
+            m = f.multiplier
+            total += (ch.levels[f.id] / 3) * (m.min + m.most_likely + m.max) / 3.0
+        return total
 
-    @staticmethod
-    def assert_block_sums_add_up_like_numpy(samples, blocks, seed):
-        # values of mixed sign and magnitude, so that another summation order rounds differently
-        rng = np.random.default_rng(seed)
-        values = rng.standard_normal(samples) * 10.0 ** rng.integers(-8, 9, samples)
-        total = simulation._pairwise_total(iter([np.add.reduce(values[a:b]) for a, b in blocks]), samples)
-        assert total.tobytes() == np.add.reduce(values).tobytes()
+    PORTFOLIO = (st.lists(ordered_triples(), min_size=10, max_size=10),
+                 st.lists(st.integers(0, 3), min_size=10, max_size=10))
 
-    @settings(max_examples=60, deadline=None)
-    @given(samples=st.integers(1, 300_000), block=st.sampled_from([1, 7, 8, 127, 128, 129, 997, BLOCK_SIZE]),
-           seed=st.integers(0, 2**32))
-    def test_blocks_partition_the_samples_and_sum_like_np_add_reduce(self, samples, block, seed):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulation, "BLOCK_SIZE", block)
-            blocks = self.assert_partition(samples, max(block, 128))
-            self.assert_block_sums_add_up_like_numpy(samples, blocks, seed)
+    @settings(max_examples=200, deadline=None)
+    @given(*PORTFOLIO)
+    def test_skipping_level_zero_changes_no_bit(self, triples, levels):
+        model = with_multipliers(reference_model(), triples)
+        ch = characterization(model, dict(zip((f.id for f in model.factors), levels)))
+        for kind in FactorKind:
+            assert analytic_mean(model, ch, kind).hex() == self.former_analytic_mean(model, ch, kind).hex()
 
-    def test_a_million_samples_take_sixteen_blocks(self):
-        blocks = self.assert_partition(1_000_000, BLOCK_SIZE)
-        assert {stop - start for start, stop in blocks} == {62_496, 62_504}
-        assert len(blocks) == 16
-        self.assert_block_sums_add_up_like_numpy(1_000_000, blocks, 1)
+    @settings(max_examples=200, deadline=None)
+    @given(*PORTFOLIO)
+    def test_within_rounding_of_the_exact_sum(self, triples, levels):
+        model = with_multipliers(reference_model(), triples)
+        ch = characterization(model, dict(zip((f.id for f in model.factors), levels)))
+        for kind in FactorKind:
+            exact = sum(
+                Fraction(ch.levels[f.id], 3) * sum(map(Fraction, (f.multiplier.min, f.multiplier.most_likely,
+                                                                  f.multiplier.max))) / 3
+                for f in model.factors_of_kind(kind)
+            )
+            # every term is >= 0: five roundings per term and four additions, each within eps
+            assert abs(Fraction(analytic_mean(model, ch, kind)) - exact) <= 10 * Fraction(np.finfo(float).eps) * exact
 
-    @pytest.mark.parametrize("samples", [1, 128, BLOCK_SIZE])
-    def test_up_to_one_block_size_is_one_block(self, samples):
-        assert simulation._pairwise_blocks(0, samples) == [(0, samples)]
-
-    PORTFOLIO_LEVELS = st.lists(st.lists(st.integers(0, 3), min_size=10, max_size=10), min_size=1, max_size=4)
-
-    @settings(max_examples=25, deadline=None)
-    @given(samples=st.integers(1, 20_000), block=st.sampled_from([1, 7, 127, 128, 129, 997]),
-           kind=st.sampled_from(list(FactorKind)), levels=PORTFOLIO_LEVELS, seed=st.integers(0, 2**64 - 1))
-    def test_means_equal_reference_at_any_block_size(self, samples, block, kind, levels, seed):
-        self.check_means(samples, block, kind, levels, seed)
-
-    @settings(max_examples=6, deadline=None)
-    @given(samples=st.integers(1, 300_000), kind=st.sampled_from(list(FactorKind)), levels=PORTFOLIO_LEVELS,
-           seed=st.integers(0, 2**64 - 1))
-    @example(samples=300_000, kind=FactorKind.EFFECTIVENESS, levels=[[1, 2, 3, 0, 2] * 2, [3] * 10], seed=5)
-    @example(samples=2 * BLOCK_SIZE + 1, kind=FactorKind.DEFECT_CONTENT, levels=[[0] * 10, [2] * 10], seed=0)
-    def test_means_equal_reference_at_the_default_block_size(self, samples, kind, levels, seed):
-        self.check_means(samples, BLOCK_SIZE, kind, levels, seed)
-
-    @staticmethod
-    def check_means(samples, block, kind, levels, seed):
-        model = reference_model()
-        ids = [f.id for f in model.factors]
-        chs = [characterization(model, dict(zip(ids, project)), f"P{i}") for i, project in enumerate(levels)]
-        cfg = SimulationConfig(seed=seed, sample_count=samples)
-        expected = [reference_mean(model, ch, kind, cfg) for ch in chs]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulation, "BLOCK_SIZE", block)
-            for cpus in (1, 4):
-                use_cpus(patch, cpus)
-                assert draw_portfolio(model, chs, (kind,), cfg) == ([expected], None), cpus
-
-    def test_means_alone_peak_at_block_scratch_whatever_the_sample_count(self, monkeypatch):
-        # no vector of N samples is allocated: 16 times the samples peak within 1 MB of 4 times
-        use_cpus(monkeypatch, 1)
-        model = reference_model()
-        projects = [HistoricalProject(ch, size=10.0, defects_found=3) for ch in TestPortfolioEngine.portfolio(model, 6)]
-
-        def peak(samples):
-            cfg = SimulationConfig(seed=2, sample_count=samples)
-            project_factor_means(model, projects, cfg)  # lazy state first
-            tracemalloc.start()
-            try:
-                project_factor_means(model, projects, cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        small, large = peak(4 * BLOCK_SIZE), peak(16 * BLOCK_SIZE)
-        assert abs(large - small) <= 1 << 20, (small, large)
-        assert large < 16 * BLOCK_SIZE * 8
-
-    def test_means_alone_peak_at_one_draw_row_whatever_the_factor_count(self, monkeypatch):
-        # one factor at a time: 12 factors per kind peak within a quarter of a draw row of 2
-        use_cpus(monkeypatch, 1)
-        cfg = SimulationConfig(seed=4, sample_count=4 * BLOCK_SIZE)
-
-        def peak(factors):
-            rng = np.random.default_rng(factors)
-            model = build_synthetic_model(rng, n_dc=factors, n_eff=factors)
-            projects = generate_projects(model, 6, rng)
-            project_factor_means(model, projects, cfg)  # lazy state first
-            tracemalloc.start()
-            try:
-                project_factor_means(model, projects, cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        few, many = peak(2), peak(12)
-        assert abs(many - few) <= BLOCK_SIZE * 8 // 4, (few, many)
-
-
-class TestLinearMeans:
-    """A project's mean, by linearity from the factor means, against np.mean of its vector."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(samples=st.integers(1, 200_000), kind=st.sampled_from(list(FactorKind)),
-           levels=TestPairwiseBlocks.PORTFOLIO_LEVELS, seed=st.integers(0, 2**64 - 1))
-    @example(samples=200_000, kind=FactorKind.DEFECT_CONTENT, levels=[[1, 2, 3, 1, 2] * 2, [0] * 10], seed=1)
-    def test_within_a_few_ulp_of_np_mean_of_the_vector(self, samples, kind, levels, seed):
-        model = reference_model()
-        ids = [f.id for f in model.factors]
-        chs = [characterization(model, dict(zip(ids, project)), f"P{i}") for i, project in enumerate(levels)]
-        cfg = SimulationConfig(seed=seed, sample_count=samples)
-        means, vectors = draw_all(model, chs, kind, cfg)
-        for mean, vector in zip(means, vectors):
-            # every term is >= 0, so the sum of their magnitudes is the mean itself, up to rounding
-            assert abs(mean - float(np.mean(vector))) <= 4 * np.finfo(float).eps * mean, (mean, np.mean(vector))
+    @pytest.mark.parametrize(
+        "triples",
+        [[(0.0, 1e307, 1.7e308)], [(1e308, 1e308, 1e308)] * 2, [(0.0, 0.0, 1.7e308)] * 5],
+        ids=["one-factor-sum", "two-factors", "terms-add-up"],  # the last: each term is finite
+    )
+    def test_overflow_raises_before_any_draw(self, monkeypatch, triples):
+        monkeypatch.setattr(simulation, "counter_uniforms", None)
+        model = with_multipliers(reference_model(), triples)
+        ch = characterization(model, 3)
+        with pytest.raises(FloatingPointError, match="^overflow encountered in add$"):
+            analytic_mean(model, ch, FactorKind.DEFECT_CONTENT)
+        with pytest.raises(FloatingPointError, match="^overflow encountered in add$"):
+            simulate(model, ch, FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1, sample_count=10))
 
 
 class TestSimulationConfig:
