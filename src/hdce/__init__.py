@@ -9,50 +9,6 @@ MMRE, and exact Wilcoxon tests.
 # the only version literal: io's run manifests and pyproject.toml read it
 __version__ = "0.1.0"
 
-from .diagnostics import Diagnostic, InputFormatError, ModelValidationError, Severity
-from .elicitation import (
-    RankingAnalysis,
-    RankingSheet,
-    analyze_rankings,
-    kendalls_w,
-    select_factors,
-    summarize_ranks,
-    w_significance,
-)
-from .estimation import (
-    BaselineEstimate,
-    DefectsFoundPrediction,
-    baseline_value,
-    estimate_baseline,
-    expected_defects_found,
-    predict_defects_found,
-)
-from .evaluation import (
-    ALL_VARIANTS,
-    PredictionRecord,
-    ValidationReport,
-    Variant,
-    compare_variants,
-    loocv,
-    mmre,
-    run_validation,
-    wilcoxon_signed_rank,
-)
-from .model import (
-    CausalModel,
-    Factor,
-    FactorCategory,
-    FactorKind,
-    FactorScale,
-    HistoricalProject,
-    Multiplier,
-    ProjectCharacterization,
-    validate_characterization,
-    validate_model,
-)
-from .planning import RiskChart, RiskPoint, build_risk_chart, risk_chart_svg, risk_narrative
-from .simulation import (
-    EmpiricalDistribution,
-    SimulationConfig,
-    simulate,
-)
+# the README's "Library use" names; everything else is imported from its module
+from .estimation import estimate_baseline, predict_defects_found
+from .simulation import SimulationConfig

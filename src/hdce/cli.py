@@ -302,7 +302,7 @@ def cmd_plan(args) -> int:
     if not baseline_ids:
         print("error: no historical project (with defects_found) to anchor the chart", file=sys.stderr)
         return EXIT_VALIDATION
-    means = project_factor_means(model, projects, SimulationConfig(seed=args.seed, sample_count=args.samples))
+    means = project_factor_means(model, projects)
     triples = [(p.project_id, *means[p.project_id]) for p in projects]
     chart = planning.build_risk_chart(triples, f=args.scale_factor, baseline_ids=baseline_ids)
     rows = [[p.project_id, p.relative_dd, p.relative_eff, p.quadrant.value] for p in chart.points]

@@ -11,6 +11,7 @@ the outliers a small project base cannot absorb).
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -45,9 +46,14 @@ def expected_defects_found(size, ddif, eif, baseline=1.0):
     """DF = Size * (1 + DDIF) * (1 + EIF) * DD_base*Eff_base, on scalars or arrays.
 
     With the default baseline of 1 this is the project's scale, the factor that
-    eq. 5 divides the measured defects found by.
+    eq. 5 divides the measured defects found by. Python floats overflow to inf
+    silently, so a non-finite float result raises FloatingPointError; arrays
+    follow numpy's error state.
     """
-    return size * (1.0 + ddif) * (1.0 + eif) * baseline
+    df = size * (1.0 + ddif) * (1.0 + eif) * baseline
+    if isinstance(df, float) and not math.isfinite(df):
+        raise FloatingPointError("overflow encountered in multiply")
+    return df
 
 
 def baseline_value(project: HistoricalProject, ddif_point: float, eif_point: float) -> float:
@@ -107,8 +113,6 @@ def predict_defects_found(
 
     ddif_mean, eif_mean = means
     point = expected_defects_found(size, ddif_mean, eif_mean, baseline.estimate)
-    if not np.isfinite(point):  # Python floats overflow to inf silently
-        raise FloatingPointError("overflow encountered in multiply")
     # x * 1.0 == x: the scale times the baseline is expected_defects_found at that baseline, bit for bit
     scale_samples *= baseline.estimate
     low, high = np.quantile(scale_samples, [low_q, high_q], overwrite_input=True)

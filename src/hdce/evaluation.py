@@ -20,7 +20,7 @@ from .diagnostics import Diagnostic, error
 from .estimation import expected_defects_found
 from .model import CausalModel, FactorKind, HistoricalProject
 from .pvalues import normal_two_sided
-from .simulation import SimulationConfig, draw_vector, project_means
+from .simulation import SimulationConfig, analytic_mean, check_portfolio, draw_vector
 
 # beyond this many nonzero differences, the exact test gives way to the normal
 # approximation; kept at 20 so that no reported p-value changes method or bits
@@ -178,17 +178,17 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
     return WilcoxonResult(_normal_two_sided(ranks, w_plus), w_plus, len(nonzero), "normal-approximation")
 
 
-def project_factor_means(
-    model: CausalModel, projects: Sequence[HistoricalProject], cfg: SimulationConfig
-) -> dict[str, tuple[float, float]]:
-    """Map project_id -> (mean DDIF, mean EIF), the exact means of simulation.project_means.
+def project_factor_means(model: CausalModel, projects: Sequence[HistoricalProject]) -> dict[str, tuple[float, float]]:
+    """Map project_id -> (mean DDIF, mean EIF), each simulation.analytic_mean, exact; nothing is drawn.
 
-    Nothing is drawn, so cfg changes no mean. Every (project, kind) pair is
-    checked once, projects in order and DDIF before EIF, so an invalid input
-    raises the first pair's diagnostics.
+    Every (project, kind) pair is checked once first (check_portfolio),
+    projects in order and DDIF before EIF, so an invalid input raises the
+    first pair's diagnostics.
     """
-    ddif, eif = project_means(model, [p.characterization for p in projects], _KINDS)
-    return {p.project_id: pair for p, pair in zip(projects, zip(ddif, eif))}
+    check_portfolio(model, [p.characterization for p in projects], _KINDS)
+    dc, eff = _KINDS
+    return {p.project_id: (analytic_mean(model, p.characterization, dc), analytic_mean(model, p.characterization, eff))
+            for p in projects}
 
 
 def means_and_target_samples(
@@ -198,7 +198,7 @@ def means_and_target_samples(
     Size*(1+DDIF_s)*(1+EIF_s), from one pass that draws only the target's factors and
     forms its DDIF and EIF a block at a time; the target goes last, so it is also
     checked last, and every check comes before any draw."""
-    means = project_factor_means(model, [*history, target], cfg)
+    means = project_factor_means(model, [*history, target])
     scale = draw_vector(model, target.characterization, _KINDS, cfg,
                         combine=lambda ddif, eif: expected_defects_found(target.size, ddif, eif))
     return means, scale
@@ -207,12 +207,9 @@ def means_and_target_samples(
 def _scale(variant: Variant, project: HistoricalProject, means: Mapping[str, tuple[float, float]]) -> float:
     keep_size, keep_ddif, keep_eif = _SCALE_TERMS[variant]
     ddif, eif = means[project.project_id]
-    scale = expected_defects_found(
+    return expected_defects_found(
         project.size if keep_size else 1.0, ddif if keep_ddif else 0.0, eif if keep_eif else 0.0
     )
-    if not isfinite(scale):  # Python floats overflow to inf silently
-        raise FloatingPointError("overflow encountered in multiply")
-    return scale
 
 
 def usable_history(
@@ -255,7 +252,7 @@ def loocv(
     HDCE the median is the eq. 5 baseline. Each fold takes its median over the
     remaining projects only, so no target leaks into its own prediction.
     The exact means can be passed in to share them across variants (the
-    default computes them here); cfg changes no record.
+    default computes them here); nothing is drawn, so cfg is not read.
     """
     usable, excluded = usable_history(historical)
     if len(usable) < MIN_HISTORY_FOR_LOOCV:
@@ -263,7 +260,7 @@ def loocv(
             f"leave-one-out needs at least {MIN_HISTORY_FOR_LOOCV} usable projects, got {len(usable)}"
         )
     if means is None:
-        means = project_factor_means(model, usable, cfg)
+        means = project_factor_means(model, usable)
     scales = [_scale(variant, p, means) for p in usable]
     ratios = [p.defects_found / scale for p, scale in zip(usable, scales)]
     records = [
@@ -329,7 +326,7 @@ def run_validation(
     variants: Sequence[Variant] = ALL_VARIANTS,
     alpha: float = 0.05,
 ) -> ValidationReport:
-    """LOOCV over all requested variants with shared exact means; cfg changes no result."""
+    """LOOCV over all requested variants with shared exact means; nothing is drawn, so cfg is not read."""
     if not variants:
         raise ValueError("no variants requested")
     variants = tuple(variants)
@@ -342,7 +339,7 @@ def run_validation(
         raise ValueError(
             f"leave-one-out needs at least {MIN_HISTORY_FOR_LOOCV} usable projects, got {len(usable)}"
         )
-    means = project_factor_means(model, usable, cfg)
+    means = project_factor_means(model, usable)
     records: dict[Variant, tuple[PredictionRecord, ...]] = {}
     for variant in variants:
         variant_records, _ = loocv(model, usable, variant, cfg, means=means)

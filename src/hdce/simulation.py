@@ -4,7 +4,7 @@ Each factor's multiplier is treated as a triangular distribution over its
 (min, most_likely, max) estimate; a project contributes level/3 of each draw and
 contributions add up across the factors of one kind (no interaction terms). The
 mean of such a sum is exactly the sum of level/3 times each triangular mean, so
-every mean is computed, not drawn (project_means); only a distribution's
+every mean is computed, not drawn (analytic_mean); only a distribution's
 samples, sd and quantiles come from draws (draw_vector).
 
 Sampling is counter-based: the uniform variate for (seed, factor, sample index)
@@ -148,7 +148,7 @@ class EmpiricalDistribution:
     @classmethod
     def from_samples(cls, samples: np.ndarray, mean: float) -> "EmpiricalDistribution":
         """sd and quantiles of samples, kept in their order beside their mean as the caller computed
-        it (project_means' exact mean); the quantiles read a copy, which draw_vector counts."""
+        it (analytic_mean's exact mean); the quantiles read a copy, which draw_vector counts."""
         samples = np.asarray(samples, dtype=np.float64)
         if samples.size == 0:
             raise ValueError("cannot build a distribution from zero samples")
@@ -239,16 +239,6 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def project_means(
-    model: CausalModel, characterizations: Sequence[ProjectCharacterization], kinds: Sequence[FactorKind]
-) -> list[list[float]]:
-    """The exact means of the accumulated relative increases (DDIF, EIF): a list per kind in
-    kinds, with analytic_mean of each characterization. check_portfolio runs first, on these
-    characterizations and kinds, and nothing is drawn."""
-    check_portfolio(model, characterizations, kinds)
-    return [[analytic_mean(model, ch, kind) for ch in characterizations] for kind in kinds]
-
-
 def draw_vector(
     model: CausalModel,
     ch: ProjectCharacterization,
@@ -259,10 +249,11 @@ def draw_vector(
     """combine of ch's sample vectors of each kind in kinds, or without a combine the one
     kind's own vector, for a summary that copies it (EmpiricalDistribution.from_samples).
 
-    The caller checks model and ch first (project_means does). A vector of a
+    The caller checks model and ch first (check_portfolio). A vector of a
     kind is +0.0 plus level/3 times each of the kind's factor draws, in model
-    order; only ch's nonzero-level factors are drawn. One pass over blocks of
-    BLOCK_SIZE samples draws one factor at a time into a single row and adds
+    order; only ch's nonzero-level factors are drawn, and one whose kernel
+    products leave the float range raises FloatingPointError before any draw.
+    One pass over blocks of BLOCK_SIZE samples draws one factor at a time into a single row and adds
     the row into the block vector of its kind; each block of the returned
     vector is combine of those, in kinds' order. A combined vector is the
     caller's to reorder in place. Nothing but (model, ch, kinds, seed,
@@ -278,6 +269,11 @@ def draw_vector(
         for f in model.factors_of_kind(kind)
         if ch.levels[f.id]
     ]
+    for mult, *_ in params:
+        # bounds _triangular_into's (u * span) * (mode - minimum) and ((u - 1) * span) * -(maximum - mode)
+        span = mult.max - mult.min
+        if not math.isfinite(span * max(mult.most_likely - mult.min, mult.max - mult.most_likely)):
+            raise FloatingPointError("overflow encountered in multiply")
     # the returned vector, plus without a combine the copy its summary takes; then each
     # share's scratch: the draw row, the uniforms' two temporaries and a block vector per kind
     needed = (2 if combine is None else 1) * n * 8 + _share_count(blocks) * (3 + len(kinds)) * width * 8
@@ -317,10 +313,11 @@ def simulate(
     """Simulate the accumulated relative increase (DDIF or EIF) for one project.
 
     Deterministic for fixed (model, characterization, kind, seed, sample_count):
-    the block size never changes the sample vector. The mean is project_means',
-    exact, and the one plan, predict and validate use for this project.
+    the block size never changes the sample vector. The mean is analytic_mean's, exact,
+    taken before any draw, and the one plan, predict and validate use for this project.
     """
-    ((mean,),) = project_means(model, [ch], (kind,))
+    check_portfolio(model, [ch], (kind,))
+    mean = analytic_mean(model, ch, kind)
     return EmpiricalDistribution.from_samples(draw_vector(model, ch, (kind,), cfg), mean)
 
 

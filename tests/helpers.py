@@ -184,7 +184,7 @@ def former_prediction(
 ) -> tuple[float, tuple[float, float], float, float]:
     """(point, interval, ddif_mean, eif_mean) as predict first computed them: the history's
     means, then two simulate calls that draw the target's factors again."""
-    baseline = estimate_baseline(history, project_factor_means(model, history, cfg))
+    baseline = estimate_baseline(history, project_factor_means(model, history))
     ddif = simulate(model, target.characterization, FactorKind.DEFECT_CONTENT, cfg)
     eif = simulate(model, target.characterization, FactorKind.EFFECTIVENESS, cfg)
     point = expected_defects_found(target.size, ddif.mean, eif.mean, baseline.estimate)

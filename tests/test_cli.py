@@ -710,10 +710,33 @@ class TestNonFiniteResults:
         argv = ["predict", "--target", "review-next"] + files
         self.assert_one_coded_error(argv, tmp_path, capsys, self.MULTIPLY, samples=1)
 
-    def test_huge_history_size_in_validate(self, tmp_path, capsys):
-        # a history project's scale Size*(1+DDIF)*(1+EIF) overflows, once "paired samples must be finite"
+    @pytest.mark.parametrize("command", [["validate"], ["predict", "--target", "review-next"]],
+                             ids=["validate", "predict"])
+    def test_huge_history_size_in_validate(self, command, tmp_path, capsys):
+        # a history project's scale Size*(1+DDIF)*(1+EIF) overflows: validate once reported "paired
+        # samples must be finite", and predict wrote an eq. 5 value of DF/inf = 0 and exited 0
         files = self.inputs(tmp_path, sizes={"review-a": 1.7e308})
-        self.assert_one_coded_error(["validate"] + files, tmp_path, capsys, self.MULTIPLY)
+        self.assert_one_coded_error(command + files, tmp_path, capsys, self.MULTIPLY)
+
+    # a finite mean of 1e200, but the triangular kernel's products reach 2e200 * 1e200
+    WIDE = [{"min": 0, "most_likely": 1e200, "max": 2e200}]
+
+    @pytest.mark.parametrize(
+        "command", [["simulate", "--project", "review-c", "--kind", "dc"], ["predict", "--target", "review-next"]],
+        ids=["simulate", "predict"],
+    )
+    def test_wide_multiplier_drawn(self, command, tmp_path, capsys):
+        self.assert_one_coded_error(command + self.inputs(tmp_path, self.WIDE), tmp_path, capsys, self.MULTIPLY)
+
+    @pytest.mark.parametrize("command", [["plan"], ["validate"]], ids=["plan", "validate"])
+    def test_wide_multiplier_not_drawn(self, command, tmp_path, capsys):
+        out = tmp_path / "result"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(command + self.inputs(tmp_path, self.WIDE) + ["--seed", "1", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert out.exists()
 
 
 class TestUnreadablePaths:

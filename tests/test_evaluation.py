@@ -587,8 +587,7 @@ class TestReferenceFormulas:
     def test_project_factor_means_are_the_analytic_means_at_any_config(self, count, monkeypatch):
         model, projects = self.portfolio(count)
         monkeypatch.setattr(simulation, "counter_uniforms", None)  # nothing is drawn
-        for cfg in (SimulationConfig(seed=5, sample_count=700), SimulationConfig(seed=6, sample_count=1)):
-            assert project_factor_means(model, projects, cfg) == analytic_factor_means(model, projects)
+        assert project_factor_means(model, projects) == analytic_factor_means(model, projects)
 
     @staticmethod
     def tweaked_model(tweak):
@@ -623,7 +622,7 @@ class TestReferenceFormulas:
         projects = [project(f"p{i}", 100.0, 10, lv) for i, lv in enumerate(levels)]
         cfg = SimulationConfig(seed=3, sample_count=50)
         with pytest.raises(ModelValidationError) as raised:
-            project_factor_means(model, projects, cfg)
+            project_factor_means(model, projects)
         assert raised.value.diagnostics == first_simulation_error(model, projects, cfg)
         assert {d.code for d in raised.value.diagnostics} == codes
 
@@ -642,7 +641,7 @@ class TestReferenceFormulas:
         monkeypatch.setattr(
             simulation, "validate_characterization", counted("characterization", simulation.validate_characterization)
         )
-        project_factor_means(model, projects, SimulationConfig(seed=5, sample_count=50))
+        project_factor_means(model, projects)
         assert calls == {"model": 1, "characterization": 13}
 
     @pytest.mark.parametrize("count", [12, 13])  # odd and even training folds
@@ -693,7 +692,7 @@ class TestPredictPass:
             model, history, target, cfg, quantile_pair
         )
         means, _ = means_and_target_samples(model, history, target, cfg)
-        assert means == project_factor_means(model, [*history, target], cfg)
+        assert means == project_factor_means(model, [*history, target])
 
     @pytest.mark.parametrize("samples", [500, 3 * simulation.BLOCK_SIZE + 7])
     def test_interval_from_reference_samples_and_means_exact(self, samples):

@@ -1,9 +1,11 @@
 import concurrent.futures
+import math
 import os
 import signal
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from hdce import simulation
 from hdce.diagnostics import ModelValidationError
+from hdce.evaluation import project_factor_means
 from hdce.model import CausalModel, Factor, FactorKind, Multiplier
 from hdce.simulation import (
     BLOCK_SIZE,
@@ -22,7 +25,6 @@ from hdce.simulation import (
     check_portfolio,
     counter_uniforms,
     draw_vector,
-    project_means,
     simulate,
 )
 from helpers import (
@@ -354,9 +356,15 @@ def identity(vector):
     return vector
 
 
+def exact_means(model, chs, kinds):
+    """The reported means: check_portfolio, then analytic_mean of each characterization, a list per kind."""
+    simulation.check_portfolio(model, chs, kinds)
+    return [[analytic_mean(model, ch, kind) for ch in chs] for kind in kinds]
+
+
 def draw_all(model, chs, kind, cfg):
-    """project_means of one kind, and draw_vector of each characterization with an identity combine."""
-    (means,) = project_means(model, chs, (kind,))
+    """exact_means of one kind, and draw_vector of each characterization with an identity combine."""
+    (means,) = exact_means(model, chs, (kind,))
     return means, [draw_vector(model, ch, (kind,), cfg, combine=identity) for ch in chs]
 
 
@@ -366,7 +374,7 @@ def reference_means_and_bytes(model, chs, kind, cfg):
 
 
 class TestPortfolioEngine:
-    """draw_vector against the per-factor reference loop, byte for byte, and project_means against
+    """draw_vector against the per-factor reference loop, byte for byte, and the checked means against
     analytic_mean."""
 
     @staticmethod
@@ -434,7 +442,7 @@ class TestPortfolioEngine:
         assert [v.tobytes() for v in vectors] == [np.zeros(5).tobytes()] * 2
 
     def test_empty_portfolio_yields_nothing(self):
-        assert project_means(reference_model(), [], tuple(FactorKind)) == [[], []]
+        assert project_factor_means(reference_model(), []) == {}
 
     def test_check_portfolio_rejects_bad_characterization(self):
         model = reference_model()
@@ -470,7 +478,7 @@ class TestMultiKindPass:
         cfg = self.config(monkeypatch, block, cpus, seed=37)
         expected = {kind: reference_means_and_bytes(model, chs, kind, cfg) for kind in FactorKind}
         for kinds in (tuple(FactorKind), tuple(reversed(FactorKind))):
-            assert project_means(model, chs, kinds) == [expected[kind][0] for kind in kinds]
+            assert exact_means(model, chs, kinds) == [expected[kind][0] for kind in kinds]
             for target, ch in enumerate(chs):
                 for k, kind in enumerate(kinds):
                     vector = draw_vector(model, ch, kinds, cfg, combine=self.pick(k))
@@ -482,7 +490,7 @@ class TestMultiKindPass:
         zero = single_factor_model(-0.0, -0.0, -0.0)
         chs = [characterization(zero, {"lone-dc": level, "lone-eff": 0}, f"L{level}") for level in (1, 3)]
         cfg = self.config(monkeypatch, block, cpus, seed=3)
-        means = project_means(zero, chs, tuple(FactorKind))
+        means = exact_means(zero, chs, tuple(FactorKind))
         assert [np.signbit(m) for kind_means in means for m in kind_means] == [False] * 4
         for ch in chs:
             for k in range(2):
@@ -693,6 +701,7 @@ class TestExactMeans:
 
     @settings(max_examples=200, deadline=None)
     @given(*PORTFOLIO)
+    @example([(0.0, 0.0, 0.0)] * 7 + [(5e-324, 5e-324, 5e-324)] + [(0.0, 0.0, 0.0)] * 2, [0] * 7 + [1, 0, 0])
     def test_within_rounding_of_the_exact_sum(self, triples, levels):
         model = with_multipliers(reference_model(), triples)
         ch = characterization(model, dict(zip((f.id for f in model.factors), levels)))
@@ -703,7 +712,9 @@ class TestExactMeans:
                 for f in model.factors_of_kind(kind)
             )
             # every term is >= 0: five roundings per term and four additions, each within eps
-            assert abs(Fraction(analytic_mean(model, ch, kind)) - exact) <= 10 * Fraction(np.finfo(float).eps) * exact
+            # relative, plus the smallest subnormal absolute where a product or quotient underflows
+            eps, tiny = Fraction(np.finfo(float).eps), Fraction(np.finfo(float).smallest_subnormal)
+            assert abs(Fraction(analytic_mean(model, ch, kind)) - exact) <= 10 * (eps * exact + tiny)
 
     @pytest.mark.parametrize(
         "triples",
@@ -718,6 +729,48 @@ class TestExactMeans:
             analytic_mean(model, ch, FactorKind.DEFECT_CONTENT)
         with pytest.raises(FloatingPointError, match="^overflow encountered in add$"):
             simulate(model, ch, FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1, sample_count=10))
+
+
+class TestWideMultipliers:
+    """A drawn factor whose triangular kernel products leave the float range raises before any
+    draw: under numpy's default error state the clip once turned them into wrong draws."""
+
+    WIDE = (0.0, 1e200, 2e200)  # a finite mean, but span * (mode - min) = 2e400
+
+    @pytest.mark.parametrize("triple", [WIDE, (0.0, 0.0, 2e200), (0.0, 2e200, 2e200)])
+    def test_raises_before_any_draw_and_warns_nothing(self, monkeypatch, triple):
+        assert np.geterr()["over"] == "warn"
+        monkeypatch.setattr(simulation, "counter_uniforms", None)
+        model = with_multipliers(reference_model(), [triple])
+        ch = characterization(model, 3)
+        cfg = SimulationConfig(seed=1, sample_count=10)
+        assert math.isfinite(analytic_mean(model, ch, FactorKind.DEFECT_CONTENT))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
+                simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
+            with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
+                draw_vector(model, ch, tuple(FactorKind), cfg, combine=np.add)
+        assert [str(w.message) for w in caught] == []
+
+    def test_only_drawn_factors_are_bounded(self):
+        # at level 0 the wide factor is not drawn, and the vectors are those of any other multiplier
+        model = reference_model()
+        wide = with_multipliers(model, [self.WIDE])
+        ch = characterization(model, {f.id: 0 if f is model.factors[0] else 2 for f in model.factors})
+        cfg = SimulationConfig(seed=1, sample_count=10)
+        for kind in FactorKind:
+            assert simulate(wide, ch, kind, cfg).samples.tobytes() == simulate(model, ch, kind, cfg).samples.tobytes()
+
+    @pytest.mark.parametrize("triple", [(0.0, 1e153, 2e153), (0.0, 0.0, 1.3e154), (0.0, 1.3e154, 1.3e154)])
+    def test_widest_finite_products_draw_without_overflow(self, triple):
+        model = with_multipliers(reference_model(), [triple])
+        ch = characterization(model, 3)
+        cfg = SimulationConfig(seed=1, sample_count=1000)
+        with np.errstate(over="raise", invalid="raise"):  # the vector's sd would overflow, so no simulate
+            samples = draw_vector(model, ch, (FactorKind.DEFECT_CONTENT,), cfg)
+        reference = reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg)
+        assert samples.tobytes() == reference.tobytes()
 
 
 class TestSimulationConfig:
