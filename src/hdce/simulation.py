@@ -251,13 +251,14 @@ def draw_vector(
 
     The caller checks model and ch first (check_portfolio). A vector of a
     kind is +0.0 plus level/3 times each of the kind's factor draws, in model
-    order; only ch's nonzero-level factors are drawn, and one whose kernel
-    products leave the float range raises FloatingPointError before any draw.
-    One pass over blocks of BLOCK_SIZE samples draws one factor at a time into a single row and adds
+    order; only ch's nonzero-level factors are drawn. One pass over blocks of
+    BLOCK_SIZE samples draws one factor at a time into a single row and adds
     the row into the block vector of its kind; each block of the returned
-    vector is combine of those, in kinds' order. A combined vector is the
-    caller's to reorder in place. Nothing but (model, ch, kinds, seed,
-    sample_count) changes it.
+    vector is combine of those, in kinds' order. The pass runs under
+    np.errstate(over="raise", invalid="raise"), so a product that leaves the
+    float range raises FloatingPointError instead of coming out clipped or
+    inf. A combined vector is the caller's to reorder in place. Nothing but
+    (model, ch, kinds, seed, sample_count) changes it.
     """
     n = cfg.sample_count
     blocks = [(start, min(start + BLOCK_SIZE, n)) for start in range(0, n, BLOCK_SIZE)]
@@ -269,11 +270,6 @@ def draw_vector(
         for f in model.factors_of_kind(kind)
         if ch.levels[f.id]
     ]
-    for mult, *_ in params:
-        # bounds _triangular_into's (u * span) * (mode - minimum) and ((u - 1) * span) * -(maximum - mode)
-        span = mult.max - mult.min
-        if not math.isfinite(span * max(mult.most_likely - mult.min, mult.max - mult.most_likely)):
-            raise FloatingPointError("overflow encountered in multiply")
     # the returned vector, plus without a combine the copy its summary takes; then each
     # share's scratch: the draw row, the uniforms' two temporaries and a block vector per kind
     needed = (2 if combine is None else 1) * n * 8 + _share_count(blocks) * (3 + len(kinds)) * width * 8
@@ -303,7 +299,8 @@ def draw_vector(
 
         return task
 
-    _for_each_block(make_task, blocks)
+    with np.errstate(over="raise", invalid="raise"):  # every share runs under it
+        _for_each_block(make_task, blocks)
     return vector
 
 

@@ -712,7 +712,7 @@ class TestNonFiniteResults:
 
     @pytest.mark.parametrize("command", [["validate"], ["predict", "--target", "review-next"]],
                              ids=["validate", "predict"])
-    def test_huge_history_size_in_validate(self, command, tmp_path, capsys):
+    def test_huge_history_size(self, command, tmp_path, capsys):
         # a history project's scale Size*(1+DDIF)*(1+EIF) overflows: validate once reported "paired
         # samples must be finite", and predict wrote an eq. 5 value of DF/inf = 0 and exited 0
         files = self.inputs(tmp_path, sizes={"review-a": 1.7e308})

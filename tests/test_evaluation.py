@@ -584,7 +584,7 @@ class TestReferenceFormulas:
         return model, sorted(projects, key=lambda p: p.project_id)
 
     @pytest.mark.parametrize("count", [1, 13, 200])
-    def test_project_factor_means_are_the_analytic_means_at_any_config(self, count, monkeypatch):
+    def test_project_factor_means_are_the_analytic_means(self, count, monkeypatch):
         model, projects = self.portfolio(count)
         monkeypatch.setattr(simulation, "counter_uniforms", None)  # nothing is drawn
         assert project_factor_means(model, projects) == analytic_factor_means(model, projects)
