@@ -28,7 +28,7 @@ from .diagnostics import (
     has_errors,
 )
 from .elicitation import DEFAULT_SELECTION_THRESHOLD, analyze_rankings
-from .evaluation import ALL_VARIANTS, Variant, means_and_target_samples, project_factor_means, run_validation
+from .evaluation import ALL_VARIANTS, Variant, project_factor_means, run_validation
 from .model import FactorKind, validate_characterization, validate_model
 from .simulation import DEFAULT_SAMPLE_COUNT, SimulationConfig, simulate
 
@@ -330,12 +330,10 @@ def cmd_predict(args) -> int:
         print("error: no historical project (with defects_found) to estimate the baseline", file=sys.stderr)
         return EXIT_VALIDATION
 
-    cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
-    means, target_scale = means_and_target_samples(model, historical, target, cfg)
+    means = project_factor_means(model, [*historical, target])
     baseline = estimation.estimate_baseline(historical, means, diagnostics)
-    prediction = estimation.predict_defects_found(
-        target.size, means[args.target], target_scale, baseline, quantile_pair=args.quantiles
-    )
+    cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
+    prediction = estimation.predict_defects_found(model, target, means, baseline, cfg, quantile_pair=args.quantiles)
     _print_diagnostics(diagnostics)
     with _stochastic_run("predict", args, target=args.target, quantiles=list(args.quantiles)) as run:
         io.write_json(run.path(args.out), {

@@ -6,7 +6,8 @@ effectiveness = Eff_base * (1 + EIF).
 
 Only the product DD_base * Eff_base is estimable from measured data; it is
 backed out per historical project and aggregated by the median (robust against
-the outliers a small project base cannot absorb).
+the outliers a small project base cannot absorb); a prediction's samples are
+then drawn at that baseline.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .diagnostics import Diagnostic, advisory
-from .model import HistoricalProject
+from .model import CausalModel, FactorKind, HistoricalProject
+from .simulation import SimulationConfig, check_portfolio, draw_vector
 
 DEFAULT_PREDICTION_QUANTILES = (0.10, 0.90)
 # below this many historical projects the baseline is shaky
 RECOMMENDED_MIN_HISTORY = 4
+KINDS = (FactorKind.DEFECT_CONTENT, FactorKind.EFFECTIVENESS)  # the order of every (DDIF, EIF) pair
 
 
 @dataclass(frozen=True)
@@ -57,12 +60,16 @@ def expected_defects_found(size, ddif, eif, baseline=1.0):
 
 
 def baseline_value(project: HistoricalProject, ddif_point: float, eif_point: float) -> float:
-    """Eq. 5, the inverse of expected_defects_found: DD_base*Eff_base = DF / (Size*(1+DDIF)*(1+EIF))."""
+    """Eq. 5, the inverse of expected_defects_found: DD_base*Eff_base = DF / (Size*(1+DDIF)*(1+EIF)),
+    where a quotient past the float range, which Python floats give as inf, raises FloatingPointError."""
     if project.defects_found is None:
         raise ValueError(f"project {project.project_id!r} has no defects_found record")
     if ddif_point < 0 or eif_point < 0:
         raise ValueError("ddif and eif points must be non-negative")
-    return project.defects_found / expected_defects_found(project.size, ddif_point, eif_point)
+    value = project.defects_found / expected_defects_found(project.size, ddif_point, eif_point)
+    if not math.isfinite(value):
+        raise FloatingPointError("overflow encountered in divide")
+    return value
 
 
 def estimate_baseline(
@@ -93,27 +100,23 @@ def estimate_baseline(
 
 
 def predict_defects_found(
-    size: float,
-    means: tuple[float, float],
-    scale_samples: np.ndarray,
+    model: CausalModel,
+    target: HistoricalProject,
+    means: Mapping[str, tuple[float, float]],
     baseline: BaselineEstimate,
+    cfg: SimulationConfig,
     quantile_pair: tuple[float, float] = DEFAULT_PREDICTION_QUANTILES,
 ) -> DefectsFoundPrediction:
-    """Point prediction from the (DDIF, EIF) means plus a quantile interval.
-
-    means are the target's, and scale_samples its per-sample scale size*(1+DDIF_s)*(1+EIF_s),
-    as evaluation.means_and_target_samples returns them. The interval comes from the values
-    scale_s*baseline: this scales scale_samples by the baseline and reorders it, in place.
-    """
-    if not size > 0:
-        raise ValueError(f"size must be > 0, got {size}")
+    """Point prediction at the target's exact (DDIF, EIF) means, as project_factor_means maps them,
+    plus a quantile interval of Size*(1+DDIF_s)*(1+EIF_s)*baseline, which one engine pass (draw_vector)
+    draws a block at a time over the target's factors, once check_portfolio has checked them."""
     low_q, high_q = quantile_pair
     if not 0.0 <= low_q <= high_q <= 1.0:
         raise ValueError(f"quantile pair must satisfy 0 <= low <= high <= 1, got {quantile_pair}")
-
-    ddif_mean, eif_mean = means
-    point = expected_defects_found(size, ddif_mean, eif_mean, baseline.estimate)
-    # x * 1.0 == x: the scale times the baseline is expected_defects_found at that baseline, bit for bit
-    scale_samples *= baseline.estimate
-    low, high = np.quantile(scale_samples, [low_q, high_q], overwrite_input=True)
+    check_portfolio(model, [target.characterization], KINDS)
+    ddif_mean, eif_mean = means[target.project_id]
+    point = expected_defects_found(target.size, ddif_mean, eif_mean, baseline.estimate)
+    samples = draw_vector(model, target.characterization, KINDS, cfg,
+                          combine=lambda ddif, eif: expected_defects_found(target.size, ddif, eif, baseline.estimate))
+    low, high = np.quantile(samples, [low_q, high_q], overwrite_input=True)
     return DefectsFoundPrediction(point, (float(low), float(high)), ddif_mean, eif_mean)

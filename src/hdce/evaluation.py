@@ -1,9 +1,9 @@
 """Validation harness: LOOCV, relative-error accuracy, baselines, Wilcoxon test.
 
-Every variant is evaluated on the same leave-one-out folds with the same exact
-DDIF/EIF means (nothing is drawn, so no seed or sample count changes a result),
-so per-project errors stay paired and the exact two-sided Wilcoxon signed-rank
-test applies directly to the MRE differences.
+Nothing here draws: every variant is evaluated on the same leave-one-out folds
+with the same exact DDIF/EIF means (project_factor_means), so no seed or sample
+count changes a result, per-project errors stay paired and the exact two-sided
+Wilcoxon signed-rank test applies directly to the MRE differences.
 """
 
 from __future__ import annotations
@@ -17,16 +17,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .diagnostics import Diagnostic, error
-from .estimation import expected_defects_found
-from .model import CausalModel, FactorKind, HistoricalProject
+from .estimation import KINDS, expected_defects_found
+from .model import CausalModel, HistoricalProject
 from .pvalues import normal_two_sided
-from .simulation import SimulationConfig, analytic_mean, check_portfolio, draw_vector
+from .simulation import SimulationConfig, analytic_mean, check_portfolio
 
 # beyond this many nonzero differences, the exact test gives way to the normal
 # approximation; kept at 20 so that no reported p-value changes method or bits
 EXACT_ENUMERATION_LIMIT = 20
 MIN_HISTORY_FOR_LOOCV = 3
-_KINDS = (FactorKind.DEFECT_CONTENT, FactorKind.EFFECTIVENESS)
 
 
 class Variant(str, Enum):
@@ -185,23 +184,10 @@ def project_factor_means(model: CausalModel, projects: Sequence[HistoricalProjec
     projects in order and DDIF before EIF, so an invalid input raises the
     first pair's diagnostics.
     """
-    check_portfolio(model, [p.characterization for p in projects], _KINDS)
-    dc, eff = _KINDS
+    check_portfolio(model, [p.characterization for p in projects], KINDS)
+    dc, eff = KINDS
     return {p.project_id: (analytic_mean(model, p.characterization, dc), analytic_mean(model, p.characterization, eff))
             for p in projects}
-
-
-def means_and_target_samples(
-    model: CausalModel, history: Sequence[HistoricalProject], target: HistoricalProject, cfg: SimulationConfig
-) -> tuple[dict[str, tuple[float, float]], np.ndarray]:
-    """project_factor_means of history + [target], plus the target's per-sample scale
-    Size*(1+DDIF_s)*(1+EIF_s), from one pass that draws only the target's factors and
-    forms its DDIF and EIF a block at a time; the target goes last, so it is also
-    checked last, and every check comes before any draw."""
-    means = project_factor_means(model, [*history, target])
-    scale = draw_vector(model, target.characterization, _KINDS, cfg,
-                        combine=lambda ddif, eif: expected_defects_found(target.size, ddif, eif))
-    return means, scale
 
 
 def _scale(variant: Variant, project: HistoricalProject, means: Mapping[str, tuple[float, float]]) -> float:
@@ -263,10 +249,11 @@ def loocv(
         means = project_factor_means(model, usable)
     scales = [_scale(variant, p, means) for p in usable]
     ratios = [p.defects_found / scale for p, scale in zip(usable, scales)]
-    records = [
-        PredictionRecord.from_values(target.project_id, target.defects_found, scale * median)
-        for target, scale, median in zip(usable, scales, _leave_one_out_medians(ratios))
-    ]
+    medians = _leave_one_out_medians(ratios)
+    predictions = [scale * median for scale, median in zip(scales, medians)]
+    if not all(map(isfinite, predictions)):  # Python floats overflow silently: in half a fold's ratios, or a product
+        raise FloatingPointError(f"overflow encountered in {'multiply' if all(map(isfinite, medians)) else 'divide'}")
+    records = [PredictionRecord.from_values(p.project_id, p.defects_found, x) for p, x in zip(usable, predictions)]
     return records, excluded
 
 

@@ -8,6 +8,7 @@ heuristics; Q4 (more defects expected, weaker QA) is the one that signals risk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -108,7 +109,8 @@ def risk_chart_svg(chart: RiskChart) -> str:
     """Self-contained SVG scatter plot with origin axes and quadrant labels.
 
     Output is deterministic: coordinates are rounded to fixed precision and the
-    document references nothing external.
+    document references nothing external. The points and their extent are scaled below 1 by a
+    power of two, which is exact, so that a finite chart's margin cannot overflow.
     """
     width, height, margin = 640, 520, 56
     plot_w = width - 2 * margin
@@ -116,14 +118,15 @@ def risk_chart_svg(chart: RiskChart) -> str:
     extent = max(
         [1e-9] + [abs(p.relative_dd) for p in chart.points] + [abs(p.relative_eff) for p in chart.points]
     )
-    limit = extent * 1.15
+    scale = math.ldexp(1.0, -max(math.frexp(extent)[1], 0))
+    limit = extent * scale * 1.15
 
     def px(x: float) -> float:
-        return margin + (x + limit) / (2 * limit) * plot_w
+        return margin + (x * scale + limit) / (2 * limit) * plot_w
 
     def py(y: float) -> float:
         # SVG y grows downward
-        return margin + (limit - y) / (2 * limit) * plot_h
+        return margin + (limit - y * scale) / (2 * limit) * plot_h
 
     cx, cy = px(0.0), py(0.0)
     lines = [

@@ -148,15 +148,22 @@ class EmpiricalDistribution:
     @classmethod
     def from_samples(cls, samples: np.ndarray, mean: float) -> "EmpiricalDistribution":
         """sd and quantiles of samples, kept in their order beside their mean as the caller computed
-        it (analytic_mean's exact mean); the quantiles read a copy, which draw_vector counts."""
+        it (analytic_mean's exact mean); both read one copy, which draw_vector counts. The sd is
+        np.std's arithmetic on that copy scaled below 1 by a power of two, then scaled back: exact,
+        so np.std's bits wherever no square underflows, and finite where np.std's squares overflow."""
         samples = np.asarray(samples, dtype=np.float64)
         if samples.size == 0:
             raise ValueError("cannot build a distribution from zero samples")
-        values = np.quantile(samples, DEFAULT_QUANTILE_LEVELS)
+        scale = math.ldexp(1.0, -max(math.frexp(max(samples.max(), -samples.min()))[1], 0))
+        copy = np.multiply(samples, scale)
+        copy -= np.add.reduce(copy) / copy.size
+        sd = math.sqrt(np.add.reduce(np.square(copy, out=copy)) / copy.size) / scale
+        np.copyto(copy, samples)
+        values = np.quantile(copy, DEFAULT_QUANTILE_LEVELS, overwrite_input=True)
         return cls(
             samples=samples,
             mean=mean,
-            sd=float(np.std(samples)),
+            sd=sd,
             quantiles={float(q): float(v) for q, v in zip(DEFAULT_QUANTILE_LEVELS, values)},
         )
 
@@ -246,8 +253,8 @@ def draw_vector(
     cfg: SimulationConfig,
     combine: Callable[..., np.ndarray] | None = None,
 ) -> np.ndarray:
-    """combine of ch's sample vectors of each kind in kinds, or without a combine the one
-    kind's own vector, for a summary that copies it (EmpiricalDistribution.from_samples).
+    """combine of ch's sample vectors of each kind in kinds (predict_defects_found's samples), or
+    without a combine the one kind's own vector, for a summary that copies it (from_samples).
 
     The caller checks model and ch first (check_portfolio). A vector of a
     kind is +0.0 plus level/3 times each of the kind's factor draws, in model

@@ -28,6 +28,9 @@ from .model import (
 from .simulation import analytic_mean
 
 _CATEGORY_CYCLE = (FactorCategory.PRODUCT, FactorCategory.PROJECT, FactorCategory.PROCESS_PERSONNEL)
+CONTEXT = "synthetic study context"
+SIZE_RANGE = (20.0, 2000.0)  # pages; sizes are log-spaced across it
+ID_PREFIX = "P"
 
 
 def _generic_scale(name: str) -> FactorScale:
@@ -40,7 +43,6 @@ def build_synthetic_model(
     rng: np.random.Generator,
     n_dc: int = 5,
     n_eff: int = 5,
-    context: str = "synthetic study context",
 ) -> CausalModel:
     """Random quantified model with ordered, clearly non-degenerate multipliers."""
     factors = []
@@ -62,7 +64,7 @@ def build_synthetic_model(
                     multiplier=Multiplier(min=low, most_likely=mode, max=high),
                 )
             )
-    return CausalModel(context=context, factors=tuple(factors))
+    return CausalModel(context=CONTEXT, factors=tuple(factors))
 
 
 def generate_projects(
@@ -71,19 +73,17 @@ def generate_projects(
     rng: np.random.Generator,
     *,
     true_baseline: float = 0.2,
-    size_range: tuple[float, float] = (20.0, 2000.0),
     noise_sigma: float = 0.2,
-    id_prefix: str = "P",
 ) -> list[HistoricalProject]:
     """Projects whose defect counts follow the model, with log-normal noise on DF.
 
-    Sizes are log-spaced over size_range with mild jitter and shuffled across
+    Sizes are log-spaced over SIZE_RANGE with mild jitter and shuffled across
     projects; factor levels are binomial with a per-project intensity gradient,
     so both artifact size and expert factors vary substantially in every draw.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    log_lo, log_hi = math.log(size_range[0]), math.log(size_range[1])
+    log_lo, log_hi = math.log(SIZE_RANGE[0]), math.log(SIZE_RANGE[1])
     size_slots = rng.permutation(count)
     intensity_slots = rng.permutation(count)
     projects = []
@@ -93,7 +93,7 @@ def generate_projects(
         intensity_frac = intensity_slots[i] / (count - 1) if count > 1 else 0.5
         level_p = 0.1 + 0.8 * intensity_frac
         levels = {f.id: int(rng.binomial(3, level_p)) for f in model.factors}
-        ch = ProjectCharacterization(project_id=f"{id_prefix}{i + 1}", levels=levels)
+        ch = ProjectCharacterization(project_id=f"{ID_PREFIX}{i + 1}", levels=levels)
         ddif = analytic_mean(model, ch, FactorKind.DEFECT_CONTENT)
         eif = analytic_mean(model, ch, FactorKind.EFFECTIVENESS)
         df_true = expected_defects_found(size, ddif, eif, true_baseline)

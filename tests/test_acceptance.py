@@ -13,8 +13,8 @@ import pytest
 from hdce import simulation
 from hdce.cli import main
 from hdce.elicitation import RankingSheet, kendalls_w, select_factors
-from hdce.estimation import estimate_baseline, expected_defects_found, predict_defects_found
-from hdce.evaluation import Variant, run_validation, wilcoxon_signed_rank
+from hdce.estimation import estimate_baseline, predict_defects_found
+from hdce.evaluation import Variant, project_factor_means, run_validation, wilcoxon_signed_rank
 from hdce.io import write_json
 from hdce.model import FactorKind
 from hdce.planning import build_risk_chart
@@ -120,12 +120,9 @@ def test_criterion_4_equation_round_trip():
         projects = generate_projects(model, 8, rng, noise_sigma=0.3)
         cfg = SimulationConfig(seed=31, sample_count=3000)
         for project in projects:
-            ddif = simulate(model, project.characterization, FactorKind.DEFECT_CONTENT, cfg)
-            eif = simulate(model, project.characterization, FactorKind.EFFECTIVENESS, cfg)
-            pid = project.project_id
-            baseline = estimate_baseline([project], {pid: (ddif.mean, eif.mean)})
-            scale = expected_defects_found(project.size, ddif.samples, eif.samples)
-            prediction = predict_defects_found(project.size, (ddif.mean, eif.mean), scale, baseline)
+            means = project_factor_means(model, [project])
+            baseline = estimate_baseline([project], means)
+            prediction = predict_defects_found(model, project, means, baseline, cfg)
             assert prediction.point == pytest.approx(project.defects_found, rel=1e-12)
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import errno
 import json
+import math
 import os
 import re
 import stat
@@ -650,14 +651,17 @@ class TestNonFiniteResults:
     SAMPLES = 3 * simulation.BLOCK_SIZE + 7
     ADD = "error: [non-finite-result] overflow encountered in add: a multiplier or a size is too large"
     MULTIPLY = "error: [non-finite-result] overflow encountered in multiply: a multiplier or a size is too large"
+    DIVIDE = "error: [non-finite-result] overflow encountered in divide: a multiplier or a size is too large"
 
     @staticmethod
-    def inputs(tmp_path, multipliers=(), sizes=None):
+    def inputs(tmp_path, multipliers=(), sizes=None, defects=None):
         model, projects = read_json(EXAMPLES / "model.json"), read_json(EXAMPLES / "projects.json")
         for factor, multiplier in zip(model["factors"], multipliers):
             factor["multiplier"] = multiplier
         for project in projects:
             project["size"] = (sizes or {}).get(project["project_id"], project["size"])
+            if project["project_id"] in (defects or {}):
+                project["defects_found"] = defects[project["project_id"]]
         write_json(tmp_path / "model.json", model)
         write_json(tmp_path / "projects.json", projects)
         return ["--model", str(tmp_path / "model.json"), "--projects", str(tmp_path / "projects.json")]
@@ -717,6 +721,48 @@ class TestNonFiniteResults:
         # samples must be finite", and predict wrote an eq. 5 value of DF/inf = 0 and exited 0
         files = self.inputs(tmp_path, sizes={"review-a": 1.7e308})
         self.assert_one_coded_error(command + files, tmp_path, capsys, self.MULTIPLY)
+
+    @staticmethod
+    def eq5_overflow(tmp_path, count):
+        # eq. 5 gives DF / (Size*(1+DDIF)*(1+EIF)) = 1e300 / (about 1e-300) for the first count history projects
+        ids = ["review-a", "review-b", "review-c"][:count]
+        return TestNonFiniteResults.inputs(tmp_path, sizes=dict.fromkeys(ids, 1e-300),
+                                           defects=dict.fromkeys(ids, 10**300))
+
+    @pytest.mark.parametrize("command, count", [(["predict", "--target", "review-next"], 1), (["validate"], 3)],
+                             ids=["predict", "validate"])
+    def test_eq5_overflow(self, command, count, tmp_path, capsys):
+        # predict once ended in "non-finite float inf cannot be serialized"; validate, whose fold
+        # medians are inf once most of a fold overflows, in "paired samples must be finite"
+        self.assert_one_coded_error(command + self.eq5_overflow(tmp_path, count), tmp_path, capsys, self.DIVIDE)
+
+    def test_eq5_overflow_of_one_project_leaves_validate_finite(self, tmp_path, capsys):
+        # one inf ratio among five: every fold's median stays finite, so validate reports as before
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["validate"] + self.eq5_overflow(tmp_path, 1) + ["--seed", "1", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        records = [r for records in read_json(out)["records"].values() for r in records]
+        assert len(records) == 6 * 5 and all(math.isfinite(r["predicted"]) for r in records)
+
+    def test_sd_of_samples_past_1e154(self, tmp_path, capsys):
+        # np.std's squares of these samples overflow: simulate once ended in "overflow encountered in reduce"
+        files = self.inputs(tmp_path, [{"min": 0, "most_likely": 0, "max": 1.3e154}])
+        out = tmp_path / "ddif.json"
+        argv = ["simulate", "--project", "review-c", "--kind", "dc", "--seed", "1", "--out", str(out)]
+        assert main(argv + files) == 0, capsys.readouterr().err
+        assert 1e153 < read_json(out)["sd"] < 1e154
+
+    def test_svg_of_a_huge_scale_factor(self, tmp_path, capsys):
+        # the chart is finite, but the SVG's margin around it once overflowed into nan coordinates
+        out = tmp_path / "chart.csv"
+        argv = ["plan", "--seed", "1", "--scale-factor", "1.7e308", "--out", str(out), "--svg", str(tmp_path / "c.svg")]
+        assert main(argv + self.inputs(tmp_path)) == 0, capsys.readouterr().err
+        assert "nan" not in out.read_text(encoding="utf-8") and "inf" not in out.read_text(encoding="utf-8")
+        svg = (tmp_path / "c.svg").read_text(encoding="utf-8")
+        assert "nan" not in svg and "inf" not in svg
 
     # a finite mean of 1e200, but the triangular kernel's products reach 2e200 * 1e200
     WIDE = [{"min": 0, "most_likely": 1e200, "max": 2e200}]

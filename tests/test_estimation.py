@@ -9,9 +9,11 @@ from hdce.estimation import (
     expected_defects_found,
     predict_defects_found,
 )
-from hdce.model import FactorKind, HistoricalProject, ProjectCharacterization
-from hdce.simulation import EmpiricalDistribution, SimulationConfig, simulate
-from helpers import characterization, reference_model
+from hdce.diagnostics import ModelValidationError
+from hdce.evaluation import project_factor_means
+from hdce.model import CausalModel, Factor, HistoricalProject, ProjectCharacterization
+from hdce.simulation import SimulationConfig
+from helpers import characterization, exact_model, reference_model
 
 
 def project(pid, size, df, levels=None):
@@ -22,13 +24,16 @@ def project(pid, size, df, levels=None):
     )
 
 
-def constant_distribution(value, n=100):
-    return EmpiricalDistribution.from_samples(np.full(n, float(value)), float(value))
+def exact_target(size, on=(), pid="t"):
+    """A planned project of helpers.exact_model with the factors in on at level 3, the rest at 0:
+    every DDIF and EIF sample is then the sum of those factors' degenerate multipliers."""
+    return project(pid, size, None, {f.id: 3 if f.id in on else 0 for f in exact_model().factors})
 
 
-def scale(size, ddif, eif):
-    """The per-sample scale predict_defects_found takes, from DDIF and EIF distributions."""
-    return expected_defects_found(size, ddif.samples, eif.samples)
+def predict(target, baseline, model=None, quantile_pair=(0.10, 0.90), cfg=SimulationConfig(seed=3, sample_count=100)):
+    """predict_defects_found at the target's exact means, on helpers.exact_model by default."""
+    model = model or exact_model()
+    return predict_defects_found(model, target, project_factor_means(model, [target]), baseline, cfg, quantile_pair)
 
 
 def zero_means(projects):
@@ -126,44 +131,32 @@ class TestBaseline:
 class TestPrediction:
     def test_degenerate_distributions(self):
         baseline = estimate_baseline([project("a", 100, 16)], {"a": (0.0, 0.0)})
-        zero = constant_distribution(0).samples
-        prediction = predict_defects_found(100, (0.0, 0.0), expected_defects_found(100, zero, zero), baseline)
+        prediction = predict(exact_target(100), baseline)
         assert prediction.point == pytest.approx(16.0)
         assert prediction.interval == (pytest.approx(16.0), pytest.approx(16.0))
 
     def test_hand_value(self):
         baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
         assert baseline.estimate == pytest.approx(0.16)
-        prediction = predict_defects_found(
-            100, (0.5, 0.25), scale(100, constant_distribution(0.5), constant_distribution(0.25)), baseline
-        )
+        prediction = predict(exact_target(100, ("exact-dc-2", "exact-eff-1")), baseline)
+        assert (prediction.ddif_mean, prediction.eif_mean) == (0.5, 0.25)
         assert prediction.point == pytest.approx(30.0)
+        assert prediction.interval == (prediction.point, prediction.point)
 
     def test_linear_in_size(self):
         baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
-        ddif, eif = constant_distribution(0.4), constant_distribution(0.1)
-        small = predict_defects_found(50, (ddif.mean, eif.mean), scale(50, ddif, eif), baseline)
-        large = predict_defects_found(100, (ddif.mean, eif.mean), scale(100, ddif, eif), baseline)
+        on = ("exact-dc-3", "exact-eff-2")
+        small = predict(exact_target(50, on), baseline)
+        large = predict(exact_target(100, on), baseline)
         assert large.point == pytest.approx(2 * small.point)
-
-    def test_scales_and_reorders_the_scale_vector_in_place(self):
-        baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
-        values = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
-        per_sample = values * baseline.estimate
-        prediction = predict_defects_found(10, (0.5, 0.25), values, baseline, quantile_pair=(0.0, 1.0))
-        assert prediction.interval == (per_sample.min(), per_sample.max())
-        assert sorted(values.tolist()) == sorted(per_sample.tolist())  # the same values, maybe reordered
 
     def test_interval_monotone_in_quantile_pair(self):
         model = reference_model()
-        ch = characterization(model, 2)
-        cfg = SimulationConfig(seed=3, sample_count=4000)
-        ddif = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
-        eif = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
+        target = HistoricalProject(characterization(model, 2, project_id="t"), 100)
         baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.2, 0.2)})
-        means = (ddif.mean, eif.mean)
-        narrow = predict_defects_found(100, means, scale(100, ddif, eif), baseline, quantile_pair=(0.25, 0.75))
-        wide = predict_defects_found(100, means, scale(100, ddif, eif), baseline, quantile_pair=(0.05, 0.95))
+        cfg = SimulationConfig(seed=3, sample_count=4000)
+        narrow = predict(target, baseline, model, (0.25, 0.75), cfg)
+        wide = predict(target, baseline, model, (0.05, 0.95), cfg)
         assert wide.interval[0] <= narrow.interval[0]
         assert wide.interval[1] >= narrow.interval[1]
         assert narrow.interval[0] <= narrow.point <= narrow.interval[1]
@@ -173,26 +166,26 @@ class TestPrediction:
         # must return its own defect count
         model = reference_model()
         levels = {f.id: (i % 4) for i, f in enumerate(model.factors)}
-        ch = characterization(model, levels, project_id="rt")
-        cfg = SimulationConfig(seed=17, sample_count=5000)
-        ddif = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
-        eif = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
-        p = HistoricalProject(characterization=ch, size=137.0, defects_found=41)
-        baseline = estimate_baseline([p], {"rt": (ddif.mean, eif.mean)})
-        prediction = predict_defects_found(p.size, (ddif.mean, eif.mean), scale(p.size, ddif, eif), baseline)
+        p = HistoricalProject(characterization=characterization(model, levels, project_id="rt"), size=137.0,
+                              defects_found=41)
+        baseline = estimate_baseline([p], project_factor_means(model, [p]))
+        prediction = predict(p, baseline, model, cfg=SimulationConfig(seed=17, sample_count=5000))
         assert prediction.point == pytest.approx(41.0, rel=1e-12)
 
     def test_monotone_in_means_and_baseline(self):
         base_projects = [project("a", 100, 30)]
         baseline_small = estimate_baseline(base_projects, {"a": (0.5, 0.5)})
         baseline_large = estimate_baseline(base_projects, {"a": (0.2, 0.2)})
-        ddif_lo, ddif_hi = constant_distribution(0.1), constant_distribution(0.4)
-        eif = constant_distribution(0.2)
-        assert (
-            predict_defects_found(100, (ddif_hi.mean, eif.mean), scale(100, ddif_hi, eif), baseline_small).point
-            >= predict_defects_found(100, (ddif_lo.mean, eif.mean), scale(100, ddif_lo, eif), baseline_small).point
-        )
-        assert (
-            predict_defects_found(100, (ddif_lo.mean, eif.mean), scale(100, ddif_lo, eif), baseline_large).point
-            >= predict_defects_found(100, (ddif_lo.mean, eif.mean), scale(100, ddif_lo, eif), baseline_small).point
-        )
+        low, high = exact_target(100, ("exact-dc-1", "exact-eff-1")), exact_target(100, ("exact-dc-3", "exact-eff-1"))
+        assert predict(high, baseline_small).point >= predict(low, baseline_small).point
+        assert predict(low, baseline_large).point >= predict(low, baseline_small).point
+
+    def test_invalid_target_raises_the_checks_error(self):
+        # unchecked, the draw would read the unquantified factor's multiplier: an AttributeError
+        first, *rest = exact_model().factors
+        model = CausalModel("c", (Factor(first.id, first.name, first.kind, first.category, first.scale, None), *rest))
+        target = project("t", 100, None, {f.id: 3 for f in model.factors})
+        baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
+        with pytest.raises(ModelValidationError) as raised:
+            predict_defects_found(model, target, {"t": (0.5, 0.25)}, baseline, SimulationConfig(seed=1))
+        assert {d.code for d in raised.value.diagnostics} >= {"unquantified"}

@@ -23,7 +23,6 @@ from hdce.evaluation import (
     Variant,
     compare_variants,
     loocv,
-    means_and_target_samples,
     mmre,
     project_factor_means,
     run_validation,
@@ -660,12 +659,30 @@ class TestReferenceFormulas:
             assert [r.predicted for r in records] == expected, variant.value
 
 
+class TestNonFinitePredictions:
+    """A LOOCV prediction past the float range raises before any record or Wilcoxon test."""
+
+    @pytest.mark.parametrize(
+        "sizes, defects, operation",
+        [
+            ((1e308, 1.0, 1.0, 1.0), (1, 10, 10, 10), "multiply"),  # a finite median times the target's size
+            ((1e-300, 1e-300, 1.0, 1.0), (10**300, 10**300, 1, 1), "divide"),  # half a fold's ratios are inf
+        ],
+    )
+    def test_raises_the_overflowing_operation(self, sizes, defects, operation):
+        projects = [project(f"p{i}", size, df) for i, (size, df) in enumerate(zip(sizes, defects))]
+        means = dict.fromkeys((p.project_id for p in projects), (0.0, 0.0))
+        with pytest.raises(FloatingPointError, match=f"^overflow encountered in {operation}$"):
+            loocv(exact_model(), projects, Variant.DF_PLUS_SIZE, SimulationConfig(seed=1), means=means)
+
+
 EXAMPLES = Path(__file__).resolve().parents[1] / "schemas" / "examples"
 
 
 class TestPredictPass:
-    """One checked pass over both kinds and history + [target] gives what the former
-    history means plus two target simulate calls gave, bit for bit."""
+    """Exact means, the eq. 5 baseline, then one pass that draws the target's defects found
+    at that baseline, give what the former history means plus two target simulate calls
+    gave, bit for bit."""
 
     @staticmethod
     def portfolio(count):
@@ -676,9 +693,9 @@ class TestPredictPass:
 
     @staticmethod
     def predict(model, history, target, cfg, quantile_pair=(0.10, 0.90)):
-        means, scale = means_and_target_samples(model, history, target, cfg)
+        means = project_factor_means(model, [*history, target])
         baseline = estimate_baseline(history, means)
-        prediction = predict_defects_found(target.size, means[target.project_id], scale, baseline, quantile_pair)
+        prediction = predict_defects_found(model, target, means, baseline, cfg, quantile_pair)
         return prediction.point, prediction.interval, prediction.ddif_mean, prediction.eif_mean
 
     @pytest.mark.parametrize(
@@ -691,8 +708,6 @@ class TestPredictPass:
         assert self.predict(model, history, target, cfg, quantile_pair) == former_prediction(
             model, history, target, cfg, quantile_pair
         )
-        means, _ = means_and_target_samples(model, history, target, cfg)
-        assert means == project_factor_means(model, [*history, target])
 
     @pytest.mark.parametrize("samples", [500, 3 * simulation.BLOCK_SIZE + 7])
     def test_interval_from_reference_samples_and_means_exact(self, samples):
@@ -725,7 +740,7 @@ class TestPredictPass:
         with pytest.raises(ModelValidationError) as former:
             former_prediction(model, projects[:3], projects[3], cfg)
         with pytest.raises(ModelValidationError) as raised:
-            means_and_target_samples(model, projects[:3], projects[3], cfg)
+            self.predict(model, projects[:3], projects[3], cfg)
         assert raised.value.diagnostics == former.value.diagnostics
         assert {d.code for d in raised.value.diagnostics} == codes
 

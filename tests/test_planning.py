@@ -149,6 +149,14 @@ class TestSvg:
         assert "http://" not in a.replace('xmlns="http://www.w3.org/2000/svg"', "")
         assert "href" not in a
 
+    def test_scale_factor_moves_no_coordinate(self):
+        # a power of two scales the points and their extent exactly, up to the end of the float
+        # range, where 1.15 * extent once overflowed into nan coordinates
+        projects = [*triples(), ("proj-f", 2.5, 0.3)]  # 1.5 above the average density of 1.0
+        unscaled = risk_chart_svg(build_risk_chart(projects))
+        assert risk_chart_svg(build_risk_chart(projects, f=2.0**1023)) == unscaled
+        assert "nan" not in unscaled
+
     def test_project_ids_are_escaped(self):
         chart = build_risk_chart([("a<b", 1.0, 1.0), ("plain", 0.0, 0.0)])
         svg = risk_chart_svg(chart)

@@ -1,11 +1,19 @@
 """The README's "Library use" example runs as written, and the package binds only its names."""
 
+import dataclasses
 import math
 import re
+import sys
 import types
+import warnings
 from pathlib import Path
 
+import pytest
+
 import hdce
+import hdce.io
+from hdce.estimation import estimate_baseline
+from hdce.evaluation import project_factor_means
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,6 +32,31 @@ def test_library_use_runs_from_the_repo_root(monkeypatch, capsys):
     assert math.isfinite(prediction.point)
     assert math.isfinite(low) and low <= high and math.isfinite(high)
     assert capsys.readouterr().out == f"{prediction.point} {prediction.interval}\n"
+
+
+def test_library_use_overflow_raises_in_the_draw_without_a_warning(monkeypatch):
+    # history sizes 1e-6 of the sample's put the baseline near 1.2e5, and the target's size puts its
+    # point at 0.97 of the largest double: the point is finite, the samples above the means are not
+    load_projects = hdce.io.load_projects
+    model = hdce.io.load_model(ROOT / "schemas" / "examples" / "model.json")
+
+    def huge_target(path):
+        projects = [p if p.defects_found is None else dataclasses.replace(p, size=p.size * 1e-6)
+                    for p in load_projects(path)]
+        history = [p for p in projects if p.defects_found is not None]
+        baseline = estimate_baseline(history, project_factor_means(model, history)).estimate
+        assert 1e5 < baseline < 1.5e5
+        (ddif, eif), = project_factor_means(model, [p for p in projects if p.project_id == "review-next"]).values()
+        size = 0.97 * sys.float_info.max / ((1 + ddif) * (1 + eif) * baseline)
+        return [dataclasses.replace(p, size=size) if p.project_id == "review-next" else p for p in projects]
+
+    monkeypatch.setattr(hdce.io, "load_projects", huge_target)
+    monkeypatch.chdir(ROOT)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
+            exec(compile(library_use_code(), "README.md", "exec"), {})
+    assert [str(w.message) for w in caught] == []
 
 
 def test_package_binds_only_the_library_use_names():

@@ -36,6 +36,10 @@ def test_artifact_digests_prints_one_line_per_artifact():
     assert [line.split("  ")[1] for line in lines] == expected
     exit_zero = hashlib.sha256(b"0").hexdigest()
     assert all(line == f"{exit_zero}  {line.split('  ')[1]}" for line in lines if line.endswith("/exit"))
+    # the determinism contract: every artifact keeps the bytes recorded in the file
+    recorded = Path(__file__).with_name("artifact_digests.txt").read_text(encoding="utf-8").splitlines()
+    moved = sorted({line.split("  ")[1] for line in set(lines) ^ set(recorded)})
+    assert not moved, f"artifacts whose bytes differ from tests/artifact_digests.txt: {moved}"
 
 
 def test_artifact_digests_synthetic_validate_takes_the_normal_approximation(tmp_path):

@@ -19,6 +19,7 @@ from hdce.evaluation import project_factor_means
 from hdce.model import CausalModel, Factor, FactorKind, Multiplier
 from hdce.simulation import (
     BLOCK_SIZE,
+    DEFAULT_QUANTILE_LEVELS,
     EmpiricalDistribution,
     SimulationConfig,
     analytic_mean,
@@ -333,6 +334,19 @@ class TestSimulate:
         recomputed = EmpiricalDistribution.from_samples(dist.samples, dist.mean)
         assert recomputed.sd == dist.sd
         assert recomputed.quantiles == dist.quantiles
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_sd_and_quantiles_are_numpys_bit_for_bit(self, level):
+        # the sd is taken over samples scaled by a power of two, which is exact
+        model = reference_model()
+        cfg = SimulationConfig(seed=level, sample_count=3_000)
+        rng = np.random.default_rng(level)
+        vectors = [simulate(model, characterization(model, level), kind, cfg).samples for kind in FactorKind]
+        vectors += [rng.normal(size=n) * 10.0 ** rng.integers(-150, 150) for n in (1, 2, 999)]
+        for samples in vectors:
+            dist = EmpiricalDistribution.from_samples(samples, 0.0)
+            assert dist.sd == float(np.std(samples))
+            assert list(dist.quantiles.values()) == np.quantile(samples, DEFAULT_QUANTILE_LEVELS).tolist()
 
     def test_unquantified_factor_rejected(self):
         base = reference_model()
@@ -773,10 +787,22 @@ class TestWideMultipliers:
         model = with_multipliers(reference_model(), [triple])
         ch = characterization(model, 3)
         cfg = SimulationConfig(seed=1, sample_count=1000)
-        samples = draw_vector(model, ch, (FactorKind.DEFECT_CONTENT,), cfg)  # no simulate: the sd would overflow
+        samples = draw_vector(model, ch, (FactorKind.DEFECT_CONTENT,), cfg)
         with np.errstate(over="raise", invalid="raise"):
             reference = reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg)
         assert samples.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("triple", [(0.0, 0.0, 1.3e154), (0.0, 1e154, 2e154), (0.0, 1.3e154, 1.3e154)])
+    def test_sd_past_the_square_root_of_the_float_range_is_finite(self, triple):
+        # np.std of these samples squares values past 1.3e154, which overflows
+        model = with_multipliers(reference_model(), [triple])
+        ch = characterization(model, {f.id: 3 if f is model.factors[0] else 0 for f in model.factors})
+        cfg = SimulationConfig(seed=1, sample_count=2_000)
+        with np.errstate(over="raise", invalid="raise"):
+            dist = simulate(model, ch, FactorKind.DEFECT_CONTENT, cfg)
+        a, c, b = (v / triple[2] for v in triple)  # the triangular sd, in units of the maximum
+        expected = triple[2] * math.sqrt((a * a + b * b + c * c - a * b - a * c - b * c) / 18)
+        assert dist.sd == pytest.approx(expected, rel=0.05)
 
 
 class TestSimulationConfig:
