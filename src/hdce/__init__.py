@@ -11,4 +11,4 @@ __version__ = "0.1.0"
 
 # the README's "Library use" names; everything else is imported from its module
 from .estimation import estimate_baseline, predict_defects_found
-from .simulation import SimulationConfig
+from .model import SimulationConfig

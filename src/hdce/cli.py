@@ -14,8 +14,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import estimation, io, planning
 from .diagnostics import (
     Diagnostic,
@@ -29,14 +27,15 @@ from .diagnostics import (
 )
 from .elicitation import DEFAULT_SELECTION_THRESHOLD, analyze_rankings
 from .evaluation import ALL_VARIANTS, Variant, project_factor_means, run_validation
-from .model import FactorKind, validate_characterization, validate_model
-from .simulation import DEFAULT_SAMPLE_COUNT, SimulationConfig, simulate
+from .model import DEFAULT_SAMPLE_COUNT, FactorKind, SimulationConfig, validate_characterization, validate_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 
 _KIND_ALIASES = {"dc": FactorKind.DEFECT_CONTENT, "eff": FactorKind.EFFECTIVENESS}
+# both ways a finite input can overflow: every message ends with them
+_NON_FINITE_CAUSES = "an input near the largest double, or a tiny size against a huge defect count"
 
 
 def _print_diagnostics(diagnostics: list[Diagnostic]) -> None:
@@ -270,6 +269,8 @@ def _stochastic_run(command: str, args, **parameters) -> io.RunOutputs:
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import simulate  # numpy loads only for the subcommands that draw
+
     diagnostics: list[Diagnostic] = []
     model, projects = _load_checked(args, diagnostics)
     _print_diagnostics(diagnostics)
@@ -406,10 +407,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; normalize other exits
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        with np.errstate(over="raise", invalid="raise"):  # the engine's block threads run under it too
-            return args.handler(args)
-    except FloatingPointError as exc:
-        _print_diagnostics([error("non-finite-result", f"{exc}: a multiplier or a size is too large")])
+        return args.handler(args)
+    except FloatingPointError as exc:  # the library raises it where a float result overflows
+        _print_diagnostics([error("non-finite-result", f"{exc}: {_NON_FINITE_CAUSES}")])
         return EXIT_VALIDATION
     except FileNotFoundError as exc:
         print(f"usage error: file not found: {exc.filename}", file=sys.stderr)

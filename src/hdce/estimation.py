@@ -17,11 +17,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .diagnostics import Diagnostic, advisory
-from .model import CausalModel, FactorKind, HistoricalProject
-from .simulation import SimulationConfig, check_portfolio, draw_vector
+from .model import CausalModel, FactorKind, HistoricalProject, SimulationConfig, check_portfolio
 
 DEFAULT_PREDICTION_QUANTILES = (0.10, 0.90)
 # below this many historical projects the baseline is shaky
@@ -109,7 +106,13 @@ def predict_defects_found(
 ) -> DefectsFoundPrediction:
     """Point prediction at the target's exact (DDIF, EIF) means, as project_factor_means maps them,
     plus a quantile interval of Size*(1+DDIF_s)*(1+EIF_s)*baseline, which one engine pass (draw_vector)
-    draws a block at a time over the target's factors, once check_portfolio has checked them."""
+    draws a block at a time over the target's factors, once check_portfolio has checked them. The
+    quantiles are read under numpy's raising error state, as the draws are: an interval end past the
+    float range raises FloatingPointError. Only this function of the module loads numpy."""
+    import numpy as np
+
+    from .simulation import draw_vector
+
     low_q, high_q = quantile_pair
     if not 0.0 <= low_q <= high_q <= 1.0:
         raise ValueError(f"quantile pair must satisfy 0 <= low <= high <= 1, got {quantile_pair}")
@@ -118,5 +121,6 @@ def predict_defects_found(
     point = expected_defects_found(target.size, ddif_mean, eif_mean, baseline.estimate)
     samples = draw_vector(model, target.characterization, KINDS, cfg,
                           combine=lambda ddif, eif: expected_defects_found(target.size, ddif, eif, baseline.estimate))
-    low, high = np.quantile(samples, [low_q, high_q], overwrite_input=True)
+    with np.errstate(over="raise", invalid="raise"):
+        low, high = np.quantile(samples, [low_q, high_q], overwrite_input=True)
     return DefectsFoundPrediction(point, (float(low), float(high)), ddif_mean, eif_mean)

@@ -8,19 +8,18 @@ Wilcoxon signed-rank test applies directly to the MRE differences.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from math import isfinite, sqrt
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .diagnostics import Diagnostic, error
 from .estimation import KINDS, expected_defects_found
-from .model import CausalModel, HistoricalProject
+from .model import CausalModel, HistoricalProject, SimulationConfig, analytic_mean, check_portfolio
 from .pvalues import normal_two_sided
-from .simulation import SimulationConfig, analytic_mean, check_portfolio
 
 # beyond this many nonzero differences, the exact test gives way to the normal
 # approximation; kept at 20 so that no reported p-value changes method or bits
@@ -126,12 +125,15 @@ def _midranks(values: Sequence[float]) -> list[float]:
 @lru_cache(maxsize=32)
 def _cumulative_sign_counts(doubled: tuple[int, ...]) -> tuple[int, ...]:
     # entry s = number of the 2^k sign assignments whose doubled W+ is at most s;
-    # mid-ranks are half-integers, so doubled rank sums are exact integers
-    counts = np.zeros(sum(doubled) + 1, dtype=np.int64)
-    counts[0] = 1
+    # mid-ranks are half-integers, so doubled rank sums are exact integers. The
+    # count of sum s is the 32-bit digit s of one Python integer: each rank d
+    # multiplies the generating polynomial by (1 + x^d). No count exceeds 2^k,
+    # and k <= EXACT_ENUMERATION_LIMIT < 32, so no digit carries into the next.
+    poly = 1
     for d in doubled:
-        counts[d:] += counts[:-d].copy()
-    return tuple(np.cumsum(counts).tolist())
+        poly += poly << (32 * d)
+    digits = poly.to_bytes(4 * (sum(doubled) + 1), sys.byteorder)
+    return tuple(accumulate(memoryview(digits).cast("I")))
 
 
 def _exact_two_sided(ranks: Sequence[float], w_plus: float) -> float:
@@ -178,7 +180,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
 
 
 def project_factor_means(model: CausalModel, projects: Sequence[HistoricalProject]) -> dict[str, tuple[float, float]]:
-    """Map project_id -> (mean DDIF, mean EIF), each simulation.analytic_mean, exact; nothing is drawn.
+    """Map project_id -> (mean DDIF, mean EIF), each model.analytic_mean, exact; nothing is drawn.
 
     Every (project, kind) pair is checked once first (check_portfolio),
     projects in order and DDIF before EIF, so an invalid input raises the

@@ -15,14 +15,16 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
-from .diagnostics import Diagnostic, InputFormatError, advisory, error
+from .diagnostics import Diagnostic, InputFormatError, ModelValidationError, advisory, error, has_errors
 
 MIN_LEVEL = 0
 MAX_LEVEL = 3
 SCALE_SIZE = MAX_LEVEL - MIN_LEVEL + 1
 # recommended factor count per kind; outside this band is an advisory, not an error
 RECOMMENDED_FACTOR_RANGE = (4, 6)
+DEFAULT_SAMPLE_COUNT = 10_000
 
 _TOKEN_RE = re.compile(r"^[^\s,]+$")
 
@@ -213,6 +215,68 @@ def validate_characterization(model: CausalModel, ch: ProjectCharacterization) -
                 )
             )
     return diagnostics
+
+
+def check_portfolio(
+    model: CausalModel, characterizations: Sequence[ProjectCharacterization], kinds: Sequence[FactorKind]
+) -> None:
+    """Raise ModelValidationError for the first (characterization, kind) pair that cannot be simulated.
+
+    Pairs are checked characterization-major, kinds in the given order. The
+    error carries the model's diagnostics, that characterization's and the
+    kind's unquantified factors, as simulating the pairs one at a time reports.
+    """
+    model_diagnostics = validate_model(model)
+    unquantified = {
+        kind: [
+            error("unquantified", f"factor {f.id!r} has no multiplier")
+            for f in model.factors_of_kind(kind)
+            if f.multiplier is None
+        ]
+        for kind in kinds
+    }
+    for ch in characterizations:
+        ch_diagnostics = validate_characterization(model, ch)
+        for kind in kinds:
+            diagnostics = model_diagnostics + ch_diagnostics + unquantified[kind]
+            if has_errors(diagnostics):
+                raise ModelValidationError(diagnostics)
+
+
+def analytic_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorKind) -> float:
+    """Expected value of the simulated sum: sum of (level/3)*(min+mode+max)/3.
+
+    Each factor's multiplier is a triangular distribution over its
+    (min, most_likely, max) estimate, and a project adds up level/3 of each
+    draw, so this mean is exact. Plain float additions in model order from
+    +0.0, level-0 factors skipped (not sum(), which compensates its additions
+    from Python 3.12 on). Python floats overflow to inf silently, so a result
+    outside the float range raises FloatingPointError.
+    """
+    total = 0.0
+    for f in model.factors_of_kind(kind):
+        m = f.multiplier
+        if m is None:
+            raise ValueError(f"factor {f.id!r} is not quantified")
+        if ch.levels[f.id]:
+            total += (ch.levels[f.id] / MAX_LEVEL) * (m.min + m.most_likely + m.max) / 3.0
+    if not math.isfinite(total):
+        raise FloatingPointError("overflow encountered in add")
+    return total
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    """Seed and sample count of the Monte Carlo draws (hdce.simulation)."""
+
+    seed: int
+    sample_count: int = DEFAULT_SAMPLE_COUNT
+
+    def __post_init__(self):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if not isinstance(self.sample_count, int) or self.sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {self.sample_count!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,8 @@ def build_risk_chart(
 
     Averages are computed over baseline_ids only (all charted projects by
     default), so a new project can be positioned without shifting the origin.
+    Python floats overflow to inf silently, so an average or a relative value
+    outside the float range raises FloatingPointError.
     """
     if not f > 0:
         raise ValueError(f"scale factor must be > 0, got {f}")
@@ -72,11 +74,15 @@ def build_risk_chart(
     baseline = [(ddif, eif) for pid, ddif, eif in projects if pid in baseline_ids]
     ddif_avg = sum(d for d, _ in baseline) / len(baseline)
     eif_avg = sum(e for _, e in baseline) / len(baseline)
+    if not (math.isfinite(ddif_avg) and math.isfinite(eif_avg)):
+        raise FloatingPointError("overflow encountered in add")
 
     points = []
     for pid, ddif, eif in projects:
         rel_dd = (ddif - ddif_avg) * f
         rel_eff = (eif - eif_avg) * f
+        if not (math.isfinite(rel_dd) and math.isfinite(rel_eff)):  # means are >= 0: only the product with f can overflow
+            raise FloatingPointError("overflow encountered in multiply")
         points.append(RiskPoint(pid, rel_dd, rel_eff, classify_quadrant(rel_dd, rel_eff)))
     return RiskChart(points=tuple(points), ddif_avg=ddif_avg, eif_avg=eif_avg, scale_factor=f)
 

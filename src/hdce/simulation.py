@@ -24,17 +24,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import ModelValidationError, error, has_errors
+# SimulationConfig, DEFAULT_SAMPLE_COUNT, check_portfolio and analytic_mean live in
+# model, which loads no numpy; they stay importable from here too
 from .model import (
+    DEFAULT_SAMPLE_COUNT,
     MAX_LEVEL,
     CausalModel,
     FactorKind,
     ProjectCharacterization,
-    validate_characterization,
-    validate_model,
+    SimulationConfig,
+    analytic_mean,
+    check_portfolio,
 )
 
-DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_QUANTILE_LEVELS = (0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95)
 # samples drawn per block; any block size gives the same vectors
 BLOCK_SIZE = 1 << 16
@@ -124,18 +126,6 @@ def _select_into(out_bits: np.ndarray, signed_bits: np.ndarray, low: float, high
     out_bits ^= low_bits
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    seed: int
-    sample_count: int = DEFAULT_SAMPLE_COUNT
-
-    def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not isinstance(self.sample_count, int) or self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Monte Carlo sample set with its mean, sd and quantiles."""
@@ -150,48 +140,25 @@ class EmpiricalDistribution:
         """sd and quantiles of samples, kept in their order beside their mean as the caller computed
         it (analytic_mean's exact mean); both read one copy, which draw_vector counts. The sd is
         np.std's arithmetic on that copy scaled below 1 by a power of two, then scaled back: exact,
-        so np.std's bits wherever no square underflows, and finite where np.std's squares overflow."""
+        so np.std's bits wherever no square underflows, and finite where np.std's squares overflow.
+        Like draw_vector, it runs under np.errstate(over="raise", invalid="raise"): a quantile
+        interpolated past the float range raises FloatingPointError instead of coming out inf."""
         samples = np.asarray(samples, dtype=np.float64)
         if samples.size == 0:
             raise ValueError("cannot build a distribution from zero samples")
-        scale = math.ldexp(1.0, -max(math.frexp(max(samples.max(), -samples.min()))[1], 0))
-        copy = np.multiply(samples, scale)
-        copy -= np.add.reduce(copy) / copy.size
-        sd = math.sqrt(np.add.reduce(np.square(copy, out=copy)) / copy.size) / scale
-        np.copyto(copy, samples)
-        values = np.quantile(copy, DEFAULT_QUANTILE_LEVELS, overwrite_input=True)
+        with np.errstate(over="raise", invalid="raise"):
+            scale = math.ldexp(1.0, -max(math.frexp(max(samples.max(), -samples.min()))[1], 0))
+            copy = np.multiply(samples, scale)
+            copy -= np.add.reduce(copy) / copy.size
+            sd = math.sqrt(np.add.reduce(np.square(copy, out=copy)) / copy.size) / scale
+            np.copyto(copy, samples)
+            values = np.quantile(copy, DEFAULT_QUANTILE_LEVELS, overwrite_input=True)
         return cls(
             samples=samples,
             mean=mean,
             sd=sd,
             quantiles={float(q): float(v) for q, v in zip(DEFAULT_QUANTILE_LEVELS, values)},
         )
-
-
-def check_portfolio(
-    model: CausalModel, characterizations: Sequence[ProjectCharacterization], kinds: Sequence[FactorKind]
-) -> None:
-    """Raise ModelValidationError for the first (characterization, kind) pair that cannot be simulated.
-
-    Pairs are checked characterization-major, kinds in the given order. The
-    error carries the model's diagnostics, that characterization's and the
-    kind's unquantified factors, as simulating the pairs one at a time reports.
-    """
-    model_diagnostics = validate_model(model)
-    unquantified = {
-        kind: [
-            error("unquantified", f"factor {f.id!r} has no multiplier")
-            for f in model.factors_of_kind(kind)
-            if f.multiplier is None
-        ]
-        for kind in kinds
-    }
-    for ch in characterizations:
-        ch_diagnostics = validate_characterization(model, ch)
-        for kind in kinds:
-            diagnostics = model_diagnostics + ch_diagnostics + unquantified[kind]
-            if has_errors(diagnostics):
-                raise ModelValidationError(diagnostics)
 
 
 def _usable_cpus() -> int:
@@ -323,23 +290,3 @@ def simulate(
     check_portfolio(model, [ch], (kind,))
     mean = analytic_mean(model, ch, kind)
     return EmpiricalDistribution.from_samples(draw_vector(model, ch, (kind,), cfg), mean)
-
-
-def analytic_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorKind) -> float:
-    """Expected value of the simulated sum: sum of (level/3)*(min+mode+max)/3.
-
-    Plain float additions in model order from +0.0, level-0 factors skipped
-    (not sum(), which compensates its additions from Python 3.12 on). Python
-    floats overflow to inf silently, so a result outside the float range
-    raises FloatingPointError.
-    """
-    total = 0.0
-    for f in model.factors_of_kind(kind):
-        m = f.multiplier
-        if m is None:
-            raise ValueError(f"factor {f.id!r} is not quantified")
-        if ch.levels[f.id]:
-            total += (ch.levels[f.id] / MAX_LEVEL) * (m.min + m.most_likely + m.max) / 3.0
-    if not math.isfinite(total):
-        raise FloatingPointError("overflow encountered in add")
-    return total

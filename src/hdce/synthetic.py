@@ -24,8 +24,8 @@ from .model import (
     HistoricalProject,
     Multiplier,
     ProjectCharacterization,
+    analytic_mean,
 )
-from .simulation import analytic_mean
 
 _CATEGORY_CYCLE = (FactorCategory.PRODUCT, FactorCategory.PROJECT, FactorCategory.PROCESS_PERSONNEL)
 CONTEXT = "synthetic study context"

@@ -541,3 +541,13 @@ def former_exact_two_sided(ranks, w_plus) -> float:
     n_ge = int(np.count_nonzero(sums >= w_plus))
     one_sided = min(n_le, n_ge) / total
     return min(1.0, 2.0 * one_sided)
+
+
+def former_cumulative_sign_counts(doubled: tuple[int, ...]) -> tuple[int, ...]:
+    """evaluation._cumulative_sign_counts as it was first counted: one int64 numpy table per doubled
+    rank sum, shifted and added per rank, then np.cumsum."""
+    counts = np.zeros(sum(doubled) + 1, dtype=np.int64)
+    counts[0] = 1
+    for d in doubled:
+        counts[d:] += counts[:-d].copy()
+    return tuple(np.cumsum(counts).tolist())

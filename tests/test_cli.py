@@ -420,7 +420,7 @@ class TestPredictOnePass:
             raise AssertionError("predict needs no simulate call and no quantile summary")
 
         monkeypatch.setattr(simulation, "counter_uniforms", recorded)
-        monkeypatch.setattr(cli, "simulate", no_summary)
+        monkeypatch.setattr(simulation, "simulate", no_summary)
         monkeypatch.setattr(simulation.EmpiricalDistribution, "from_samples", no_summary)
         samples = 100_000  # two blocks per factor
         self.run(tmp_path, samples, target)
@@ -649,9 +649,10 @@ class TestNonFiniteResults:
     """Finite inputs whose results overflow the float range end in one coded error, no warning."""
 
     SAMPLES = 3 * simulation.BLOCK_SIZE + 7
-    ADD = "error: [non-finite-result] overflow encountered in add: a multiplier or a size is too large"
-    MULTIPLY = "error: [non-finite-result] overflow encountered in multiply: a multiplier or a size is too large"
-    DIVIDE = "error: [non-finite-result] overflow encountered in divide: a multiplier or a size is too large"
+    CAUSES = "an input near the largest double, or a tiny size against a huge defect count"
+    ADD = f"error: [non-finite-result] overflow encountered in add: {CAUSES}"
+    MULTIPLY = f"error: [non-finite-result] overflow encountered in multiply: {CAUSES}"
+    DIVIDE = f"error: [non-finite-result] overflow encountered in divide: {CAUSES}"
 
     @staticmethod
     def inputs(tmp_path, multipliers=(), sizes=None, defects=None):
@@ -763,6 +764,21 @@ class TestNonFiniteResults:
         assert "nan" not in out.read_text(encoding="utf-8") and "inf" not in out.read_text(encoding="utf-8")
         svg = (tmp_path / "c.svg").read_text(encoding="utf-8")
         assert "nan" not in svg and "inf" not in svg
+
+    @pytest.mark.parametrize(
+        "multipliers, scale_factor, message",
+        [
+            ([{"min": 0, "most_likely": 0, "max": 1.3e154}], "1e200", MULTIPLY),  # (DDIF - average) * f
+            ([{"min": 5.9e307, "most_likely": 5.9e307, "max": 5.9e307}] * 2, "1", ADD),  # the averages' sums
+        ],
+        ids=["relative-value", "average"],
+    )
+    def test_chart_past_the_float_range(self, multipliers, scale_factor, message, tmp_path, capsys):
+        # every mean is finite, but the chart's Python floats overflowed silently, and plan once
+        # ended in the uncoded "non-finite float -inf cannot be serialized"
+        svg = str(tmp_path / "out" / "chart.svg")
+        argv = ["plan", "--scale-factor", scale_factor, "--svg", svg] + self.inputs(tmp_path, multipliers)
+        self.assert_one_coded_error(argv, tmp_path, capsys, message)
 
     # a finite mean of 1e200, but the triangular kernel's products reach 2e200 * 1e200
     WIDE = [{"min": 0, "most_likely": 1e200, "max": 2e200}]
@@ -951,26 +967,30 @@ class TestRunOutputs:
 
 _IMPORT_PROBE = """
 import json, sys
-import hdce.cli
 
 def modules_of(package):
     return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 package = sys.argv[2]
-loaded = {"import": [0, modules_of(package)]}
+import hdce
+loaded = {"import hdce": [0, modules_of(package)]}
+import hdce.cli
+loaded["import hdce.cli"] = [0, modules_of(package)]
 for name, argv in json.loads(sys.argv[1]):
     loaded[name] = [hdce.cli.main(argv), modules_of(package)]
 print(json.dumps(loaded))
 """
 
-PROBED = ("import", "model-check", "simulate", "plan", "predict", "validate", "validate-normal-approximation",
-          "rank-analyze")
+# the subcommands that draw no sample come first, so that a probe can tell what they load
+DRAW_FREE = ("rank-analyze", "model-check", "plan", "validate", "validate-normal-approximation")
+PROBED = ("import hdce", "import hdce.cli", *DRAW_FREE, "simulate", "predict")
 
 
-def probe_imports(tmp_path, package):
-    """In a fresh interpreter: {"import" or run: [exit code, modules of package loaded so far]},
-    after import hdce.cli and then after each subcommand on the examples (N=1000), and after a
-    validate on a synthetic 30-project portfolio, whose Wilcoxon tests take the normal approximation."""
+def probe_imports(tmp_path, package, runs=PROBED[2:]):
+    """In a fresh interpreter: {import or run: [exit code, modules of package loaded so far]},
+    after import hdce, after import hdce.cli and then after each of runs in order: a subcommand on
+    the examples (N=1000), or validate-normal-approximation, a validate on a synthetic 30-project
+    portfolio, whose Wilcoxon tests take the normal approximation."""
     model, projects = str(EXAMPLES / "model.json"), str(EXAMPLES / "projects.json")
     files = ["--model", model, "--projects", projects]
     stochastic = ["--seed", "7", "--samples", "1000"]
@@ -979,28 +999,38 @@ def probe_imports(tmp_path, package):
     write_json(tmp_path / "synthetic-model.json", model_to_dict(synthetic_model))
     write_json(tmp_path / "synthetic-projects.json",
                [project_to_dict(p) for p in generate_projects(synthetic_model, 30, rng)])
-    commands = [
-        ["model-check", ["model-check", *files, "--require-quantified"]],
-        ["simulate", ["simulate", *files, *stochastic, "--project", "review-c", "--kind", "dc",
-                      "--out", str(tmp_path / "ddif.json")]],
-        ["plan", ["plan", *files, *stochastic, "--out", str(tmp_path / "chart.csv"),
-                  "--svg", str(tmp_path / "chart.svg")]],
-        ["predict", ["predict", *files, *stochastic, "--target", "review-next",
-                     "--out", str(tmp_path / "prediction.json")]],
-        ["validate", ["validate", *files, *stochastic, "--out", str(tmp_path / "report.json")]],
-        ["validate-normal-approximation", ["validate", "--model", str(tmp_path / "synthetic-model.json"),
-                                           "--projects", str(tmp_path / "synthetic-projects.json"), *stochastic,
-                                           "--out", str(tmp_path / "report-normal.json")]],
-        ["rank-analyze", ["rank-analyze", "--rankings", str(EXAMPLES / "rankings.csv"),
-                          "--out", str(tmp_path / "analysis.json")]],
-    ]
+    commands = {
+        "model-check": ["model-check", *files, "--require-quantified"],
+        "simulate": ["simulate", *files, *stochastic, "--project", "review-c", "--kind", "dc",
+                     "--out", str(tmp_path / "ddif.json")],
+        "plan": ["plan", *files, *stochastic, "--out", str(tmp_path / "chart.csv"), "--svg", str(tmp_path / "chart.svg")],
+        "predict": ["predict", *files, *stochastic, "--target", "review-next", "--out", str(tmp_path / "prediction.json")],
+        "validate": ["validate", *files, *stochastic, "--out", str(tmp_path / "report.json")],
+        "validate-normal-approximation": ["validate", "--model", str(tmp_path / "synthetic-model.json"),
+                                          "--projects", str(tmp_path / "synthetic-projects.json"), *stochastic,
+                                          "--out", str(tmp_path / "report-normal.json")],
+        "rank-analyze": ["rank-analyze", "--rankings", str(EXAMPLES / "rankings.csv"),
+                         "--out", str(tmp_path / "analysis.json")],
+    }
     env = dict(os.environ, PYTHONPATH=str(Path(hdce.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands), package],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([[name, commands[name]] for name in runs]), package],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+class TestNumpyImports:
+    """numpy loads only where samples are drawn: import hdce and the subcommands that draw
+    nothing start without it, simulate and predict load it."""
+
+    @pytest.mark.parametrize("drawing", ["simulate", "predict"])
+    def test_only_the_drawing_subcommands_load_numpy(self, drawing, tmp_path):
+        loaded = probe_imports(tmp_path, "numpy", [*DRAW_FREE, drawing])
+        code, modules = loaded.pop(drawing)
+        assert loaded == {name: [0, []] for name in (*PROBED[:2], *DRAW_FREE)}
+        assert code == 0 and "numpy" in modules
 
 
 class TestScipyImports:

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdce import simulation
 from hdce.estimation import (
     baseline_value,
     estimate_baseline,
@@ -179,6 +182,19 @@ class TestPrediction:
         low, high = exact_target(100, ("exact-dc-1", "exact-eff-1")), exact_target(100, ("exact-dc-3", "exact-eff-1"))
         assert predict(high, baseline_small).point >= predict(low, baseline_small).point
         assert predict(low, baseline_large).point >= predict(low, baseline_small).point
+
+    def test_interval_end_past_the_float_range_raises_and_warns_nothing(self, monkeypatch):
+        # the quantile read interpolates between finite samples of both signs: their difference
+        # overflows, which at numpy's default error state gave an interval end of inf with a warning
+        monkeypatch.setattr(simulation, "draw_vector", lambda *_args, **_kwargs: np.array([-1.7e308, 1.7e308]))
+        baseline = estimate_baseline([project("a", 100, 30)], {"a": (0.5, 0.25)})
+        before = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match="^overflow encountered in subtract$"):
+                predict(exact_target(100), baseline)
+        assert [str(w.message) for w in caught] == []
+        assert np.geterr() == before
 
     def test_invalid_target_raises_the_checks_error(self):
         # unchecked, the draw would read the unquantified factor's multiplier: an AttributeError

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdce.model
 from hdce import evaluation, pvalues, simulation
 from hdce.cli import main
 from hdce.diagnostics import ModelValidationError
@@ -34,6 +36,7 @@ from hdce.synthetic import build_synthetic_model, generate_projects
 from helpers import (
     exact_model,
     exact_projects,
+    former_cumulative_sign_counts,
     former_exact_two_sided,
     former_prediction,
     oracle_wilcoxon,
@@ -231,6 +234,21 @@ class TestExactCountBits:
         table = evaluation._cumulative_sign_counts(tuple(range(2, 42, 2)))
         assert all(type(c) is int for c in table)
         assert table[-1] == 2**20
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_counts_equal_brute_force_over_every_sign_pattern(self, k, tied):
+        magnitudes = [i // 2 if tied else i for i in range(k)]  # tied: pairs of equal magnitudes
+        doubled = tuple(sorted(int(2 * r) for r in evaluation._midranks(magnitudes)))
+        counts = [0] * (sum(doubled) + 1)
+        for pattern in range(2**k):
+            counts[sum(d for i, d in enumerate(doubled) if pattern >> i & 1)] += 1
+        assert evaluation._cumulative_sign_counts(doubled) == tuple(itertools.accumulate(counts))
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_counts_equal_the_former_numpy_table(self, k):
+        doubled = tuple(range(2, 2 * k + 1, 2))
+        assert evaluation._cumulative_sign_counts(doubled) == former_cumulative_sign_counts(doubled)
 
     def test_forty_pair_exact_test_near_normal_approximation(self):
         rng = np.random.default_rng(40)
@@ -636,9 +654,10 @@ class TestReferenceFormulas:
 
             return wrapper
 
-        monkeypatch.setattr(simulation, "validate_model", counted("model", simulation.validate_model))
+        monkeypatch.setattr(hdce.model, "validate_model", counted("model", hdce.model.validate_model))
         monkeypatch.setattr(
-            simulation, "validate_characterization", counted("characterization", simulation.validate_characterization)
+            hdce.model, "validate_characterization",
+            counted("characterization", hdce.model.validate_characterization),
         )
         project_factor_means(model, projects)
         assert calls == {"model": 1, "characterization": 13}

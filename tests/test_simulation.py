@@ -805,6 +805,22 @@ class TestWideMultipliers:
         assert dist.sd == pytest.approx(expected, rel=0.05)
 
 
+class TestSummaryErrorState:
+    """The summary reads its quantiles under numpy's raising error state: the library, not its
+    caller, keeps an interval end past the float range from coming out inf."""
+
+    def test_quantile_past_the_float_range_raises_and_warns_nothing(self):
+        # at numpy's default error state this once gave quantiles of inf and -inf with a RuntimeWarning
+        before = np.geterr()
+        assert before["over"] == "warn"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match="^overflow encountered in subtract$"):
+                EmpiricalDistribution.from_samples(np.array([-1.7e308, 1.7e308]), 0.0)
+        assert [str(w.message) for w in caught] == []
+        assert np.geterr() == before
+
+
 class TestSimulationConfig:
     def test_defaults(self):
         cfg = SimulationConfig(seed=3)
