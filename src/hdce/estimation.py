@@ -107,11 +107,13 @@ def predict_defects_found(
     """Point prediction at the target's exact (DDIF, EIF) means, as project_factor_means maps them,
     plus a quantile interval of Size*(1+DDIF_s)*(1+EIF_s)*baseline, which one engine pass (draw_vector)
     draws a block at a time over the target's factors, once check_portfolio has checked them. The
-    quantiles are read under numpy's raising error state, as the draws are: an interval end past the
-    float range raises FloatingPointError. Only this function of the module loads numpy."""
+    interval is sorted_quantiles' read of those samples, sorted in place: np.quantile's numbers bit
+    for bit, since a size > 0 times factors >= +0.0 and a baseline >= +0.0 is never -0.0. It is read
+    under numpy's raising error state, as the draws are: an interval end past the float range raises
+    FloatingPointError. Only this function of the module loads numpy."""
     import numpy as np
 
-    from .simulation import draw_vector
+    from .simulation import draw_vector, sorted_quantiles
 
     low_q, high_q = quantile_pair
     if not 0.0 <= low_q <= high_q <= 1.0:
@@ -122,5 +124,5 @@ def predict_defects_found(
     samples = draw_vector(model, target.characterization, KINDS, cfg,
                           combine=lambda ddif, eif: expected_defects_found(target.size, ddif, eif, baseline.estimate))
     with np.errstate(over="raise", invalid="raise"):
-        low, high = np.quantile(samples, [low_q, high_q], overwrite_input=True)
+        low, high = sorted_quantiles(samples, quantile_pair)
     return DefectsFoundPrediction(point, (float(low), float(high)), ddif_mean, eif_mean)

@@ -126,6 +126,33 @@ def _select_into(out_bits: np.ndarray, signed_bits: np.ndarray, low: float, high
     out_bits ^= low_bits
 
 
+def sorted_quantiles(values: np.ndarray, levels: Sequence[float]) -> np.ndarray:
+    """np.quantile(values, levels) bit for bit, after sorting the float64 vector values in place.
+
+    numpy's default, linear interpolation (type 7 of Hyndman & Fan), reads two
+    order statistics per level q: a and b at below = floor((n - 1) * q) and
+    below + 1, both clipped to n - 1. It returns a + (b - a) * g, or
+    b - (b - a) * (1 - g) where g >= 0.5, g being (n - 1) * q - below; the
+    same array arithmetic here raises or warns as the caller's error state
+    says. A NaN sorts last and makes every level NaN. Where -0.0 and +0.0 tie
+    at a rank, np.quantile's partition order picks the zero, so the sign of a
+    zero result can differ; the engine's vectors hold no -0.0 (each block
+    vector starts at +0.0).
+    """
+    values.sort()
+    n = values.size
+    virtual = (n - 1) * np.asarray(levels, dtype=np.float64)
+    below = np.floor(virtual)
+    gamma = virtual - below
+    a, b = values[np.minimum([below, below + 1], n - 1).astype(np.intp)]
+    diff = b - a
+    result = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    if np.isnan(values[-1]):
+        result.fill(values[-1])
+    return result
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Monte Carlo sample set with its mean, sd and quantiles."""
@@ -141,8 +168,10 @@ class EmpiricalDistribution:
         it (analytic_mean's exact mean); both read one copy, which draw_vector counts. The sd is
         np.std's arithmetic on that copy scaled below 1 by a power of two, then scaled back: exact,
         so np.std's bits wherever no square underflows, and finite where np.std's squares overflow.
-        Like draw_vector, it runs under np.errstate(over="raise", invalid="raise"): a quantile
-        interpolated past the float range raises FloatingPointError instead of coming out inf."""
+        The quantiles are sorted_quantiles' read of that copy, sorted in place: np.quantile's
+        numbers bit for bit for a vector without -0.0, as the engine's are. Like draw_vector, it
+        runs under np.errstate(over="raise", invalid="raise"): a quantile interpolated past the
+        float range raises FloatingPointError instead of coming out inf."""
         samples = np.asarray(samples, dtype=np.float64)
         if samples.size == 0:
             raise ValueError("cannot build a distribution from zero samples")
@@ -152,7 +181,7 @@ class EmpiricalDistribution:
             copy -= np.add.reduce(copy) / copy.size
             sd = math.sqrt(np.add.reduce(np.square(copy, out=copy)) / copy.size) / scale
             np.copyto(copy, samples)
-            values = np.quantile(copy, DEFAULT_QUANTILE_LEVELS, overwrite_input=True)
+            values = sorted_quantiles(copy, DEFAULT_QUANTILE_LEVELS)
         return cls(
             samples=samples,
             mean=mean,

@@ -1023,7 +1023,7 @@ def probe_imports(tmp_path, package, runs=PROBED[2:]):
 
 class TestNumpyImports:
     """numpy loads only where samples are drawn: import hdce and the subcommands that draw
-    nothing start without it, simulate and predict load it."""
+    nothing start without it, simulate and predict load it, and nothing loads numpy.ma."""
 
     @pytest.mark.parametrize("drawing", ["simulate", "predict"])
     def test_only_the_drawing_subcommands_load_numpy(self, drawing, tmp_path):
@@ -1031,6 +1031,11 @@ class TestNumpyImports:
         code, modules = loaded.pop(drawing)
         assert loaded == {name: [0, []] for name in (*PROBED[:2], *DRAW_FREE)}
         assert code == 0 and "numpy" in modules
+
+    def test_no_subcommand_loads_numpy_ma(self, tmp_path):
+        # np.quantile's np.unique call imported all of numpy.ma in simulate and predict
+        loaded = probe_imports(tmp_path, "numpy.ma")
+        assert loaded == {name: [0, []] for name in PROBED}
 
 
 class TestScipyImports:

@@ -785,8 +785,9 @@ class TestPredictPass:
                     tracemalloc.stop()
             return min(peaks)
 
-        # first calls fill lazy state (the numpy.ma import, signature caches)
-        # outside the measured runs, whatever tests ran before this one
+        # first calls fill lazy state (the numpy.ma import of former's
+        # np.quantile, signature caches) outside the measured runs, whatever
+        # tests ran before this one
         one_pass()
         former()
         assert peak(one_pass) <= peak(former)

@@ -27,6 +27,7 @@ from hdce.simulation import (
     counter_uniforms,
     draw_vector,
     simulate,
+    sorted_quantiles,
 )
 from helpers import (
     characterization,
@@ -819,6 +820,57 @@ class TestSummaryErrorState:
                 EmpiricalDistribution.from_samples(np.array([-1.7e308, 1.7e308]), 0.0)
         assert [str(w.message) for w in caught] == []
         assert np.geterr() == before
+
+
+@st.composite
+def quantile_inputs(draw):
+    """(values, levels): 1 to 5,000 float64 values of magnitude 0 or 1e-300 to 1e300, either many
+    ties of a few values or spread out, and levels with 0, 1, 0.5, random ones and repeats."""
+    magnitudes = st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300))
+    pool = draw(st.lists(st.tuples(magnitudes, st.booleans()), min_size=1, max_size=6))
+    # no -0.0: where both zeros tie at a rank, np.quantile's partition order picks the zero
+    pool = np.array([m if m == 0.0 or positive else -m for m, positive in pool])
+    size = draw(st.integers(min_value=1, max_value=5_000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    if draw(st.booleans()):
+        values = rng.choice(pool, size=size)
+    else:
+        values = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-300, 300, size=size)
+    levels = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(min_value=0.0, max_value=1.0)),
+                           min_size=1, max_size=8))
+    return values, levels + draw(st.lists(st.sampled_from(levels), max_size=3))
+
+
+class TestSortedQuantiles:
+    """sorted_quantiles gives np.quantile's numbers bit for bit, reading two order statistics per
+    level from one in-place sort. Vectors hold no -0.0, as the engine's never do: where -0.0 and
+    +0.0 tie at a rank, which zero np.quantile returns depends on its partition order."""
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(quantile_inputs())
+    def test_equals_numpy_bit_for_bit(self, inputs):
+        values, levels = inputs
+        expected = np.quantile(values, levels)
+        in_place = values.copy()
+        assert self.bits(sorted_quantiles(in_place, levels)) == self.bits(expected)
+        assert self.bits(in_place) == self.bits(np.sort(values))
+
+    def test_a_nan_makes_every_level_nan(self):
+        values = np.array([3.0, np.nan, -1.0, 2.0])
+        levels = [0.0, 0.5, 1.0]
+        assert np.isnan(np.quantile(values, levels)).all()
+        assert np.isnan(sorted_quantiles(values, levels)).all()
+
+    def test_interpolation_past_the_float_range_raises(self):
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError, match="^overflow encountered in subtract$"):
+                np.quantile(np.array([-1.7e308, 1.7e308]), [0.5])
+            with pytest.raises(FloatingPointError, match="^overflow encountered in subtract$"):
+                sorted_quantiles(np.array([-1.7e308, 1.7e308]), [0.5])
 
 
 class TestSimulationConfig:
