@@ -3,26 +3,27 @@
 Nothing here draws: every variant is evaluated on the same leave-one-out folds
 with the same exact DDIF/EIF means (project_factor_means), so no seed or sample
 count changes a result, per-project errors stay paired and the exact two-sided
-Wilcoxon signed-rank test applies directly to the MRE differences.
+Wilcoxon signed-rank test applies directly to the MRE differences. That test
+runs in integers: doubled mid-ranks, a count of sign assignments per doubled rank
+sum for the exact p-value, and an exact z^2 for the normal approximation.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
-from math import isfinite, sqrt
+from math import isfinite
 from typing import Mapping, Sequence
 
 from .diagnostics import Diagnostic, error
 from .estimation import KINDS, expected_defects_found
 from .model import CausalModel, HistoricalProject, SimulationConfig, analytic_mean, check_portfolio
-from .pvalues import normal_two_sided
+from .pvalues import chi_square_sf
 
 # beyond this many nonzero differences, the exact test gives way to the normal
-# approximation; kept at 20 so that no reported p-value changes method or bits
+# approximation; the counts are exact at any size, so this bounds only the time
+# of the count table, and it stays 20 so that no reported p-value changes method
 EXACT_ENUMERATION_LIMIT = 20
 MIN_HISTORY_FOR_LOOCV = 3
 
@@ -78,7 +79,6 @@ class WilcoxonResult:
     statistic: float
     n_nonzero: int
     method: str
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -107,50 +107,54 @@ def mmre(records: Sequence[PredictionRecord]) -> float:
     return sum(r.mre for r in records) / len(records)
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
+def _doubled_midranks(values: Sequence[float]) -> list[int]:
+    """Twice the mid-rank of each value: a tie over sorted positions i+1..j gets i+1+j."""
     order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
+    doubled = [0] * len(values)
     i = 0
     while i < len(order):
         j = i + 1  # not i: NaN != NaN, and the scan must advance past it
         while j < len(order) and values[order[j]] == values[order[i]]:
             j += 1
-        mid = (i + 1 + j) / 2.0
         for k in range(i, j):
-            ranks[order[k]] = mid
+            doubled[order[k]] = i + 1 + j
         i = j
-    return ranks
+    return doubled
 
 
 @lru_cache(maxsize=32)
-def _cumulative_sign_counts(doubled: tuple[int, ...]) -> tuple[int, ...]:
-    # entry s = number of the 2^k sign assignments whose doubled W+ is at most s;
-    # mid-ranks are half-integers, so doubled rank sums are exact integers. The
-    # count of sum s is the 32-bit digit s of one Python integer: each rank d
-    # multiplies the generating polynomial by (1 + x^d). No count exceeds 2^k,
-    # and k <= EXACT_ENUMERATION_LIMIT < 32, so no digit carries into the next.
+def _sign_counts(doubled: tuple[int, ...]) -> int:
+    # digit s, k + 1 bits wide, of the returned integer counts the 2^k sign assignments
+    # whose doubled W+ is s: each doubled rank d multiplies the generating polynomial by
+    # (1 + x^d). No count exceeds 2^k, so no digit carries into the next, at any k.
+    width = len(doubled) + 1
     poly = 1
     for d in doubled:
-        poly += poly << (32 * d)
-    digits = poly.to_bytes(4 * (sum(doubled) + 1), sys.byteorder)
-    return tuple(accumulate(memoryview(digits).cast("I")))
+        poly += poly << (width * d)
+    return poly
 
 
-def _exact_two_sided(ranks: Sequence[float], w_plus: float) -> float:
+def _exact_two_sided(doubled: Sequence[int], w2: int) -> float:
+    k = len(doubled)
+    width = k + 1
     # counts do not depend on rank order: sorted, every equal rank set shares a table
-    cumulative = _cumulative_sign_counts(tuple(sorted(int(2 * r) for r in ranks)))
-    observed = int(2 * w_plus)
-    n_le = cumulative[observed]
-    n_ge = cumulative[-1] - (cumulative[observed - 1] if observed else 0)
-    one_sided = min(n_le, n_ge) / 2 ** len(ranks)
-    return min(1.0, 2.0 * one_sided)
+    poly = _sign_counts(tuple(sorted(doubled)))
+
+    def at_most(s: int) -> int:
+        # the digits 0..s, summed by the modulus 2^width - 1 (2^width is 1 mod it); their
+        # sum is at most 2^k, below the modulus, so the remainder is the sum itself
+        return (poly & ((1 << width * (s + 1)) - 1)) % ((1 << width) - 1)
+
+    total = 2**k
+    return min(1.0, 2 * min(at_most(w2), total - at_most(w2 - 1)) / total)
 
 
-def _normal_two_sided(ranks: Sequence[float], w_plus: float) -> float:
-    mu = sum(ranks) / 2.0
-    sigma = sqrt(sum(r * r for r in ranks) / 4.0)
-    deviation = max(abs(w_plus - mu) - 0.5, 0.0)  # continuity correction
-    return min(1.0, normal_two_sided(deviation / sigma))
+def _normal_two_sided(doubled: Sequence[int], w2: int) -> float:
+    # z = (|W+ - mu| - 1/2) / sigma, mu = sum(r)/2, sigma^2 = sum(r^2)/4, continuity-corrected;
+    # in doubled ranks d = 2r and w2 = 2 W+, z^2 = dev4^2 / sum(d^2) exactly, and
+    # P(|Z| >= z) = P(chi2_1 >= z^2)
+    dev4 = max(abs(2 * w2 - sum(doubled)) - 2, 0)
+    return min(1.0, chi_square_sf(dev4 * dev4, sum(d * d for d in doubled), 1))
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResult:
@@ -160,7 +164,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
     EXACT_ENUMERATION_LIMIT nonzero differences the p-value is exact (the 2^k
     sign assignments are counted per rank sum, not listed); beyond that a
     normal approximation with continuity correction is used. All differences
-    zero yields p = 1 with a degenerate flag.
+    zero yields p = 1 with method "degenerate".
     """
     if len(x) != len(y):
         raise ValueError(f"paired samples must have equal length, got {len(x)} and {len(y)}")
@@ -171,12 +175,12 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
     differences = [float(a) - float(b) for a, b in zip(x, y)]
     nonzero = [d for d in differences if d != 0.0]
     if not nonzero:
-        return WilcoxonResult(p_value=1.0, statistic=0.0, n_nonzero=0, method="degenerate", degenerate=True)
-    ranks = _midranks([abs(d) for d in nonzero])
-    w_plus = sum(r for r, d in zip(ranks, nonzero) if d > 0)
+        return WilcoxonResult(p_value=1.0, statistic=0.0, n_nonzero=0, method="degenerate")
+    doubled = _doubled_midranks([abs(d) for d in nonzero])
+    w2 = sum(r for r, d in zip(doubled, nonzero) if d > 0)
     if len(nonzero) <= EXACT_ENUMERATION_LIMIT:
-        return WilcoxonResult(_exact_two_sided(ranks, w_plus), w_plus, len(nonzero), "exact")
-    return WilcoxonResult(_normal_two_sided(ranks, w_plus), w_plus, len(nonzero), "normal-approximation")
+        return WilcoxonResult(_exact_two_sided(doubled, w2), w2 / 2, len(nonzero), "exact")
+    return WilcoxonResult(_normal_two_sided(doubled, w2), w2 / 2, len(nonzero), "normal-approximation")
 
 
 def project_factor_means(model: CausalModel, projects: Sequence[HistoricalProject]) -> dict[str, tuple[float, float]]:

@@ -544,8 +544,8 @@ def former_exact_two_sided(ranks, w_plus) -> float:
 
 
 def former_cumulative_sign_counts(doubled: tuple[int, ...]) -> tuple[int, ...]:
-    """evaluation._cumulative_sign_counts as it was first counted: one int64 numpy table per doubled
-    rank sum, shifted and added per rank, then np.cumsum."""
+    """The cumulative sign-assignment counts as hdce first counted them: one int64 numpy table per
+    doubled rank sum, shifted and added per rank, then np.cumsum."""
     counts = np.zeros(sum(doubled) + 1, dtype=np.int64)
     counts[0] = 1
     for d in doubled:

@@ -16,6 +16,7 @@ import pytest
 import hdce
 from hdce import cli, evaluation, simulation
 from hdce.cli import main
+from hdce.elicitation import MAX_GROUP_SIZE
 from hdce.io import load_model, load_projects, sha256_file, write_json
 from hdce.synthetic import build_synthetic_model, generate_projects
 from helpers import (
@@ -112,6 +113,23 @@ class TestRankAnalyze:
         code = main(["rank-analyze", "--rankings", str(path), "--out", str(tmp_path / "o.json")])
         assert code == 1
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factors, code", [(MAX_GROUP_SIZE, 0), (MAX_GROUP_SIZE + 1, 1)])
+    def test_group_size_bound(self, factors, code, tmp_path, capsys):
+        # two experts in opposite orders; one factor past the bound is an input error with no output
+        rows = [f"e{e},DefectContent,Product,f{i},{i + 1 if e == 1 else factors - i}"
+                for e in (1, 2) for i in range(factors)]
+        path = tmp_path / "rankings.csv"
+        path.write_text("expert_id,kind,category,factor_id,rank\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "analysis.json"
+        assert main(["rank-analyze", "--rankings", str(path), "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                f"input error: category DefectContent/Product has {factors} factors; at most {MAX_GROUP_SIZE} are supported\n"
+            )
+            assert list(tmp_path.iterdir()) == [path]
+        else:
+            assert read_json(out)["categories"][0]["p_value"] == 1.0  # W = 0: complete disagreement
 
     def test_field_over_the_csv_limit_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "rankings.csv"

@@ -17,6 +17,7 @@ from hdce.elicitation import (
     w_significance,
 )
 from hdce.model import FactorCategory
+from hdce.pvalues import chi_square_sf
 from helpers import (
     DC,
     EFF,
@@ -259,6 +260,12 @@ class TestWSignificance:
             assert ulp_distance(result.p_value, reference) <= 16, (w, n)
         if n > 101:
             assert underflowing, "no point where e^(-chi2/2) underflows and the p-value does not"
+
+    @pytest.mark.parametrize("dof", [1, 3])
+    def test_chi_square_whose_half_underflows_gives_one(self, dof):
+        # chi2 = 2**-1100 has no double; the tail is 1 - O(chi2^(dof/2)), which rounds to 1
+        assert chi_square_sf(1, 2**1100, dof) == 1.0
+        assert chi_square_sf(*(5e-324).as_integer_ratio(), dof) == 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 30), st.integers(2, 250), st.integers(0, 10**6), st.integers(0, 10**6))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hdce.model
-from hdce import evaluation, pvalues, simulation
+from hdce import evaluation, simulation
 from hdce.cli import main
 from hdce.diagnostics import ModelValidationError
 from hdce.estimation import estimate_baseline, expected_defects_found, predict_defects_found
@@ -31,6 +31,7 @@ from hdce.evaluation import (
     wilcoxon_signed_rank,
 )
 from hdce.model import CausalModel, Factor, FactorKind, HistoricalProject, Multiplier, ProjectCharacterization
+from hdce.pvalues import chi_square_sf
 from hdce.simulation import SimulationConfig, analytic_mean, simulate
 from hdce.synthetic import build_synthetic_model, generate_projects
 from helpers import (
@@ -115,7 +116,7 @@ class TestWilcoxon:
     def test_identical_samples_degenerate(self):
         result = wilcoxon_signed_rank([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert result.p_value == 1.0
-        assert result.degenerate
+        assert result.method == "degenerate"
 
     def test_swap_symmetry(self):
         x = [0.3, 0.1, 0.9, 0.4, 0.2, 0.8]
@@ -180,15 +181,21 @@ class TestWilcoxon:
 
 
 def signed_ranks(x, y):
-    """The mid-ranks of the nonzero |x - y| and their W+, as wilcoxon_signed_rank forms them."""
+    """The doubled mid-ranks of the nonzero |x - y| and their doubled W+, as wilcoxon_signed_rank forms them."""
     nonzero = [a - b for a, b in zip(x, y) if a - b != 0.0]
-    ranks = evaluation._midranks([abs(d) for d in nonzero])
-    return ranks, sum(r for r, d in zip(ranks, nonzero) if d > 0)
+    doubled = evaluation._doubled_midranks([abs(d) for d in nonzero])
+    return doubled, sum(r for r, d in zip(doubled, nonzero) if d > 0)
 
 
-# untied and tied rank sets, k = 1..20; magnitudes rounded to 3 or 6 values tie often
-_RANK_SETS = [[float(r) for r in range(1, k + 1)] for k in range(1, 21)] + [
-    evaluation._midranks(list(np.round(np.random.default_rng(k).random(k) * levels)))
+def count_digits(poly, k, doubled):
+    """The k + 1 bit digits of _sign_counts' integer, one per doubled rank sum 0..sum(doubled)."""
+    mask = (1 << (k + 1)) - 1
+    return [poly >> ((k + 1) * s) & mask for s in range(sum(doubled) + 1)]
+
+
+# untied and tied doubled rank sets, k = 1..20; magnitudes rounded to 3 or 6 values tie often
+_RANK_SETS = [list(range(2, 2 * k + 1, 2)) for k in range(1, 21)] + [
+    evaluation._doubled_midranks(list(np.round(np.random.default_rng(k).random(k) * levels)))
     for k in range(1, 21)
     for levels in (2, 5)
 ]
@@ -197,11 +204,11 @@ _RANK_SETS = [[float(r) for r in range(1, k + 1)] for k in range(1, 21)] + [
 class TestExactCountBits:
     """Counting rank sums gives the bits of the former 2^k enumeration."""
 
-    @pytest.mark.parametrize("ranks", _RANK_SETS, ids=lambda r: f"k{len(r)}-" + "-".join(f"{x:g}" for x in r[:4]))
-    def test_equals_former_enumeration_over_every_statistic(self, ranks):
-        for step in range(int(2 * sum(ranks)) + 1):  # every W+ from 0 to sum(ranks) in steps of 0.5
-            w_plus = step / 2
-            assert evaluation._exact_two_sided(ranks, w_plus) == former_exact_two_sided(ranks, w_plus), w_plus
+    @pytest.mark.parametrize("doubled", _RANK_SETS, ids=lambda r: f"k{len(r)}-" + "-".join(f"{x / 2:g}" for x in r[:4]))
+    def test_equals_former_enumeration_over_every_statistic(self, doubled):
+        ranks = [d / 2 for d in doubled]
+        for w2 in range(sum(doubled) + 1):  # every W+ from 0 to sum(ranks) in steps of 0.5
+            assert evaluation._exact_two_sided(doubled, w2) == former_exact_two_sided(ranks, w2 / 2), w2
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -217,79 +224,88 @@ class TestExactCountBits:
         result = wilcoxon_signed_rank(x, y)
         nonzero = [a - b for a, b in zip(x, y) if a - b != 0.0]
         if not nonzero:
-            assert result.degenerate
+            assert result.method == "degenerate"
             return
         assert result.method == "exact"
-        ranks = evaluation._midranks([abs(d) for d in nonzero])
+        ranks = [d / 2 for d in evaluation._doubled_midranks([abs(d) for d in nonzero])]
         assert result.p_value == former_exact_two_sided(ranks, result.statistic)
 
     def test_tests_with_one_rank_set_share_one_table_of_plain_ints(self):
-        evaluation._cumulative_sign_counts.cache_clear()
-        ranks = [float(r) for r in range(1, 21)]
-        first = evaluation._exact_two_sided(ranks, 50.0)
-        shuffled = evaluation._exact_two_sided(ranks[10:] + ranks[:10], 50.0)
-        assert first == shuffled == former_exact_two_sided(ranks, 50.0)
-        info = evaluation._cumulative_sign_counts.cache_info()
+        evaluation._sign_counts.cache_clear()
+        doubled = list(range(2, 42, 2))
+        first = evaluation._exact_two_sided(doubled, 100)
+        shuffled = evaluation._exact_two_sided(doubled[10:] + doubled[:10], 100)
+        assert first == shuffled == former_exact_two_sided([d / 2 for d in doubled], 50.0)
+        info = evaluation._sign_counts.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        table = evaluation._cumulative_sign_counts(tuple(range(2, 42, 2)))
-        assert all(type(c) is int for c in table)
-        assert table[-1] == 2**20
+        table = evaluation._sign_counts(tuple(doubled))
+        assert type(table) is int
+        assert sum(count_digits(table, 20, doubled)) == 2**20
 
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     @pytest.mark.parametrize("k", range(1, 13))
     def test_counts_equal_brute_force_over_every_sign_pattern(self, k, tied):
         magnitudes = [i // 2 if tied else i for i in range(k)]  # tied: pairs of equal magnitudes
-        doubled = tuple(sorted(int(2 * r) for r in evaluation._midranks(magnitudes)))
+        doubled = tuple(sorted(evaluation._doubled_midranks(magnitudes)))
         counts = [0] * (sum(doubled) + 1)
         for pattern in range(2**k):
             counts[sum(d for i, d in enumerate(doubled) if pattern >> i & 1)] += 1
-        assert evaluation._cumulative_sign_counts(doubled) == tuple(itertools.accumulate(counts))
+        assert count_digits(evaluation._sign_counts(doubled), k, doubled) == counts
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_counts_equal_the_former_numpy_table(self, k):
         doubled = tuple(range(2, 2 * k + 1, 2))
-        assert evaluation._cumulative_sign_counts(doubled) == former_cumulative_sign_counts(doubled)
+        cumulative = tuple(itertools.accumulate(count_digits(evaluation._sign_counts(doubled), k, doubled)))
+        assert cumulative == former_cumulative_sign_counts(doubled)
+
+    @pytest.mark.parametrize("k", [33, 40, 60])
+    def test_counts_past_32_ranks_equal_an_exact_numpy_table(self, k):
+        # past 32 ranks a count needs more than 32 bits; Python ints in an object array hold it exactly
+        doubled = tuple(range(2, 2 * k + 1, 2))
+        counts = np.zeros(sum(doubled) + 1, dtype=object)
+        counts[0] = 1
+        for d in doubled:
+            counts[d:] += counts[:-d].copy()
+        assert count_digits(evaluation._sign_counts(doubled), k, doubled) == counts.tolist()
+        assert sum(counts) == 2**k
 
     def test_forty_pair_exact_test_near_normal_approximation(self):
         rng = np.random.default_rng(40)
         x = list(rng.normal(0.3, 1.0, 40))
         y = list(rng.normal(0.0, 1.0, 40))
-        ranks, w_plus = signed_ranks(x, y)
+        doubled, w2 = signed_ranks(x, y)
         approx = wilcoxon_signed_rank(x, y)
-        assert (len(ranks), approx.method) == (40, "normal-approximation")
-        assert evaluation._exact_two_sided(ranks, w_plus) == pytest.approx(approx.p_value, abs=0.01)
+        assert (len(doubled), approx.method) == (40, "normal-approximation")
+        assert evaluation._exact_two_sided(doubled, w2) == pytest.approx(approx.p_value, abs=0.01)
 
 
 class TestMidranks:
     def test_nan_returns(self):
         # NaN never equals itself; a scan that starts at the element itself never advances
-        probe = "import math; from hdce import evaluation; print(evaluation._midranks([math.nan, 1.0, math.nan]))"
+        probe = "import math; from hdce import evaluation; print(evaluation._doubled_midranks([math.nan, 1.0, math.nan]))"
         env = dict(os.environ, PYTHONPATH=str(Path(evaluation.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=30)
         assert proc.returncode == 0, proc.stderr
-        assert sorted(json.loads(proc.stdout)) == [1.0, 2.0, 3.0]
+        assert sorted(json.loads(proc.stdout)) == [2, 4, 6]
 
 
-def mpmath_normal_two_sided(ranks, w_plus):
-    """The normal-approximation p-value at 50 digits, at the z that _normal_two_sided forms."""
-    mu = sum(ranks) / 2.0
-    sigma = math.sqrt(sum(r * r for r in ranks) / 4.0)
-    z = max(abs(w_plus - mu) - 0.5, 0.0) / sigma
+def mpmath_normal_two_sided(doubled, w2):
+    """erfc(sqrt(z^2 / 2)) at 50 digits, at the exact continuity-corrected z^2 = dev4^2 / sum(d^2)."""
+    dev4 = max(abs(2 * w2 - sum(doubled)) - 2, 0)
     with mpmath.workdps(50):
-        return min(mpmath.mpf(1), 2 * mpmath.ncdf(-mpmath.mpf(z)))
+        return mpmath.erfc(mpmath.sqrt(mpmath.mpf(dev4**2) / sum(d * d for d in doubled) / 2))
 
 
 class TestNormalApproximationAccuracy:
-    @pytest.mark.parametrize("n", [21, 30, 57, 100])
-    def test_within_8_ulp_of_mpmath_over_every_statistic(self, n):
-        ranks = [float(r) for r in range(1, n + 1)]
-        for step in range(n * (n + 1) + 1):  # every W+ from 0 to n(n+1)/2 in steps of 0.5
-            w_plus = step / 2
-            p_value = evaluation._normal_two_sided(ranks, w_plus)
-            assert ulp_distance(p_value, mpmath_normal_two_sided(ranks, w_plus)) <= 8, w_plus
+    @pytest.mark.parametrize("n, stride", [(21, 1), (30, 1), (57, 1), (100, 1), (200, 7)])
+    def test_within_3_ulp_of_mpmath_over_every_statistic(self, n, stride):
+        doubled = list(range(2, 2 * n + 1, 2))
+        for w2 in range(0, n * (n + 1) + 1, stride):  # every W+ from 0 to n(n+1)/2 in steps of 0.5
+            p_value = evaluation._normal_two_sided(doubled, w2)
+            assert ulp_distance(p_value, mpmath_normal_two_sided(doubled, w2)) <= 3, w2
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_wilcoxon_beyond_the_exact_limit_within_8_ulp_of_mpmath(self, seed):
+    def test_wilcoxon_beyond_the_exact_limit_within_3_ulp_of_mpmath(self, seed):
         rng = np.random.default_rng(seed)
         n = 30 + 10 * seed
         x = list(np.round(rng.normal(0.3, 1.0, n), 1))  # rounding leaves tied magnitudes
@@ -297,30 +313,31 @@ class TestNormalApproximationAccuracy:
         result = wilcoxon_signed_rank(x, y)
         assert result.method == "normal-approximation"
         assert result.n_nonzero > 20
-        nonzero = [a - b for a, b in zip(x, y) if a - b != 0.0]
-        ranks = evaluation._midranks([abs(d) for d in nonzero])
-        assert ulp_distance(result.p_value, mpmath_normal_two_sided(ranks, result.statistic)) <= 8
+        doubled, w2 = signed_ranks(x, y)
+        assert result.statistic == w2 / 2
+        assert ulp_distance(result.p_value, mpmath_normal_two_sided(doubled, w2)) <= 3
 
-    def test_normal_tail_within_8_ulp_of_mpmath_for_z_up_to_38(self):
-        # z * sqrt(1/2) rounds to within half an ulp, which alone would cost about z^2 ulp
-        for i in range(3801):
-            z = i / 100 + 0.0013 * (i % 7)
+    def test_one_dof_tail_within_3_ulp_of_mpmath_at_rationals_up_to_1500(self):
+        # the tail is erfc(sqrt(chi2/2)); chi2 = num/den is exact, so no rounding of z enters
+        for i in range(3001):
+            den = (1, 3, 7, 10, 97, 2**40 + 1)[i % 6]
+            num = (i * den) // 2 + i % 5
             with mpmath.workdps(50):
-                reference = 2 * mpmath.ncdf(-mpmath.mpf(z))
-            p_value = pvalues.normal_two_sided(z)
-            assert ulp_distance(p_value, reference) <= 8, z
-            assert p_value > 0.0 or reference < sys.float_info.min, z
+                reference = mpmath.erfc(mpmath.sqrt(mpmath.mpf(num) / den / 2))
+            p_value = chi_square_sf(num, den, 1)
+            assert ulp_distance(p_value, reference) <= 3, (num, den)
+            assert p_value > 0.0 or reference < sys.float_info.min, (num, den)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(21, 400), st.integers(0, 10**6), st.integers(0, 10**6))
     def test_p_value_in_unit_interval_and_non_increasing_in_the_statistic(self, n, i, j):
-        ranks = [float(r) for r in range(1, n + 1)]
+        doubled = list(range(2, 2 * n + 1, 2))
         top = n * (n + 1) // 2  # untied, W+ ranges over the integers 0..top, centred on top/2
         far, near = sorted((i % (top // 2 + 1), j % (top // 2 + 1)))
-        p_far = evaluation._normal_two_sided(ranks, float(far))
-        p_near = evaluation._normal_two_sided(ranks, float(near))
+        p_far = evaluation._normal_two_sided(doubled, 2 * far)
+        p_near = evaluation._normal_two_sided(doubled, 2 * near)
         assert 0.0 <= p_far <= p_near <= 1.0
-        assert evaluation._normal_two_sided(ranks, float(top - far)) == p_far
+        assert evaluation._normal_two_sided(doubled, 2 * (top - far)) == p_far
 
 
 def loocv_predictions(projects, variant):
