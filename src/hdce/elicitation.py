@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .diagnostics import Diagnostic, InputFormatError, advisory
 from .model import FactorCategory, FactorKind
-from .pvalues import chi_square_sf
+from .pvalues import chi_square_sf, doubled_midranks
 
 CategoryKey = tuple[FactorKind, FactorCategory]
 
@@ -25,7 +25,8 @@ SMALL_N_LIMIT = 7
 # questionnaire guidance: groups beyond this size are hard for experts to rank
 MAX_COMFORTABLE_GROUP = 12
 # a larger group is an input error: the chi-square tail's time grows with the square
-# of its dof, n - 1 (up to about 40 ms at 4,095 and 0.13 s at 16,383 on a 2-core x86-64 machine)
+# of its dof, n - 1 (up to about 17 ms at 1,023, 60 ms at 4,095 and 0.35 s at 16,383
+# on a 2-core x86-64 machine, the worst near the far tail's underflow cut-off)
 MAX_GROUP_SIZE = 4096
 
 
@@ -85,19 +86,7 @@ class RankingAnalysis:
 
 def valid_rank_pattern(values: Sequence[float]) -> bool:
     """True iff values are a permutation of 1..n or a mid-rank adjustment of one."""
-    ordered = sorted(values)
-    n = len(ordered)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and ordered[j] == ordered[i]:
-            j += 1
-        tie_size = j - i
-        # a tie block occupying positions i+1 .. j gets the mid-rank of those positions
-        if ordered[i] != i + (tie_size + 1) / 2.0:
-            return False
-        i = j
-    return True
+    return all(2 * v == d for v, d in zip(values, doubled_midranks(values)))
 
 
 def _check_consistent(sheets: Sequence[RankingSheet]) -> tuple[CategoryKey, list[str]]:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .diagnostics import Diagnostic, error
 from .estimation import KINDS, expected_defects_found
 from .model import CausalModel, HistoricalProject, SimulationConfig, analytic_mean, check_portfolio
-from .pvalues import chi_square_sf
+from .pvalues import chi_square_sf, doubled_midranks
 
 # beyond this many nonzero differences, the exact test gives way to the normal
 # approximation; the counts are exact at any size, so this bounds only the time
@@ -107,21 +107,6 @@ def mmre(records: Sequence[PredictionRecord]) -> float:
     return sum(r.mre for r in records) / len(records)
 
 
-def _doubled_midranks(values: Sequence[float]) -> list[int]:
-    """Twice the mid-rank of each value: a tie over sorted positions i+1..j gets i+1+j."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    doubled = [0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i + 1  # not i: NaN != NaN, and the scan must advance past it
-        while j < len(order) and values[order[j]] == values[order[i]]:
-            j += 1
-        for k in range(i, j):
-            doubled[order[k]] = i + 1 + j
-        i = j
-    return doubled
-
-
 @lru_cache(maxsize=32)
 def _sign_counts(doubled: tuple[int, ...]) -> int:
     # digit s, k + 1 bits wide, of the returned integer counts the 2^k sign assignments
@@ -176,7 +161,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
     nonzero = [d for d in differences if d != 0.0]
     if not nonzero:
         return WilcoxonResult(p_value=1.0, statistic=0.0, n_nonzero=0, method="degenerate")
-    doubled = _doubled_midranks([abs(d) for d in nonzero])
+    doubled = doubled_midranks([abs(d) for d in nonzero])
     w2 = sum(r for r, d in zip(doubled, nonzero) if d > 0)
     if len(nonzero) <= EXACT_ENUMERATION_LIMIT:
         return WilcoxonResult(_exact_two_sided(doubled, w2), w2 / 2, len(nonzero), "exact")

@@ -6,6 +6,7 @@ import functools
 import math
 import os
 
+import mpmath
 import numpy as np
 
 from hdce.model import (
@@ -98,6 +99,17 @@ def ulp_distance(got: float, reference) -> float:
     """|got - reference| in units in the last place of the double nearest reference, an
     mpmath number; below the normal range the unit is the smallest subnormal."""
     return float(abs(reference - got)) / math.ulp(float(reference))
+
+
+def correctly_rounded(got: float, reference) -> bool:
+    """True iff got is the double nearest reference, an mpmath number: reference lies within
+    half the gap from got to each neighbouring double, in mpmath arithmetic at 100 digits.
+    The gaps are the subnormal spacing below the normal range and halve under a power of two."""
+    with mpmath.workdps(100):
+        got_mp = mpmath.mpf(got)
+        below = (got_mp + mpmath.mpf(math.nextafter(got, -math.inf))) / 2
+        above = (got_mp + mpmath.mpf(math.nextafter(got, math.inf))) / 2
+        return below <= reference <= above
 
 
 def use_cpus(monkeypatch, cpus: int) -> None:

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -16,6 +17,7 @@ from hdce.elicitation import (
     valid_rank_pattern,
     w_significance,
 )
+from hdce.io import load_rankings
 from hdce.model import FactorCategory
 from hdce.pvalues import chi_square_sf
 from helpers import (
@@ -30,13 +32,16 @@ from helpers import (
     REFERENCE_MEAN_RANKS,
     REFERENCE_W,
     brute_force_w,
+    correctly_rounded,
     ulp_distance,
 )
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "schemas" / "examples"
+
 
 def mpmath_chi_square_tail(chi_square, dof):
-    """P(X >= chi_square) for X chi-square with dof degrees of freedom, at 50 digits."""
-    with mpmath.workdps(50):
+    """P(X >= chi_square) for X chi-square with dof degrees of freedom, at 100 digits."""
+    with mpmath.workdps(100):
         return mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(chi_square) / 2, mpmath.inf, regularized=True)
 
 
@@ -238,15 +243,18 @@ class TestWSignificance:
         assert result.small_n_approximation
 
     @pytest.mark.parametrize("m", [2, 7, 15])
-    def test_p_value_within_16_ulp_of_mpmath(self, m):
+    def test_p_value_correctly_rounded_and_one_dof_within_16_ulp_of_mpmath(self, m):
         for n in range(2, 41):
             for w in [i / 50 for i in range(51)] + [1e-9, 0.123, 0.999999]:
                 result = w_significance(w, m, n)
                 reference = mpmath_chi_square_tail(result.chi_square, result.dof)
-                assert ulp_distance(result.p_value, reference) <= 16, (w, m, n)
+                if n == 2:
+                    assert ulp_distance(result.p_value, reference) <= 16, (w, m, n)
+                else:
+                    assert correctly_rounded(result.p_value, reference), (w, m, n)
 
     @pytest.mark.parametrize("n", [101, 199, 200])
-    def test_far_tail_at_large_dof_nonzero_and_within_16_ulp_of_mpmath(self, n):
+    def test_far_tail_at_large_dof_nonzero_and_correctly_rounded(self, n):
         # chi2 up to 1600: e^(-chi2/2) alone underflows past chi2 = 1490, long before the p-value
         m = 9
         underflowing = 0
@@ -257,9 +265,26 @@ class TestWSignificance:
             if reference >= sys.float_info.min:
                 assert result.p_value > 0.0, (w, n)
                 underflowing += math.exp(-result.chi_square / 2) == 0.0
-            assert ulp_distance(result.p_value, reference) <= 16, (w, n)
+            assert correctly_rounded(result.p_value, reference), (w, n)
         if n > 101:
             assert underflowing, "no point where e^(-chi2/2) underflows and the p-value does not"
+
+    @pytest.mark.parametrize("dof", [3, 5, 11])
+    def test_odd_dof_tail_never_increases_across_its_middle(self, dof):
+        # chi2 from 0.5 dof to 1.5 dof in steps of dof * 1e-4: a tail off by an ulp either way would step up here
+        tails = [chi_square_sf(*(dof * (5000 + k) / 10000).as_integer_ratio(), dof) for k in range(10001)]
+        increasing = [k for k in range(10000) if tails[k + 1] > tails[k]]
+        assert not increasing, [(k, tails[k], tails[k + 1]) for k in increasing[:5]]
+
+    def test_example_rankings_need_no_libm_tail(self, monkeypatch):
+        # every group of the example has at least 4 factors, so each tail has dof >= 3 and needs no libm
+        def unavailable(*_args):
+            raise AssertionError("libm called")
+
+        monkeypatch.setattr(math, "erfc", unavailable)
+        monkeypatch.setattr(math, "exp", unavailable)
+        analysis = analyze_rankings(load_rankings(EXAMPLES / "rankings.csv"))
+        assert [c.p_value is not None for c in analysis.categories] == [True] * 6
 
     @pytest.mark.parametrize("dof", [1, 3])
     def test_chi_square_whose_half_underflows_gives_one(self, dof):

@@ -31,7 +31,7 @@ from hdce.evaluation import (
     wilcoxon_signed_rank,
 )
 from hdce.model import CausalModel, Factor, FactorKind, HistoricalProject, Multiplier, ProjectCharacterization
-from hdce.pvalues import chi_square_sf
+from hdce.pvalues import chi_square_sf, doubled_midranks
 from hdce.simulation import SimulationConfig, analytic_mean, simulate
 from hdce.synthetic import build_synthetic_model, generate_projects
 from helpers import (
@@ -183,7 +183,7 @@ class TestWilcoxon:
 def signed_ranks(x, y):
     """The doubled mid-ranks of the nonzero |x - y| and their doubled W+, as wilcoxon_signed_rank forms them."""
     nonzero = [a - b for a, b in zip(x, y) if a - b != 0.0]
-    doubled = evaluation._doubled_midranks([abs(d) for d in nonzero])
+    doubled = doubled_midranks([abs(d) for d in nonzero])
     return doubled, sum(r for r, d in zip(doubled, nonzero) if d > 0)
 
 
@@ -195,7 +195,7 @@ def count_digits(poly, k, doubled):
 
 # untied and tied doubled rank sets, k = 1..20; magnitudes rounded to 3 or 6 values tie often
 _RANK_SETS = [list(range(2, 2 * k + 1, 2)) for k in range(1, 21)] + [
-    evaluation._doubled_midranks(list(np.round(np.random.default_rng(k).random(k) * levels)))
+    doubled_midranks(list(np.round(np.random.default_rng(k).random(k) * levels)))
     for k in range(1, 21)
     for levels in (2, 5)
 ]
@@ -227,7 +227,7 @@ class TestExactCountBits:
             assert result.method == "degenerate"
             return
         assert result.method == "exact"
-        ranks = [d / 2 for d in evaluation._doubled_midranks([abs(d) for d in nonzero])]
+        ranks = [d / 2 for d in doubled_midranks([abs(d) for d in nonzero])]
         assert result.p_value == former_exact_two_sided(ranks, result.statistic)
 
     def test_tests_with_one_rank_set_share_one_table_of_plain_ints(self):
@@ -246,7 +246,7 @@ class TestExactCountBits:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_counts_equal_brute_force_over_every_sign_pattern(self, k, tied):
         magnitudes = [i // 2 if tied else i for i in range(k)]  # tied: pairs of equal magnitudes
-        doubled = tuple(sorted(evaluation._doubled_midranks(magnitudes)))
+        doubled = tuple(sorted(doubled_midranks(magnitudes)))
         counts = [0] * (sum(doubled) + 1)
         for pattern in range(2**k):
             counts[sum(d for i, d in enumerate(doubled) if pattern >> i & 1)] += 1
@@ -282,7 +282,7 @@ class TestExactCountBits:
 class TestMidranks:
     def test_nan_returns(self):
         # NaN never equals itself; a scan that starts at the element itself never advances
-        probe = "import math; from hdce import evaluation; print(evaluation._doubled_midranks([math.nan, 1.0, math.nan]))"
+        probe = "import math; from hdce.pvalues import doubled_midranks; print(doubled_midranks([math.nan, 1.0, math.nan]))"
         env = dict(os.environ, PYTHONPATH=str(Path(evaluation.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=30)
         assert proc.returncode == 0, proc.stderr
