@@ -37,14 +37,7 @@ class Variant(str, Enum):
     WITHOUT_SIZE = "w/o_Size"
 
 
-ALL_VARIANTS = (
-    Variant.HDCE,
-    Variant.DF_ONLY,
-    Variant.DF_PLUS_SIZE,
-    Variant.WITHOUT_DDIF,
-    Variant.WITHOUT_EIF,
-    Variant.WITHOUT_SIZE,
-)
+ALL_VARIANTS = tuple(Variant)
 
 # which of (size, DDIF, EIF) enter each variant's scale; a dropped term counts as 1
 _SCALE_TERMS = {
@@ -124,14 +117,13 @@ def _exact_two_sided(doubled: Sequence[int], w2: int) -> float:
     width = k + 1
     # counts do not depend on rank order: sorted, every equal rank set shares a table
     poly = _sign_counts(tuple(sorted(doubled)))
-
-    def at_most(s: int) -> int:
-        # the digits 0..s, summed by the modulus 2^width - 1 (2^width is 1 mod it); their
-        # sum is at most 2^k, below the modulus, so the remainder is the sum itself
-        return (poly & ((1 << width * (s + 1)) - 1)) % ((1 << width) - 1)
-
-    total = 2**k
-    return min(1.0, 2 * min(at_most(w2), total - at_most(w2 - 1)) / total)
+    # flipping every sign maps W+ to sum - W+, so the upper tail at w2 is the lower tail at
+    # sum - w2, and the smaller tail is the count at or below s: the digits 0..s, summed by
+    # the modulus 2^width - 1 (2^width is 1 mod it); their sum is at most 2^k, below the
+    # modulus, so the remainder is the sum itself
+    s = min(w2, sum(doubled) - w2)
+    tail = (poly & ((1 << width * (s + 1)) - 1)) % ((1 << width) - 1)
+    return min(1.0, 2 * tail / 2**k)
 
 
 def _normal_two_sided(doubled: Sequence[int], w2: int) -> float:

@@ -1,10 +1,11 @@
 """File formats and canonical serialization.
 
-Inputs: model JSON, projects JSON, rankings CSV. Outputs: canonical JSON and
-CSV with fixed key order and 17-significant-digit floats, so identical runs are
-byte-identical. Every run's outputs get a sidecar run manifest carrying the
-input digests, seed, and tool version (the timestamp lives only there), and
-RunOutputs writes them all or none.
+Inputs: model JSON, projects JSON, rankings CSV. Outputs: JSON (json.dump, in
+the caller's key order, streamed to the file) and CSV, both with Python's
+shortest round-trip floats, so identical runs are byte-identical and every
+float reads back as the same double. Every run's outputs get a sidecar run
+manifest carrying the input digests, seed, and tool version (the timestamp
+lives only there), and RunOutputs writes them all or none.
 """
 
 from __future__ import annotations
@@ -35,68 +36,24 @@ from .model import (
 
 RANKINGS_HEADER = ["expert_id", "kind", "category", "factor_id", "rank"]
 
-JSON_FLOAT_DIGITS = 17
-
 
 # ---------------------------------------------------------------------------
-# canonical JSON
+# JSON and float text
 # ---------------------------------------------------------------------------
 
 
 def format_float(value: float) -> str:
+    """Python's shortest round-trip form of a finite float, the form json.dump writes."""
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"non-finite float {value!r} cannot be serialized")
-    return format(value, f".{JSON_FLOAT_DIGITS}g")
-
-
-def _emit(value, indent: int, pieces: list[str]) -> None:
-    pad = "  " * indent
-    child_pad = "  " * (indent + 1)
-    if value is None:
-        pieces.append("null")
-    elif isinstance(value, bool):
-        pieces.append("true" if value else "false")
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
-        pieces.append(format_float(value))
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, dict):
-        if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise ValueError(f"JSON object keys must be strings, got {key!r}")
-            pieces.append(f"{child_pad}{json.dumps(key, ensure_ascii=False)}: ")
-            _emit(item, indent + 1, pieces)
-            pieces.append(",\n" if i < len(value) - 1 else "\n")
-        pieces.append(f"{pad}}}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, item in enumerate(value):
-            pieces.append(child_pad)
-            _emit(item, indent + 1, pieces)
-            pieces.append(",\n" if i < len(value) - 1 else "\n")
-        pieces.append(f"{pad}]")
-    else:
-        raise ValueError(f"cannot serialize {type(value).__name__} to JSON")
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON text: caller-defined key order, .17g floats, LF endings."""
-    pieces: list[str] = []
-    _emit(obj, 0, pieces)
-    return "".join(pieces) + "\n"
+    return float.__repr__(value)  # not repr: a numpy float would print as np.float64(...)
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(canonical_json(obj), encoding="utf-8")
+    """obj as JSON in the caller's key order, two-space indent, LF endings; streamed to the file."""
+    with open(path, "w", newline="\n", encoding="utf-8") as handle:
+        json.dump(obj, handle, indent=2, ensure_ascii=False, allow_nan=False)
+        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +163,7 @@ def load_rankings(path: str | Path) -> list[RankingSheet]:
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    """CSV with LF endings and .17g floats; strings and ints pass through."""
+    """CSV with LF endings and floats as JSON writes them (format_float); strings and ints pass through."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)

@@ -197,27 +197,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _share_count(blocks: Sequence[tuple[int, int]]) -> int:
-    return 1 if len(blocks) == 1 else min(len(blocks), _usable_cpus())
-
-
-def _for_each_block(make_task: Callable[[], Callable[[int, int], None]], blocks: Sequence[tuple[int, int]]) -> None:
-    # Run task(start, stop) over the given blocks; tasks must write disjoint
-    # data. There are W = min(blocks, usable CPUs) shares: the calling thread
-    # takes blocks 0, W, 2W, ... and the W - 1 threads of this run's own pool
-    # the other strided shares, each in a copy of the caller's context, so
-    # under the caller's numpy error state. One block or one CPU runs inline
-    # and starts no thread. The arithmetic of a block is the same on any
-    # thread, so W never changes a result. Each share's task comes from
+def _for_each_block(make_task: Callable[[], Callable[[int], None]], starts: Sequence[int], workers: int) -> None:
+    # Run task(start) for each block start; tasks must write disjoint data.
+    # There are W = workers shares (the caller's min(blocks, usable CPUs)):
+    # the calling thread takes starts 0, W, 2W, ... and the W - 1 threads of
+    # this run's own pool the other strided shares, each in a copy of the
+    # caller's context, so under the caller's numpy error state. One share
+    # runs inline and starts no thread. The arithmetic of a block is the same
+    # on any thread, so W never changes a result. Each share's task comes from
     # make_task(), called here before any share starts, so that scratch a task
     # owns exists for the whole run and the memory peak never depends on
     # thread timing.
-    workers = _share_count(blocks)
     tasks = [make_task() for _ in range(workers)]
 
     def share(k: int) -> None:
-        for start, stop in blocks[k::workers]:
-            tasks[k](start, stop)
+        for start in starts[k::workers]:
+            tasks[k](start)
 
     if workers == 1:
         share(0)
@@ -264,8 +259,10 @@ def draw_vector(
     (model, ch, kinds, seed, sample_count) changes it.
     """
     n = cfg.sample_count
-    blocks = [(start, min(start + BLOCK_SIZE, n)) for start in range(0, n, BLOCK_SIZE)]
-    width = blocks[0][1]
+    # planned from n alone, so that the memory bound below comes first at any n
+    starts = range(0, n, BLOCK_SIZE)
+    width = min(n, BLOCK_SIZE)
+    workers = min(len(starts), _usable_cpus())
     # per drawn factor: its multiplier, stream, kind's index and level/3
     params = [
         (f.multiplier, factor_stream(f.id), k, ch.levels[f.id] / MAX_LEVEL)
@@ -275,7 +272,7 @@ def draw_vector(
     ]
     # the returned vector, plus without a combine the copy its summary takes; then each
     # share's scratch: the draw row, the uniforms' two temporaries and a block vector per kind
-    needed = (2 if combine is None else 1) * n * 8 + _share_count(blocks) * (3 + len(kinds)) * width * 8
+    needed = (2 if combine is None else 1) * n * 8 + workers * (3 + len(kinds)) * width * 8
     if needed > _physical_memory():
         raise MemoryError(f"{n} samples of {len(params)} factors need {needed} bytes, more than physical memory")
     vector = np.empty(n, dtype=np.float64)
@@ -284,7 +281,8 @@ def draw_vector(
         row = np.empty(width, dtype=np.float64)
         scratch = np.empty((len(kinds), width), dtype=np.float64)
 
-        def task(start: int, stop: int) -> None:
+        def task(start: int) -> None:
+            stop = min(start + width, n)
             draws = row[: stop - start]
             # each block vector starts at +0.0, so its first term gives +0.0 +
             # term: a draw of -0.0 (a minimum of -0.0) still gives +0.0
@@ -303,7 +301,7 @@ def draw_vector(
         return task
 
     with np.errstate(over="raise", invalid="raise"):  # every share runs under it
-        _for_each_block(make_task, blocks)
+        _for_each_block(make_task, starts, workers)
     return vector
 
 

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -507,6 +508,41 @@ class TestPredictOnSeveralCpus:
         assert f"error: [out-of-memory] out of memory: {self.SAMPLES} samples of {factors} factors " \
                f"need {needed} bytes, more than physical memory; a smaller --samples needs less" in err
         assert not out.exists()
+
+
+def _address_space_limit():
+    # a child that planned per block before its memory bound would grow until the limit, not
+    # until the machine runs out
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestSampleCountBeyondMemory:
+    """The engine's memory bound comes before any per-block work, so any --samples ends in
+    [out-of-memory] at once."""
+
+    @pytest.mark.parametrize("subcommand", [
+        ["simulate", "--project", "review-c", "--kind", "dc"],
+        ["predict", "--target", "review-next"],
+    ], ids=["simulate", "predict"])
+    def test_10_to_the_18_samples_refused_within_seconds(self, subcommand, tmp_path):
+        out = tmp_path / "out.json"
+        # one BLAS thread, so that numpy's own address space stays far below the limit
+        env = dict(os.environ, PYTHONPATH=str(Path(hdce.__file__).parents[1]), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdce.cli", *subcommand, "--model", str(EXAMPLES / "model.json"),
+             "--projects", str(EXAMPLES / "projects.json"), "--seed", "7", "--samples", str(10**18),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=_address_space_limit,
+        )
+        assert time.monotonic() - started < 10
+        assert proc.returncode == 1
+        assert f"error: [out-of-memory] out of memory: {10**18} samples" in proc.stderr
+        assert "more than physical memory" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidate:

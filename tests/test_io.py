@@ -1,13 +1,17 @@
 import json
+import math
+import random
+import struct
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hdce
 from hdce.diagnostics import InputFormatError
 from hdce.io import (
     RunOutputs,
-    canonical_json,
     format_float,
     load_model,
     load_projects,
@@ -33,27 +37,52 @@ def projects_file(tmp_path):
     return path
 
 
-class TestCanonicalJson:
-    def test_floats_use_17_significant_digits(self):
-        assert format_float(0.1) == "0.10000000000000001"
-        assert '"x": 0.10000000000000001' in canonical_json({"x": 0.1})
+class TestWriteJson:
+    @staticmethod
+    def written(tmp_path, obj) -> str:
+        path = tmp_path / "out.json"
+        write_json(path, obj)
+        return path.read_bytes().decode("utf-8")
 
-    def test_round_trips_through_stdlib_parser(self):
-        payload = {"a": 0.1, "b": [1, 2.5, None, True], "c": {"nested": "text"}}
-        parsed = json.loads(canonical_json(payload))
-        assert parsed["a"] == 0.1
-        assert parsed["b"] == [1, 2.5, None, True]
+    def test_floats_in_shortest_round_trip_form(self, tmp_path):
+        text = self.written(tmp_path, {"x": 0.1, "y": 2.0})
+        assert text == '{\n  "x": 0.1,\n  "y": 2.0\n}\n'
+        assert type(json.loads(text)["y"]) is float
 
-    def test_non_finite_rejected(self):
+    def test_format_float_is_the_json_form_also_for_numpy_floats(self):
+        assert format_float(0.1) == json.dumps(0.1) == "0.1"
+        assert format_float(np.float64(2.0)) == json.dumps(np.float64(2.0)) == "2.0"  # not np.float64(2.0)
+
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, 1.7976931348623157e308])
+    def test_extreme_floats_round_trip(self, tmp_path, value):
+        [parsed] = json.loads(self.written(tmp_path, [value]))
+        assert struct.pack("<d", parsed) == struct.pack("<d", value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, tmp_path, value):
         with pytest.raises(ValueError):
-            canonical_json({"x": float("nan")})
+            write_json(tmp_path / "out.json", {"x": [value]})
+        with pytest.raises(ValueError):
+            format_float(value)
 
-    def test_deterministic(self):
-        payload = {"k": [0.3, 7, "s"], "m": {"q": 1e-12}}
-        assert canonical_json(payload) == canonical_json(payload)
+    def test_text_is_the_standard_library_form_with_lf_endings(self, tmp_path):
+        payload = {"k": [0.3, 7, "s", None, True], "m": {"q": 1e-12, "naïve": "café"}, "e": [], "o": {}}
+        text = self.written(tmp_path, payload)
+        assert text == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        assert "\r" not in text
 
-    def test_ends_with_newline(self):
-        assert canonical_json({}).endswith("\n")
+    def test_large_float_array_is_streamed(self, tmp_path):
+        # the text is written as it is encoded: the peak stays far below the file's size
+        rng = random.Random(0)
+        payload = {"samples": [rng.random() for _ in range(200_000)]}
+        path = tmp_path / "samples.json"
+        tracemalloc.start()
+        try:
+            write_json(path, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 20
 
 
 class TestModelFiles:
@@ -212,7 +241,7 @@ class TestCsvOutput:
         path = tmp_path / "out.csv"
         write_csv(path, ["a", "b"], [["x", 0.1], ["y", 2]])
         text = path.read_text(encoding="utf-8")
-        assert text == "a,b\nx,0.10000000000000001\ny,2\n"
+        assert text == "a,b\nx,0.1\ny,2\n"
 
 
 class TestManifest:

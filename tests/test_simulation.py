@@ -600,15 +600,14 @@ class TestBlockParallelism:
         assert len(threads) == 4
         assert vector.tobytes() == reference_samples(model, ch, FactorKind.DEFECT_CONTENT, cfg).tobytes()
 
-    def test_shares_run_under_the_callers_numpy_error_state(self, monkeypatch):
-        use_cpus(monkeypatch, 4)
+    def test_shares_run_under_the_callers_numpy_error_state(self):
         seen = []
 
-        def task(start, stop):
+        def task(start):
             seen.append(np.geterr()["over"])
 
         with np.errstate(over="raise"):
-            simulation._for_each_block(lambda: task, [(s, s + 1) for s in range(8)])
+            simulation._for_each_block(lambda: task, range(8), 4)
         assert seen == ["raise"] * 8
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -636,19 +635,18 @@ class TestBlockParallelism:
         assert waited[0] == pid, "the forked child did not finish within 30 s"
         assert os.waitstatus_to_exitcode(waited[1]) == 0
 
-    def test_failed_share_is_raised_after_every_share_ends(self, monkeypatch):
-        use_cpus(monkeypatch, 4)
+    def test_failed_share_is_raised_after_every_share_ends(self):
         done = []
 
-        def task(start, stop):
+        def task(start):
             if start == 2:
                 raise MemoryError("block 2")
-            done.append((start, stop))
+            done.append(start)
 
         with pytest.raises(MemoryError, match="block 2"):
-            simulation._for_each_block(lambda: task, [(s, s + 1) for s in range(10)])
+            simulation._for_each_block(lambda: task, range(10), 4)
         # W = 4: the share of blocks 2 and 6 stops at 2; every other share runs to its end
-        assert sorted(done) == [(s, s + 1) for s in (0, 1, 3, 4, 5, 7, 8, 9)]
+        assert sorted(done) == [0, 1, 3, 4, 5, 7, 8, 9]
 
     @pytest.mark.parametrize(
         "kinds, combine, vectors",
