@@ -9,6 +9,14 @@ MMRE, and exact Wilcoxon tests.
 # the only version literal: io's run manifests and pyproject.toml read it
 __version__ = "0.1.0"
 
-# the README's "Library use" names; everything else is imported from its module
-from .estimation import estimate_baseline, predict_defects_found
-from .model import SimulationConfig
+
+def __getattr__(name: str):
+    """The README's "Library use" names, each imported from its module on first use, so that
+    import hdce loads no submodule; everything else is imported from its module."""
+    module = {"SimulationConfig": "model", "estimate_baseline": "estimation",
+              "predict_defects_found": "estimation"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)

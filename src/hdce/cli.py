@@ -5,35 +5,32 @@ to stderr; data goes to the --out files. Every stochastic subcommand requires an
 explicit --seed so reruns are reproducible; plan and validate use exact means, so
 their outputs depend on neither --seed nor --samples. A run's outputs and their
 manifest (input digests, seed, tool version) are written together or not at all.
+
+Each subcommand loads only the hdce modules it runs: importing this module loads no
+other, main and build_parser load diagnostics and model, and each handler imports
+what it calls (io, and numpy only for simulate and predict). A default that lives in
+a library module is read there when its subcommand runs, never restated here.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import estimation, io, planning
-from .diagnostics import (
-    Diagnostic,
-    EmptyInputError,
-    HdceError,
-    InputFormatError,
-    ModelValidationError,
-    Severity,
-    error,
-    has_errors,
-)
-from .elicitation import DEFAULT_SELECTION_THRESHOLD, analyze_rankings
-from .evaluation import ALL_VARIANTS, Variant, project_factor_means, run_validation
-from .model import DEFAULT_SAMPLE_COUNT, FactorKind, SimulationConfig, validate_characterization, validate_model
+if TYPE_CHECKING:
+    from .diagnostics import Diagnostic
+    from .evaluation import Variant
+    from .io import RunOutputs
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 
-_KIND_ALIASES = {"dc": FactorKind.DEFECT_CONTENT, "eff": FactorKind.EFFECTIVENESS}
+# --kind's spellings, each naming a model.FactorKind member
+_KIND_ALIASES = {"dc": "DEFECT_CONTENT", "eff": "EFFECTIVENESS"}
 # both ways a finite input can overflow: every message ends with them
 _NON_FINITE_CAUSES = "an input near the largest double, or a tiny size against a huge defect count"
 
@@ -57,6 +54,8 @@ def _parse_quantiles(text: str) -> tuple[float, float]:
 
 
 def _parse_variants(text: str) -> tuple[Variant, ...]:
+    from .evaluation import ALL_VARIANTS, Variant
+
     if text == "all":
         return ALL_VARIANTS
     variants = []
@@ -127,6 +126,8 @@ def _sample_count_type(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .model import DEFAULT_SAMPLE_COUNT
+
     parser = argparse.ArgumentParser(
         prog="hdce",
         description="Hybrid defect content and effectiveness modeling for QA planning and controlling.",
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank-analyze", help="analyze expert ranking questionnaires")
     p.add_argument("--rankings", required=True, help="rankings CSV file")
     p.add_argument("--out", required=True, help="analysis report JSON")
-    p.add_argument("--threshold", type=_threshold, default=DEFAULT_SELECTION_THRESHOLD, help="selection threshold on the minimal mean rank")
+    p.add_argument("--threshold", type=_threshold, help="selection threshold on the minimal mean rank")
     p.add_argument("--alpha", type=_probability, default=0.05, help="significance level for Kendall's W")
     p.set_defaults(handler=cmd_rank_analyze)
 
@@ -172,14 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", parents=[common_files, stochastic], help="predict defects found for a project")
     p.add_argument("--projects", required=True, help="projects JSON file")
     p.add_argument("--target", required=True, help="project id to predict")
-    p.add_argument("--quantiles", type=_parse_quantiles, default=estimation.DEFAULT_PREDICTION_QUANTILES, help="interval quantile pair, e.g. 0.10,0.90")
+    p.add_argument("--quantiles", type=_parse_quantiles, help="interval quantile pair, e.g. 0.10,0.90")
     p.add_argument("--out", required=True, help="prediction JSON")
     p.set_defaults(handler=cmd_predict)
 
     p = sub.add_parser("validate", parents=[common_files, stochastic], help="run the LOOCV validation harness")
     p.add_argument("--projects", required=True, help="projects JSON file")
     p.add_argument("--alpha", type=_probability, default=0.05, help="significance level for pairwise Wilcoxon tests")
-    p.add_argument("--variants", type=_parse_variants, default=ALL_VARIANTS, help="all or a comma-separated variant list")
+    p.add_argument("--variants", type=_parse_variants, default="all", help="all or a comma-separated variant list")
     p.add_argument("--out", required=True, help="validation report JSON")
     p.add_argument("--re-csv", help="per-project RE values CSV (default: <out>.re.csv)")
     p.set_defaults(handler=cmd_validate)
@@ -193,8 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_rank_analyze(args) -> int:
+    from . import io
+    from .elicitation import DEFAULT_SELECTION_THRESHOLD, analyze_rankings
+
+    threshold = DEFAULT_SELECTION_THRESHOLD if args.threshold is None else args.threshold
     sheets = io.load_rankings(args.rankings)
-    analysis = analyze_rankings(sheets, threshold=args.threshold, alpha=args.alpha)
+    analysis = analyze_rankings(sheets, threshold=threshold, alpha=args.alpha)
     _print_diagnostics(list(analysis.advisories))
     report = {
         "threshold": analysis.threshold,
@@ -226,12 +231,16 @@ def cmd_rank_analyze(args) -> int:
         "selected": sorted(analysis.selected),
     }
     with io.RunOutputs("rank-analyze", [args.rankings],
-                       parameters={"threshold": args.threshold, "alpha": args.alpha}) as run:
+                       parameters={"threshold": threshold, "alpha": args.alpha}) as run:
         io.write_json(run.path(args.out), report)
     return EXIT_OK
 
 
 def cmd_model_check(args) -> int:
+    from . import io
+    from .diagnostics import Severity, has_errors
+    from .model import validate_characterization, validate_model
+
     parse_diags: list[Diagnostic] = []
     model = io.load_model(args.model, strict=args.strict, diagnostics=parse_diags)
     diagnostics = parse_diags + validate_model(model, require_quantified=args.require_quantified)
@@ -258,17 +267,23 @@ def cmd_model_check(args) -> int:
 
 
 def _load_checked(args, diagnostics: list[Diagnostic]):
+    from . import io
+
     model = io.load_model(args.model, strict=args.strict, diagnostics=diagnostics)
     projects = io.load_projects(args.projects, strict=args.strict, diagnostics=diagnostics)
     return model, projects
 
 
-def _stochastic_run(command: str, args, **parameters) -> io.RunOutputs:
-    return io.RunOutputs(command, [args.model, args.projects], seed=args.seed, sample_count=args.samples,
-                         parameters=parameters)
+def _stochastic_run(command: str, args, **parameters) -> RunOutputs:
+    from .io import RunOutputs
+
+    return RunOutputs(command, [args.model, args.projects], seed=args.seed, sample_count=args.samples,
+                      parameters=parameters)
 
 
 def cmd_simulate(args) -> int:
+    from . import io
+    from .model import FactorKind, SimulationConfig
     from .simulation import simulate  # numpy loads only for the subcommands that draw
 
     diagnostics: list[Diagnostic] = []
@@ -278,24 +293,27 @@ def cmd_simulate(args) -> int:
     if args.project not in by_id:
         print(f"error: project {args.project!r} not found in {args.projects}", file=sys.stderr)
         return EXIT_VALIDATION
+    kind = FactorKind[_KIND_ALIASES[args.kind]]
     cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
-    distribution = simulate(model, by_id[args.project].characterization, _KIND_ALIASES[args.kind], cfg)
+    distribution = simulate(model, by_id[args.project].characterization, kind, cfg)
     payload = {
         "project_id": args.project,
-        "kind": _KIND_ALIASES[args.kind].value,
+        "kind": kind.value,
         "mean": distribution.mean,
         "sd": distribution.sd,
         "quantiles": {format(q, "g"): v for q, v in sorted(distribution.quantiles.items())},
     }
-    if args.emit_samples:
-        payload["samples"] = distribution.samples.tolist()
+    samples = ("samples", distribution.samples) if args.emit_samples else None
     with _stochastic_run("simulate", args, project=args.project, kind=args.kind,
                          emit_samples=bool(args.emit_samples)) as run:
-        io.write_json(run.path(args.out), payload)
+        io.write_json(run.path(args.out), payload, samples)
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
+    from . import io, planning
+    from .evaluation import project_factor_means
+
     diagnostics: list[Diagnostic] = []
     model, projects = _load_checked(args, diagnostics)
     _print_diagnostics(diagnostics)
@@ -310,13 +328,19 @@ def cmd_plan(args) -> int:
     with _stochastic_run("plan", args, scale_factor=args.scale_factor) as run:
         io.write_csv(run.path(args.out), ["project_id", "relative_dd", "relative_eff", "quadrant"], rows)
         if args.svg:
-            Path(run.path(args.svg)).write_text(planning.risk_chart_svg(chart), encoding="utf-8")
+            io.write_text(run.path(args.svg), planning.risk_chart_svg(chart))
         for point in chart.points:
             print(planning.risk_narrative(point), file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
+    from . import io
+    from .estimation import DEFAULT_PREDICTION_QUANTILES, estimate_baseline, predict_defects_found
+    from .evaluation import project_factor_means
+    from .model import SimulationConfig
+
+    quantiles = DEFAULT_PREDICTION_QUANTILES if args.quantiles is None else args.quantiles
     diagnostics: list[Diagnostic] = []
     model, projects = _load_checked(args, diagnostics)
     by_id = {p.project_id: p for p in projects}
@@ -332,16 +356,16 @@ def cmd_predict(args) -> int:
         return EXIT_VALIDATION
 
     means = project_factor_means(model, [*historical, target])
-    baseline = estimation.estimate_baseline(historical, means, diagnostics)
+    baseline = estimate_baseline(historical, means, diagnostics)
     cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
-    prediction = estimation.predict_defects_found(model, target, means, baseline, cfg, quantile_pair=args.quantiles)
+    prediction = predict_defects_found(model, target, means, baseline, cfg, quantile_pair=quantiles)
     _print_diagnostics(diagnostics)
-    with _stochastic_run("predict", args, target=args.target, quantiles=list(args.quantiles)) as run:
+    with _stochastic_run("predict", args, target=args.target, quantiles=list(quantiles)) as run:
         io.write_json(run.path(args.out), {
             "target": args.target,
             "point": prediction.point,
             "interval": list(prediction.interval),
-            "quantile_pair": list(args.quantiles),
+            "quantile_pair": list(quantiles),
             "baseline": baseline.estimate,
             "per_project_eq5_values": baseline.per_project_values,
             "ddif_mean": prediction.ddif_mean,
@@ -351,6 +375,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import io
+    from .evaluation import run_validation
+    from .model import SimulationConfig
+
     diagnostics: list[Diagnostic] = []
     model, projects = _load_checked(args, diagnostics)
     _print_diagnostics(diagnostics)
@@ -389,7 +417,7 @@ def cmd_validate(args) -> int:
             for d in report.excluded
         ],
     }
-    re_csv = args.re_csv or str(Path(args.out).with_name(Path(args.out).name + ".re.csv"))
+    re_csv = args.re_csv or os.path.join(os.path.dirname(args.out), os.path.basename(args.out) + ".re.csv")
     rows = [[v.value, r.project_id, r.re] for v in report.variants for r in report.records[v]]
     with _stochastic_run("validate", args, alpha=args.alpha, variants=[v.value for v in args.variants]) as run:
         io.write_json(run.path(args.out), payload)
@@ -400,6 +428,8 @@ def cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .diagnostics import EmptyInputError, HdceError, InputFormatError, ModelValidationError, error
+
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

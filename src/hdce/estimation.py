@@ -13,7 +13,6 @@ then drawn at that baseline.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -90,9 +89,12 @@ def estimate_baseline(
             )
         )
     per_project = {p.project_id: baseline_value(p, *means[p.project_id]) for p in historical}
+    # statistics.median's own expression, without loading statistics
+    ordered = sorted(per_project.values())
+    half, odd = divmod(len(ordered), 2)
     return BaselineEstimate(
         per_project_values=dict(sorted(per_project.items())),
-        estimate=statistics.median(per_project.values()),
+        estimate=ordered[half] if odd else (ordered[half - 1] + ordered[half]) / 2,
     )
 
 

@@ -3,7 +3,8 @@
 Inputs: model JSON, projects JSON, rankings CSV. Outputs: JSON (json.dump, in
 the caller's key order, streamed to the file) and CSV, both with Python's
 shortest round-trip floats, so identical runs are byte-identical and every
-float reads back as the same double. Every run's outputs get a sidecar run
+float reads back as the same double, and text (the SVG chart); every output has
+LF line endings on every platform. Every run's outputs get a sidecar run
 manifest carrying the input digests, seed, and tool version (the timestamp
 lives only there), and RunOutputs writes them all or none.
 """
@@ -20,10 +21,10 @@ from contextlib import AbstractContextManager
 from datetime import datetime, timezone
 from io import StringIO
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .diagnostics import Diagnostic, EmptyInputError, InputFormatError, warning
-from .elicitation import RankingSheet
 from .model import (
     CausalModel,
     FactorCategory,
@@ -34,7 +35,14 @@ from .model import (
     projects_from_list,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .elicitation import RankingSheet
+
 RANKINGS_HEADER = ["expert_id", "kind", "category", "factor_id", "rank"]
+# floats per block that write_json turns into text at a time
+FLOAT_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -49,11 +57,35 @@ def format_float(value: float) -> str:
     return float.__repr__(value)  # not repr: a numpy float would print as np.float64(...)
 
 
-def write_json(path: str | Path, obj) -> None:
-    """obj as JSON in the caller's key order, two-space indent, LF endings; streamed to the file."""
+def write_json(path: str | Path, obj, floats: tuple[str, np.ndarray] | None = None) -> None:
+    """obj as JSON in the caller's key order, two-space indent, LF endings; streamed to the file.
+
+    floats = (key, vector) adds key as the last member of the dict obj, holding the floats of
+    the numpy vector as a list, in json.dump's own bytes: each block of FLOAT_BLOCK floats is
+    turned into text and written in turn, so no list of all of them is ever built.
+    """
     with open(path, "w", newline="\n", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2, ensure_ascii=False, allow_nan=False)
+        if floats is None:
+            json.dump(obj, handle, indent=2, ensure_ascii=False, allow_nan=False)
+        else:
+            key, vector = floats
+            # json.dump's text of {..., key: []} ends in '[]\n}'; the list goes in their place
+            handle.write(json.dumps({**obj, key: []}, indent=2, ensure_ascii=False, allow_nan=False)[:-4])
+            opening = "[\n    "
+            for start in range(0, len(vector), FLOAT_BLOCK):
+                values = vector[start:start + FLOAT_BLOCK].tolist()
+                if not all(map(math.isfinite, values)):  # allow_nan=False's refusal
+                    raise ValueError("Out of range float values are not JSON compliant")
+                handle.write(opening + ",\n    ".join(map(float.__repr__, values)))
+                opening = ",\n    "
+            handle.write("\n  ]\n}" if len(vector) else "[]\n}")
         handle.write("\n")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """text as UTF-8 with LF endings on every platform (the risk-chart SVG)."""
+    with open(path, "w", newline="\n", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +140,8 @@ def load_projects(
 
 def load_rankings(path: str | Path) -> list[RankingSheet]:
     """Parse the rankings CSV into one sheet per (expert, kind, category)."""
+    from .elicitation import RankingSheet  # only rank-analyze loads elicitation
+
     reader = csv.reader(StringIO(_read_text(path, "rankings")))
     try:
         header, *rows = reader

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import hdce
-from hdce import cli, evaluation, simulation
+from hdce import evaluation, planning, simulation
 from hdce.cli import main
 from hdce.elicitation import MAX_GROUP_SIZE
 from hdce.io import load_model, load_projects, sha256_file, write_json
@@ -269,6 +269,24 @@ class TestPlan:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert svg_a.read_bytes() == svg_b.read_bytes()
 
+    def test_svg_is_opened_with_lf_endings(self, model_file, projects_file, tmp_path, monkeypatch):
+        # Path.write_text would write the platform's line ending (CRLF on Windows)
+        opened = []
+
+        def recording_open(file, mode="r", **kwargs):
+            opened.append((os.path.basename(file), mode, kwargs.get("newline")))
+            return open(file, mode, **kwargs)
+
+        monkeypatch.setattr(hdce.io, "open", recording_open, raising=False)
+        svg = tmp_path / "chart.svg"
+        assert main([
+            "plan", "--model", str(model_file), "--projects", str(projects_file), "--seed", "5",
+            "--out", str(tmp_path / "chart.csv"), "--svg", str(svg),
+        ]) == 0
+        assert [(mode, newline) for name, mode, newline in opened
+                if name.startswith(".chart.svg.") and mode != "rb"] == [("w", "\n")]
+        assert svg.read_bytes().count(b"\n") > 1 and b"\r" not in svg.read_bytes()
+
 
     def test_missing_history_is_reported_before_any_draw(self, model_file, tmp_path, monkeypatch, capsys):
         # no project has defects_found, and one has a level the engine would refuse
@@ -282,7 +300,7 @@ class TestPlan:
         def no_draw(*_args):
             raise AssertionError("plan draws nothing for a portfolio without history")
 
-        monkeypatch.setattr(cli, "project_factor_means", no_draw)
+        monkeypatch.setattr(evaluation, "project_factor_means", no_draw)
         out = tmp_path / "chart.csv"
         code = main([
             "plan", "--model", str(model_file), "--projects", str(projects),
@@ -345,7 +363,7 @@ class TestOneMeanPerProject:
             simulated.append(read_json(out)["mean"])
         assert tuple(simulated) == exact["review-c"]
         charted, validated = {}, []
-        build_risk_chart, loocv = cli.planning.build_risk_chart, evaluation.loocv
+        build_risk_chart, loocv = planning.build_risk_chart, evaluation.loocv
 
         def recorded_chart(triples, *args, **kwargs):
             charted.update((pid, (ddif, eif)) for pid, ddif, eif in triples)
@@ -355,7 +373,7 @@ class TestOneMeanPerProject:
             validated.append(dict(means))
             return loocv(*args, means=means, **kwargs)
 
-        monkeypatch.setattr(cli.planning, "build_risk_chart", recorded_chart)
+        monkeypatch.setattr(planning, "build_risk_chart", recorded_chart)
         monkeypatch.setattr(evaluation, "loocv", recorded_loocv)
         assert main(["plan", *files, *seeded, "--out", str(tmp_path / "chart.csv")]) == 0
         assert charted == exact
@@ -656,7 +674,7 @@ class TestNonFiniteInputs:
         def no_input(*_args, **_kwargs):
             raise AssertionError("read an input before rejecting --scale-factor")
 
-        monkeypatch.setattr(cli.io, "load_model", no_input)
+        monkeypatch.setattr(hdce.io, "load_model", no_input)
         out = tmp_path / "chart.csv"
         code = main([
             "plan", "--model", str(model_file), "--projects", str(projects_file), "--seed", "1",
@@ -671,7 +689,7 @@ class TestNonFiniteInputs:
         def no_input(*_args, **_kwargs):
             raise AssertionError("read an input before rejecting --threshold")
 
-        monkeypatch.setattr(cli.io, "load_rankings", no_input)
+        monkeypatch.setattr(hdce.io, "load_rankings", no_input)
         out = tmp_path / "analysis.json"
         code = main(["rank-analyze", "--rankings", str(rankings_csv), f"--threshold={value}", "--out", str(out)])
         assert code == 2
@@ -960,10 +978,11 @@ class TestRunOutputs:
         assert f"usage error: cannot use {manifest}: " in capsys.readouterr().err
         assert [p.name for p in paths["run"].iterdir()] == [manifest.name]
 
+    @pytest.mark.parametrize("command", ["predict", "validate"])
     @pytest.mark.parametrize("out, named", [("", "."), ("{run}/new-directory/", "{run}/new-directory/")])
-    def test_output_path_without_a_file_name_is_a_directory(self, out, named, paths, monkeypatch, capsys):
+    def test_output_path_without_a_file_name_is_a_directory(self, command, out, named, paths, monkeypatch, capsys):
         monkeypatch.chdir(paths["run"])
-        argv = [a.format(**paths) for a in WRITING_RUNS["predict"][0] + ["--out", out]]
+        argv = [a.format(**paths) for a in WRITING_RUNS[command][0] + ["--out", out]]
         assert main(argv) == 2
         assert f"usage error: cannot use {named.format(**paths)}: Is a directory" in capsys.readouterr().err
         assert list(paths["run"].iterdir()) == []
@@ -1108,3 +1127,36 @@ class TestThreadPoolImports:
     def test_no_subcommand_at_one_block_loads_concurrent_futures(self, tmp_path):
         loaded = probe_imports(tmp_path, "concurrent.futures")
         assert loaded == {name: [0, []] for name in PROBED}
+
+
+# the hdce modules each subcommand runs, beyond the package and hdce.cli
+_EVERY_RUN = ("diagnostics", "model", "io")
+MODULES_RUN = {
+    "rank-analyze": {*_EVERY_RUN, "elicitation", "pvalues"},
+    "model-check": {*_EVERY_RUN},
+    "simulate": {*_EVERY_RUN, "simulation"},
+    "plan": {*_EVERY_RUN, "estimation", "evaluation", "pvalues", "planning"},
+    "predict": {*_EVERY_RUN, "estimation", "evaluation", "pvalues", "simulation"},
+    "validate": {*_EVERY_RUN, "estimation", "evaluation", "pvalues"},
+}
+
+
+class TestModuleImports:
+    """import hdce and import hdce.cli load no other hdce module, each subcommand loads only the
+    modules it runs, and only rank-analyze loads statistics."""
+
+    @pytest.mark.parametrize("command", MODULES_RUN)
+    def test_each_subcommand_loads_exactly_its_modules(self, command, tmp_path):
+        loaded = probe_imports(tmp_path, "hdce", [command])  # a fresh interpreter per subcommand
+        assert loaded == {
+            "import hdce": [0, ["hdce"]],
+            "import hdce.cli": [0, ["hdce", "hdce.cli"]],
+            command: [0, sorted(["hdce", "hdce.cli", *(f"hdce.{m}" for m in MODULES_RUN[command])])],
+        }
+
+    def test_only_rank_analyze_loads_statistics(self, tmp_path):
+        # loading only grows, so nothing loaded after the others have run means none of them loads it
+        others = [name for name in PROBED[2:] if name != "rank-analyze"]
+        loaded = probe_imports(tmp_path, "statistics", [*others, "rank-analyze"])
+        assert loaded.pop("rank-analyze") == [0, ["statistics"]]
+        assert loaded == {name: [0, []] for name in (*PROBED[:2], *others)}

@@ -1,11 +1,14 @@
+import statistics
+import struct
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdce import simulation
+from hdce import estimation, simulation
 from hdce.estimation import (
     baseline_value,
     estimate_baseline,
@@ -129,6 +132,31 @@ class TestBaseline:
             estimate_baseline(projects, zero_means(projects)).estimate
             == estimate_baseline(with_duplicate, zero_means(with_duplicate)).estimate
         )
+
+
+_MAX = sys.float_info.max
+# signed zeros, the smallest subnormal, the largest subnormal and near-max floats whose pair sums overflow
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 0.75 * _MAX, _MAX, -_MAX]
+
+
+class TestBaselineMedian:
+    """estimate_baseline's median is statistics.median's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS)),
+                    min_size=1, max_size=9))
+    @example([_MAX, 0.75 * _MAX])  # the middle pair's sum overflows to inf, as statistics.median's does
+    @example([-_MAX, -_MAX, 1.0])
+    @example([0.0, -0.0])
+    @example([-0.0, 0.0, -0.0])
+    @example([5e-324, 5e-324, -5e-324, 2.0])
+    def test_equals_statistics_median_bit_for_bit(self, values):
+        projects = [project(f"p{i}", 1.0, 1) for i in range(len(values))]
+        by_id = {p.project_id: value for p, value in zip(projects, values)}
+        with pytest.MonkeyPatch.context() as patch:  # eq. 5 values chosen outright
+            patch.setattr(estimation, "baseline_value", lambda p, ddif, eif: by_id[p.project_id])
+            estimate = estimate_baseline(projects, zero_means(projects)).estimate
+        assert struct.pack("<d", estimate) == struct.pack("<d", statistics.median(values))
 
 
 class TestPrediction:

@@ -62,6 +62,10 @@ class TestWriteJson:
     def test_non_finite_rejected(self, tmp_path, value):
         with pytest.raises(ValueError):
             write_json(tmp_path / "out.json", {"x": [value]})
+        vector = np.ones(65_537)
+        vector[-1] = value  # in the second block
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(tmp_path / "out.json", {"x": 1}, ("samples", vector))
         with pytest.raises(ValueError):
             format_float(value)
 
@@ -83,6 +87,31 @@ class TestWriteJson:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 20
+
+    @pytest.mark.parametrize("n", [0, 1, 65_536, 65_537])
+    def test_float_vector_text_is_json_dumps_text(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        vector = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        vector[: min(n, 4)] = [-0.0, 5e-324, 1.7976931348623157e308, 2.0][: min(n, 4)]
+        payload = {"project_id": "p", "quantiles": {"0.5": 0.1}}
+        path = tmp_path / "out.json"
+        write_json(path, payload, ("samples", vector))
+        expected = json.dumps({**payload, "samples": vector.tolist()}, indent=2, ensure_ascii=False) + "\n"
+        # as lists of lines, so that a failure names the first line that differs, not a diff of megabytes
+        assert path.read_bytes().decode("utf-8").split("\n") == expected.split("\n")
+
+    def test_float_vector_is_written_a_block_at_a_time(self, tmp_path):
+        # the text of one block at a time: three blocks peak no higher than one
+        peaks = []
+        for blocks in (1, 3):
+            vector = np.random.default_rng(blocks).random(blocks * 65_536)
+            tracemalloc.start()
+            try:
+                write_json(tmp_path / "out.json", {"k": 1}, ("samples", vector))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestModelFiles:

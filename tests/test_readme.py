@@ -59,9 +59,14 @@ def test_library_use_overflow_raises_in_the_draw_without_a_warning(monkeypatch):
     assert [str(w.message) for w in caught] == []
 
 
-def test_package_binds_only_the_library_use_names():
+def test_package_resolves_the_library_use_names_and_binds_nothing_up_front():
+    assert hdce.SimulationConfig is hdce.model.SimulationConfig
+    assert hdce.estimate_baseline is hdce.estimation.estimate_baseline
+    assert hdce.predict_defects_found is hdce.estimation.predict_defects_found
     names = {
         name for name, value in vars(hdce).items()
         if not name.startswith("__") and not isinstance(value, types.ModuleType)
     }
-    assert names == {"SimulationConfig", "estimate_baseline", "predict_defects_found"}
+    assert names == set()
+    with pytest.raises(AttributeError, match="has no attribute 'analytic_mean'"):
+        hdce.analytic_mean
