@@ -1,10 +1,13 @@
 """Command-line interface: rank-analyze, model-check, simulate, plan, predict, validate.
 
 Exit codes: 0 success, 1 validation/data or write error, 2 usage error. Diagnostics go
-to stderr; data goes to the --out files. Every stochastic subcommand requires an
-explicit --seed so reruns are reproducible; plan and validate use exact means, so
-their outputs depend on neither --seed nor --samples. A run's outputs and their
-manifest (input digests, seed, tool version) are written together or not at all.
+to stderr; data goes to the --out files. A failure is an HdceError with a code and an exit
+status, raised by a handler, the library or the parser (as [usage]); main makes one of an
+OSError, MemoryError, FloatingPointError or ValueError, and prints it once as `error:
+[code] message`. Every stochastic subcommand requires an explicit --seed so reruns are
+reproducible; plan and validate use exact means, so their outputs depend on neither
+--seed nor --samples. A run's outputs and their manifest (input digests, seed, tool
+version) are written together or not at all.
 
 Each subcommand loads only the hdce modules it runs: importing this module loads no
 other, main and build_parser load diagnostics and model, and each handler imports
@@ -38,6 +41,16 @@ _NON_FINITE_CAUSES = "an input near the largest double, or a tiny size against a
 def _print_diagnostics(diagnostics: list[Diagnostic]) -> None:
     for d in diagnostics:
         print(str(d), file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints the usage line and fails as every other error does: error: [usage] <prog>: <message>, exit 2."""
+
+    def error(self, message: str):
+        from .diagnostics import HdceError
+
+        self.print_usage(sys.stderr)
+        raise HdceError(f"{self.prog}: {message}", code="usage", exit_status=EXIT_USAGE)
 
 
 def _parse_quantiles(text: str) -> tuple[float, float]:
@@ -128,7 +141,7 @@ def _sample_count_type(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     from .model import DEFAULT_SAMPLE_COUNT
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hdce",
         description="Hybrid defect content and effectiveness modeling for QA planning and controlling.",
     )
@@ -266,11 +279,13 @@ def cmd_model_check(args) -> int:
     return EXIT_OK
 
 
-def _load_checked(args, diagnostics: list[Diagnostic]):
+def _load_checked(args):
     from . import io
 
+    diagnostics: list[Diagnostic] = []
     model = io.load_model(args.model, strict=args.strict, diagnostics=diagnostics)
     projects = io.load_projects(args.projects, strict=args.strict, diagnostics=diagnostics)
+    _print_diagnostics(diagnostics)
     return model, projects
 
 
@@ -283,16 +298,14 @@ def _stochastic_run(command: str, args, **parameters) -> RunOutputs:
 
 def cmd_simulate(args) -> int:
     from . import io
+    from .diagnostics import HdceError
     from .model import FactorKind, SimulationConfig
     from .simulation import simulate  # numpy loads only for the subcommands that draw
 
-    diagnostics: list[Diagnostic] = []
-    model, projects = _load_checked(args, diagnostics)
-    _print_diagnostics(diagnostics)
+    model, projects = _load_checked(args)
     by_id = {p.project_id: p for p in projects}
     if args.project not in by_id:
-        print(f"error: project {args.project!r} not found in {args.projects}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise HdceError(f"project {args.project!r} not found in {args.projects}", code="not-found")
     kind = FactorKind[_KIND_ALIASES[args.kind]]
     cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
     distribution = simulate(model, by_id[args.project].characterization, kind, cfg)
@@ -312,15 +325,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_plan(args) -> int:
     from . import io, planning
+    from .diagnostics import HdceError
     from .evaluation import project_factor_means
 
-    diagnostics: list[Diagnostic] = []
-    model, projects = _load_checked(args, diagnostics)
-    _print_diagnostics(diagnostics)
+    model, projects = _load_checked(args)
     baseline_ids = {p.project_id for p in projects if p.defects_found is not None}
     if not baseline_ids:
-        print("error: no historical project (with defects_found) to anchor the chart", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise HdceError("no historical project (with defects_found) to anchor the chart", code="no-history")
     means = project_factor_means(model, projects)
     triples = [(p.project_id, *means[p.project_id]) for p in projects]
     chart = planning.build_risk_chart(triples, f=args.scale_factor, baseline_ids=baseline_ids)
@@ -336,26 +347,23 @@ def cmd_plan(args) -> int:
 
 def cmd_predict(args) -> int:
     from . import io
+    from .diagnostics import HdceError
     from .estimation import DEFAULT_PREDICTION_QUANTILES, estimate_baseline, predict_defects_found
     from .evaluation import project_factor_means
     from .model import SimulationConfig
 
     quantiles = DEFAULT_PREDICTION_QUANTILES if args.quantiles is None else args.quantiles
-    diagnostics: list[Diagnostic] = []
-    model, projects = _load_checked(args, diagnostics)
+    model, projects = _load_checked(args)
     by_id = {p.project_id: p for p in projects}
     if args.target not in by_id:
-        _print_diagnostics(diagnostics)
-        print(f"error: target project {args.target!r} not found in {args.projects}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise HdceError(f"target project {args.target!r} not found in {args.projects}", code="not-found")
     target = by_id[args.target]
     historical = [p for p in projects if p.defects_found is not None and p.project_id != args.target]
     if not historical:
-        _print_diagnostics(diagnostics)
-        print("error: no historical project (with defects_found) to estimate the baseline", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise HdceError("no historical project (with defects_found) to estimate the baseline", code="no-history")
 
     means = project_factor_means(model, [*historical, target])
+    diagnostics: list[Diagnostic] = []
     baseline = estimate_baseline(historical, means, diagnostics)
     cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
     prediction = predict_defects_found(model, target, means, baseline, cfg, quantile_pair=quantiles)
@@ -379,9 +387,7 @@ def cmd_validate(args) -> int:
     from .evaluation import run_validation
     from .model import SimulationConfig
 
-    diagnostics: list[Diagnostic] = []
-    model, projects = _load_checked(args, diagnostics)
-    _print_diagnostics(diagnostics)
+    model, projects = _load_checked(args)
     cfg = SimulationConfig(seed=args.seed, sample_count=args.samples)
     report = run_validation(model, projects, cfg, variants=args.variants, alpha=args.alpha)
     _print_diagnostics(list(report.excluded))
@@ -428,44 +434,31 @@ def cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .diagnostics import EmptyInputError, HdceError, InputFormatError, ModelValidationError, error
+    from .diagnostics import HdceError
 
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; normalize other exits
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except FloatingPointError as exc:  # the library raises it where a float result overflows
-        _print_diagnostics([error("non-finite-result", f"{exc}: {_NON_FINITE_CAUSES}")])
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"usage error: file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # a path that is a directory, not permitted, ...
-        if exc.filename is None:  # no path to blame: a full disk while writing, ...
-            _print_diagnostics([error("write-failed", str(exc))])
-            return EXIT_VALIDATION
-        print(f"usage error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
-    except EmptyInputError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ModelValidationError as exc:
-        _print_diagnostics(exc.diagnostics)
-        return EXIT_VALIDATION
-    except (HdceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MemoryError as exc:
-        detail = f": {exc}" if str(exc) else ""
-        _print_diagnostics([error("out-of-memory", f"out of memory{detail}; a smaller --samples needs less")])
-        return EXIT_VALIDATION
+    except (HdceError, OSError, MemoryError, FloatingPointError, ValueError) as exc:
+        match exc:
+            case HdceError():
+                failure = exc
+            case FileNotFoundError():
+                failure = HdceError(f"file not found: {exc.filename}", code="file-not-found", exit_status=EXIT_USAGE)
+            case OSError(filename=None):  # no path to blame: a full disk while writing, ...
+                failure = HdceError(str(exc), code="write-failed")
+            case OSError():  # a path that is a directory, not permitted, ...
+                failure = HdceError(f"cannot use {exc.filename}: {exc.strerror}", code="cannot-use",
+                                    exit_status=EXIT_USAGE)
+            case MemoryError():
+                detail = f": {exc}" if str(exc) else ""
+                failure = HdceError(f"out of memory{detail}; a smaller --samples needs less", code="out-of-memory")
+            case FloatingPointError():  # the library raises it where a float result overflows
+                failure = HdceError(f"{exc}: {_NON_FINITE_CAUSES}", code="non-finite-result")
+            case _:  # any other ValueError the library raises on its input
+                failure = HdceError(str(exc))
+    _print_diagnostics(failure.diagnostics)
+    return failure.exit_status
 
 
 if __name__ == "__main__":

@@ -40,21 +40,34 @@ def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
 
 
 class HdceError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors: main() prints its diagnostics and exits with its exit_status."""
+
+    code = "invalid-input"  # the class defaults, which a raise site may override
+    exit_status = 1
+
+    def __init__(self, message: str, *, code: str | None = None, exit_status: int | None = None):
+        super().__init__(message)
+        self.code, self.exit_status = code or self.code, exit_status or self.exit_status
+        self.diagnostics = [error(self.code, message)]
 
 
 class InputFormatError(HdceError):
     """Malformed input file or record (schema violation, bad CSV row, ...)."""
 
+    code = "input-format"
+
 
 class EmptyInputError(InputFormatError):
     """An input file with no usable content; surfaced as a usage error."""
+
+    code = "empty-input"
+    exit_status = 2
 
 
 class ModelValidationError(HdceError):
     """An operation was invoked on a model or characterization that fails validation."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
-        self.diagnostics = list(diagnostics)
-        summary = "; ".join(str(d) for d in self.diagnostics if d.severity is Severity.ERROR)
+        summary = "; ".join(str(d) for d in diagnostics if d.severity is Severity.ERROR)
         super().__init__(summary or "validation failed")
+        self.diagnostics = list(diagnostics)

@@ -41,6 +41,8 @@ if TYPE_CHECKING:
     from .elicitation import RankingSheet
 
 RANKINGS_HEADER = ["expert_id", "kind", "category", "factor_id", "rank"]
+# input path -> SHA-256 of the bytes a loader last parsed from it, which a run's manifest records
+_parsed_digests: dict[str, str] = {}
 # floats per block that write_json turns into text at a time
 FLOAT_BLOCK = 1 << 16
 
@@ -106,8 +108,10 @@ def _apply_unknown_policy(
 
 
 def _read_text(path: str | Path, what: str) -> str:
+    data = Path(path).read_bytes()  # read once: a FIFO or a /dev/fd/N pipe gives its bytes only once
+    _parsed_digests[str(path)] = hashlib.sha256(data).hexdigest()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{what} file {path}: not UTF-8 text ({exc})") from None
 
@@ -233,7 +237,8 @@ class RunOutputs(AbstractContextManager):
     In ``with RunOutputs(command, inputs, ...) as run:`` each output is written
     to ``run.path(target)``, a temporary file beside it. When the block ends
     cleanly, ``<first output>.manifest.json`` records the input and output
-    digests, and each output and then the manifest is moved into place. When
+    digests (an input's of the bytes a loader parsed, so no input is read
+    twice), and each output and then the manifest is moved into place. When
     it raises, the temporary files are removed: no file is written or changed.
     """
 
@@ -245,15 +250,15 @@ class RunOutputs(AbstractContextManager):
         self._temps: dict[str, str] = {}  # output -> its temporary file
 
     def path(self, target: str | Path) -> str:
-        """A new name beside target to write it to, created by the writer's own open() so that
-        its mode follows the umask. A directory, an input or another output of the run is refused."""
+        """A new name beside target to write it to, created by the writer's own open() so that its mode
+        follows the umask. An input, another output of the run, a directory, a FIFO or a device is refused."""
         target = str(target)
         for other, role in [(p, "an input") for p in self._inputs] + [(p, "another output") for p in self._temps]:
             if _same_file(target, other):  # an OSError, so that main() says "cannot use <target>"
                 raise OSError(errno.EINVAL, f"output path is also {role} of this run", target)
         head, tail = os.path.split(target)
-        if not tail or os.path.isdir(target):  # "" and "name/" name a directory too
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target or os.curdir)
+        if not tail or os.path.exists(target) and not os.path.isfile(target):  # "" and "name/" name a directory
+            raise OSError(errno.EINVAL, "not a regular file", target or os.curdir)
         self._temps[target] = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
         return self._temps[target]
 
@@ -265,7 +270,7 @@ class RunOutputs(AbstractContextManager):
                 outputs = {t: sha256_file(temp) for t, temp in sorted(self._temps.items())}
                 write_json(self.path(next(iter(self._temps)) + ".manifest.json"), {
                     **self._header,
-                    "inputs": {p: sha256_file(p) for p in self._inputs},
+                    "inputs": {p: _parsed_digests.get(p) or sha256_file(p) for p in self._inputs},
                     "outputs": outputs,
                     "timestamp": datetime.now(timezone.utc).isoformat(),
                 })

@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,6 +31,13 @@ EFF = FactorKind.EFFECTIVENESS
 PRODUCT = FactorCategory.PRODUCT
 PROJECT = FactorCategory.PROJECT
 PROCESS = FactorCategory.PROCESS_PERSONNEL
+
+
+def readme_error_codes() -> set[str]:
+    """The codes README's exit-code table lists: those in the first cell of each row under its header."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split("\n| Code | Exit | Meaning |\n", 1)[1].split("\n\n", 1)[0]
+    return {code for row in table.splitlines()[1:] for code in re.findall(r"`([a-z0-9-]+)`", row.split("|")[1])}
 
 
 def scale_for(name: str) -> FactorScale:

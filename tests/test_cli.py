@@ -1,5 +1,6 @@
 import concurrent.futures
 import errno
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -88,7 +90,7 @@ class TestRankAnalyze:
         empty.write_text("", encoding="utf-8")
         code = main(["rank-analyze", "--rankings", str(empty), "--out", str(tmp_path / "o.json")])
         assert code == 2
-        assert "usage error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: [empty-input] rankings file {empty} is empty\n"
 
     def test_single_expert_reports_w_unavailable(self, tmp_path):
         path = tmp_path / "rankings.csv"
@@ -126,7 +128,7 @@ class TestRankAnalyze:
         assert main(["rank-analyze", "--rankings", str(path), "--out", str(out)]) == code
         if code:
             assert capsys.readouterr().err == (
-                f"input error: category DefectContent/Product has {factors} factors; at most {MAX_GROUP_SIZE} are supported\n"
+                f"error: [input-format] category DefectContent/Product has {factors} factors; at most {MAX_GROUP_SIZE} are supported\n"
             )
             assert list(tmp_path.iterdir()) == [path]
         else:
@@ -138,7 +140,7 @@ class TestRankAnalyze:
                         encoding="utf-8")
         out = tmp_path / "o.json"
         assert main(["rank-analyze", "--rankings", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"input error: {path}:2: field larger than field limit (131072)\n"
+        assert capsys.readouterr().err == f"error: [input-format] {path}:2: field larger than field limit (131072)\n"
         assert not out.exists()
 
 
@@ -163,14 +165,14 @@ class TestModelCheck:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["model-check", "--model", str(tmp_path / "nope.json")])
         assert code == 2
-        assert "file not found" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: [file-not-found] file not found: {tmp_path / 'nope.json'}\n"
 
     def test_non_utf8_model_is_input_error_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_bytes(bytes(range(128, 256)))
         assert main(["model-check", "--model", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"input error: model file {path}: not UTF-8 text" in err
+        assert f"error: [input-format] model file {path}: not UTF-8 text" in err
 
     def test_strict_mode_rejects_unknown_fields(self, tmp_path):
         data = model_to_dict(exact_model())
@@ -221,7 +223,7 @@ class TestSimulate:
             "--project", "GHOST", "--kind", "dc", "--seed", "1", "--out", str(tmp_path / "o.json"),
         ])
         assert code == 1
-        assert "not found" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: [not-found] project 'GHOST' not found in {projects_file}\n"
 
     def test_out_of_memory_is_a_coded_error(self, model_file, projects_file, tmp_path, capsys, monkeypatch):
         # stands in for --samples 2000000000, whose draws cannot be allocated
@@ -307,7 +309,7 @@ class TestPlan:
             "--seed", "5", "--samples", "1000", "--out", str(out),
         ])
         assert code == 1
-        assert "error: no historical project (with defects_found) to anchor the chart" in capsys.readouterr().err
+        assert "error: [no-history] no historical project (with defects_found) to anchor the chart" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -332,7 +334,7 @@ class TestPredict:
             "--target", "GHOST", "--seed", "1", "--out", str(tmp_path / "o.json"),
         ])
         assert code == 1
-        assert "not found" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: [not-found] target project 'GHOST' not found in {projects_file}\n"
 
     def test_custom_quantiles(self, model_file, projects_file, tmp_path):
         out = tmp_path / "prediction.json"
@@ -894,7 +896,7 @@ class TestUnreadablePaths:
                  "projects": projects_file}
         assert main([a.format(**paths) for a in argv]) == 2
         err = capsys.readouterr().err
-        assert f"usage error: cannot use {directory}: " in err
+        assert f"error: [cannot-use] cannot use {directory}: " in err
         assert "Traceback" not in err
         # a failed run leaves no output behind, and so no output without its manifest
         assert not (tmp_path / "chart.csv").exists()
@@ -956,7 +958,7 @@ class TestRunOutputs:
         assert main(argv + rerun_flags) == 1  # a failed write, not a wrong flag
         err = capsys.readouterr().err
         assert "error: [write-failed] [Errno 28] No space left on device" in err
-        assert "usage error" not in err
+        assert "[cannot-use]" not in err
         assert len(writes) == 1
         assert snapshot(paths["run"]) == before  # no new or temporary file, no output rewritten
 
@@ -965,7 +967,7 @@ class TestRunOutputs:
         directory.mkdir()
         argv = [a.format(**paths) for a in WRITING_RUNS["validate"][0]]
         assert main(argv + ["--re-csv", str(directory)]) == 2
-        assert f"usage error: cannot use {directory}: " in capsys.readouterr().err
+        assert f"error: [cannot-use] cannot use {directory}: " in capsys.readouterr().err
         assert [p.name for p in paths["run"].iterdir()] == ["re-values"]
         assert not list(directory.iterdir())
 
@@ -975,7 +977,7 @@ class TestRunOutputs:
         manifest = Path(argv[argv.index("--out") + 1] + ".manifest.json")
         manifest.mkdir()
         assert main(argv) == 2
-        assert f"usage error: cannot use {manifest}: " in capsys.readouterr().err
+        assert f"error: [cannot-use] cannot use {manifest}: " in capsys.readouterr().err
         assert [p.name for p in paths["run"].iterdir()] == [manifest.name]
 
     @pytest.mark.parametrize("command", ["predict", "validate"])
@@ -984,7 +986,7 @@ class TestRunOutputs:
         monkeypatch.chdir(paths["run"])
         argv = [a.format(**paths) for a in WRITING_RUNS[command][0] + ["--out", out]]
         assert main(argv) == 2
-        assert f"usage error: cannot use {named.format(**paths)}: Is a directory" in capsys.readouterr().err
+        assert f"error: [cannot-use] cannot use {named.format(**paths)}: not a regular file" in capsys.readouterr().err
         assert list(paths["run"].iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -1011,7 +1013,7 @@ class TestRunOutputs:
         argv = [a.format(**paths) for a in WRITING_RUNS[command][0] + flags]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"usage error: cannot use {named.format(**paths)}: output path is also {role} of this run" in err
+        assert f"error: [cannot-use] cannot use {named.format(**paths)}: output path is also {role} of this run" in err
         assert (snapshot(inputs), snapshot(paths["run"])) == before
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)])
@@ -1036,6 +1038,101 @@ class TestRunOutputs:
         assert main(["model-check", "--model", str(model), "--out", str(out)]) == 1
         assert read_json(out)["errors"] >= 1
         assert read_json(tmp_path / "check.json.manifest.json")["outputs"] == {str(out): sha256_file(out)}
+
+
+class TestFailurePath:
+    """Every failure prints one coded line, error: [code] message, and exits with its status."""
+
+    def test_argparse_error_prints_the_usage_line_and_one_coded_line(self, model_file, projects_file, capsys):
+        argv = ["plan", "--model", str(model_file), "--projects", str(projects_file), "--seed", "1",
+                "--out", "chart.csv", "--scale-factor", "nan"]
+        assert main(argv) == 2
+        usage, *rest = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: hdce plan ")
+        assert rest[-1] == "error: [usage] hdce plan: argument --scale-factor: expected a finite number, got 'nan'"
+
+    def test_missing_subcommand_is_a_usage_error(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: [usage] hdce: the following arguments are required: command")
+
+    def test_predict_without_history_is_a_coded_error(self, model_file, tmp_path, capsys):
+        projects = tmp_path / "planned.json"
+        write_json(projects, [{**project_to_dict(exact_projects()[0]), "defects_found": None}])
+        out = tmp_path / "prediction.json"
+        argv = ["predict", "--model", str(model_file), "--projects", str(projects), "--target", "E1",
+                "--seed", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: [no-history] no historical project (with defects_found) to estimate the baseline\n")
+        assert not out.exists()
+
+    def test_validate_on_an_empty_portfolio_is_a_coded_error(self, model_file, tmp_path, capsys):
+        projects = tmp_path / "empty.json"
+        projects.write_text("[]", encoding="utf-8")
+        out = tmp_path / "report.json"
+        argv = ["validate", "--model", str(model_file), "--projects", str(projects), "--seed", "1",
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: [invalid-input] leave-one-out needs at least 3 usable projects, got 0\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json", "model.json"]
+
+
+def _run_cli(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(hdce.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "hdce.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=30, **kwargs)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="FIFOs and /dev/fd as on Linux")
+class TestSpecialFiles:
+    """An input is read once, so a FIFO or a /dev/fd/N pipe works and its manifest digest is that of
+    the bytes parsed; an output path that exists and is no regular file is refused, not replaced."""
+
+    @staticmethod
+    def plan_argv(model, projects, tmp_path):
+        return ["plan", "--model", str(model), "--projects", str(projects), "--seed", "1", "--samples", "50",
+                "--out", str(tmp_path / "chart.csv")]
+
+    def test_fifo_input_is_read_once(self, model_file, projects_file, tmp_path):
+        data = model_file.read_bytes()
+        fifo = tmp_path / "model.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as handle:
+                handle.write(data)
+
+        threading.Thread(target=feed, daemon=True).start()  # one writer: a second read would never end
+        proc = _run_cli(self.plan_argv(fifo, projects_file, tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        inputs = read_json(tmp_path / "chart.csv.manifest.json")["inputs"]
+        assert inputs[str(fifo)] == hashlib.sha256(data).hexdigest()
+
+    def test_dev_fd_input_digest_is_that_of_the_bytes_parsed(self, model_file, projects_file, tmp_path):
+        data = model_file.read_bytes()
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)  # a model file fits in the pipe's buffer
+        os.close(write_end)
+        try:
+            proc = _run_cli(self.plan_argv(f"/dev/fd/{read_end}", projects_file, tmp_path), pass_fds=(read_end,))
+        finally:
+            os.close(read_end)
+        assert proc.returncode == 0, proc.stderr
+        inputs = read_json(tmp_path / "chart.csv.manifest.json")["inputs"]
+        assert inputs[f"/dev/fd/{read_end}"] == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("name", ["ddif.json", "ddif.json.manifest.json"])
+    def test_fifo_output_is_refused_and_stays_a_fifo(self, name, model_file, projects_file, tmp_path, capsys):
+        fifo = tmp_path / name
+        os.mkfifo(fifo)
+        argv = ["simulate", "--model", str(model_file), "--projects", str(projects_file), "--project", "E1",
+                "--kind", "dc", "--seed", "1", "--samples", "50", "--out", str(tmp_path / "ddif.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: [cannot-use] cannot use {fifo}: not a regular file\n"
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([model_file.name, projects_file.name, name])
 
 
 _IMPORT_PROBE = """

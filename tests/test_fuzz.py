@@ -1,9 +1,11 @@
 """Fuzzed inputs end in a result or a coded diagnostic.
 
 The loaders either return or raise the errors that main() turns into exit 1
-or 2; main() itself exits 0, 1 or 2 without a traceback, and writes no NaN or
-Infinity. Hypothesis deadlines guard the in-process runs against hangs, and a
-fixed corpus runs as subprocesses with a timeout.
+or 2; main() itself exits 0, 1 or 2 without a traceback, prints at least one
+`error: [code] ` line on a nonzero exit, prints no error code that README's
+exit-code table does not list, and writes no NaN or Infinity. Hypothesis
+deadlines guard the in-process runs against hangs, and a fixed corpus runs as
+subprocesses with a timeout.
 """
 
 import contextlib
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from hdce.cli import main
 from hdce.diagnostics import HdceError
 from hdce.io import load_model, load_projects, load_rankings
+from helpers import readme_error_codes
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "schemas" / "examples"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -144,6 +147,19 @@ class TestLoaders:
         loads_or_raises_coded_error(load_rankings, text, ".csv")
 
 
+_CODED_ERROR = re.compile(r"^error: \[([a-z0-9-]+)\] ", re.MULTILINE)
+README_CODES = readme_error_codes()
+
+
+def assert_coded(exit_code: int, stderr: str) -> None:
+    """A nonzero exit prints a coded error line, and every error code printed is one README lists."""
+    assert exit_code in (0, 1, 2), stderr
+    assert "Traceback" not in stderr
+    codes = set(_CODED_ERROR.findall(stderr))
+    assert codes or exit_code == 0, f"exit {exit_code} without an error: [code] line:\n{stderr}"
+    assert codes <= README_CODES, f"codes README does not list: {sorted(codes - README_CODES)}"
+
+
 _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
@@ -195,28 +211,36 @@ class TestMain:
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
-            assert code in (0, 1, 2), stderr.getvalue()
-            assert "Traceback" not in stderr.getvalue()
+            assert_coded(code, stderr.getvalue())
             assert_outputs_finite(workdir, {"model.json", "projects.json", "rankings.csv"})
 
 
-# (name, subcommand, file overrides): each runs as its own process with a timeout
+# (name, hdce arguments, file overrides): each runs as its own process with a timeout; a later
+# option overrides the same option before it
 CORPUS = [
-    ("deeply-nested-model", "model-check", {"model.json": "[" * 100_000}),
-    ("nan-literal-multiplier", "simulate", {"model.json": re.sub(r'"max": [-+.\de]+', '"max": NaN', json.dumps(MODEL), 1)}),
-    ("huge-integer-literal", "plan", {"projects.json": "1" * 10_000}),
-    ("not-utf-8", "validate", {"projects.json": b"\xff\xfe\x00["}),
-    ("empty-rankings", "rank-analyze", {"rankings.csv": ""}),
-    ("nan-ranks", "rank-analyze", {"rankings.csv": "\n".join(line.replace(",1", ",nan") for line in RANKINGS)}),
-    ("long-rankings-field", "rank-analyze", {"rankings.csv": f"{RANKINGS[0]}\ne1,DefectContent,Product,{'x' * 200_000},1\n"}),
-    ("infinite-size", "validate", {"projects.json": re.sub(r'"size": [-+.\de]+', '"size": 1e999', json.dumps(PROJECTS), 1)}),
-    ("duplicate-project", "predict", {"projects.json": json.dumps(PROJECTS + PROJECTS[:1])}),
-    ("model-is-a-directory", "model-check", {"model.json": None}),
+    ("deeply-nested-model", subcommand_argv("model-check"), {"model.json": "[" * 100_000}),
+    ("nan-literal-multiplier", subcommand_argv("simulate"),
+     {"model.json": re.sub(r'"max": [-+.\de]+', '"max": NaN', json.dumps(MODEL), 1)}),
+    ("huge-integer-literal", subcommand_argv("plan"), {"projects.json": "1" * 10_000}),
+    ("not-utf-8", subcommand_argv("validate"), {"projects.json": b"\xff\xfe\x00["}),
+    ("empty-rankings", subcommand_argv("rank-analyze"), {"rankings.csv": ""}),
+    ("nan-ranks", subcommand_argv("rank-analyze"),
+     {"rankings.csv": "\n".join(line.replace(",1", ",nan") for line in RANKINGS)}),
+    ("long-rankings-field", subcommand_argv("rank-analyze"),
+     {"rankings.csv": f"{RANKINGS[0]}\ne1,DefectContent,Product,{'x' * 200_000},1\n"}),
+    ("infinite-size", subcommand_argv("validate"),
+     {"projects.json": re.sub(r'"size": [-+.\de]+', '"size": 1e999', json.dumps(PROJECTS), 1)}),
+    ("duplicate-project", subcommand_argv("predict"), {"projects.json": json.dumps(PROJECTS + PROJECTS[:1])}),
+    ("model-is-a-directory", subcommand_argv("model-check"), {"model.json": None}),
+    ("argparse-error", [*subcommand_argv("plan"), "--scale-factor", "-1"], {}),
+    ("missing-input", [*subcommand_argv("simulate"), "--projects", "missing.json"], {}),
+    ("unknown-target", [*subcommand_argv("predict"), "--target", "nope"], {}),
+    ("empty-portfolio", subcommand_argv("validate"), {"projects.json": "[]"}),
 ]
 
 
-@pytest.mark.parametrize("name, command, overrides", CORPUS, ids=[case[0] for case in CORPUS])
-def test_corpus_ends_in_a_coded_exit_within_the_timeout(tmp_path, name, command, overrides):
+@pytest.mark.parametrize("name, argv, overrides", CORPUS, ids=[case[0] for case in CORPUS])
+def test_corpus_ends_in_a_coded_exit_within_the_timeout(tmp_path, name, argv, overrides):
     inputs = {"model.json": json.dumps(MODEL), "projects.json": json.dumps(PROJECTS),
               "rankings.csv": "\n".join(RANKINGS) + "\n", **overrides}
     for file_name, content in inputs.items():
@@ -229,9 +253,8 @@ def test_corpus_ends_in_a_coded_exit_within_the_timeout(tmp_path, name, command,
             path.write_text(content, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "hdce.cli", *subcommand_argv(command)],
+        [sys.executable, "-m", "hdce.cli", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=False,
     )
-    assert proc.returncode in (0, 1, 2), proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_coded(proc.returncode, proc.stderr)
     assert_outputs_finite(tmp_path, set(inputs))

@@ -14,6 +14,7 @@ import hdce
 import hdce.io
 from hdce.estimation import estimate_baseline
 from hdce.evaluation import project_factor_means
+from helpers import readme_error_codes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +71,10 @@ def test_package_resolves_the_library_use_names_and_binds_nothing_up_front():
     assert names == set()
     with pytest.raises(AttributeError, match="has no attribute 'analytic_mean'"):
         hdce.analytic_mean
+
+
+def test_every_error_code_readme_lists_is_one_the_package_prints():
+    codes = readme_error_codes()
+    assert {"usage", "file-not-found", "cannot-use", "input-format", "not-found"} <= codes
+    source = "\n".join(path.read_text(encoding="utf-8") for path in (ROOT / "src" / "hdce").glob("*.py"))
+    assert sorted(code for code in codes if f'"{code}"' not in source) == []

@@ -1,11 +1,24 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+RECORDED = Path(__file__).with_name("artifact_digests.txt")
+
+
+def import_artifact_digests():
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import artifact_digests
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    return artifact_digests
 
 
 def test_artifact_digests_prints_one_line_per_artifact():
@@ -37,17 +50,13 @@ def test_artifact_digests_prints_one_line_per_artifact():
     exit_zero = hashlib.sha256(b"0").hexdigest()
     assert all(line == f"{exit_zero}  {line.split('  ')[1]}" for line in lines if line.endswith("/exit"))
     # the determinism contract: every artifact keeps the bytes recorded in the file
-    recorded = Path(__file__).with_name("artifact_digests.txt").read_text(encoding="utf-8").splitlines()
+    recorded = RECORDED.read_text(encoding="utf-8").splitlines()
     moved = sorted({line.split("  ")[1] for line in set(lines) ^ set(recorded)})
     assert not moved, f"artifacts whose bytes differ from tests/artifact_digests.txt: {moved}"
 
 
 def test_artifact_digests_synthetic_validate_takes_the_normal_approximation(tmp_path):
-    sys.path.insert(0, str(SCRIPTS))
-    try:
-        import artifact_digests
-    finally:
-        sys.path.remove(str(SCRIPTS))
+    artifact_digests = import_artifact_digests()
     from hdce.cli import main
 
     model = json.loads((artifact_digests.EXAMPLES / "model.json").read_text(encoding="utf-8"))
@@ -61,3 +70,33 @@ def test_artifact_digests_synthetic_validate_takes_the_normal_approximation(tmp_
     comparisons = json.loads(out.read_text(encoding="utf-8"))["comparisons"]
     assert len(comparisons) == 15
     assert {c["method"] for c in comparisons} == {"normal-approximation"}
+
+
+# the digest runs that hold a p-value, and the lines that a math function one ulp off moves: only the
+# 1-dof tails of the Wilcoxon normal approximation take math.erfc and math.exp from the C library
+P_VALUE_RUNS = ("rank-analyze", "rank-analyze-threshold-1.5", "validate", "validate-150000", "validate-synthetic-30")
+LIBM_DEPENDENT = ["validate-synthetic-30/report.json", "validate-synthetic-30/report.json.manifest.json"]
+NUDGED = ("erfc", "erf", "exp", "expm1", "log", "log1p", "log2", "log10", "pow", "lgamma", "gamma")
+
+
+@pytest.mark.parametrize("toward", ["math.inf", "-math.inf"], ids=["up", "down"])
+def test_a_libm_one_ulp_off_moves_only_the_declared_digest_lines(toward, tmp_path, monkeypatch):
+    # a sitecustomize module on PYTHONPATH runs in each hdce process before hdce loads, and moves
+    # every result of the NUDGED math functions one ulp toward `toward`, as another C library might
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(f"""import math
+for _name in {NUDGED!r}:
+    def _nudged(*args, _exact=getattr(math, _name)):
+        return math.nextafter(_exact(*args), {toward})
+    setattr(math, _name, _nudged)
+""", encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(site), os.environ.get("PYTHONPATH")])))
+    artifact_digests = import_artifact_digests()
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    lines = [line for name, argv in artifact_digests.RUNS if name in P_VALUE_RUNS
+             for line in artifact_digests.digest_run(name, argv, runs)]
+    recorded = dict(line.split("  ")[::-1] for line in RECORDED.read_text(encoding="utf-8").splitlines())
+    assert [label for _, label in lines] == [label for label in recorded if label.split("/")[0] in P_VALUE_RUNS]
+    assert [label for digest, label in lines if recorded[label] != digest] == LIBM_DEPENDENT
