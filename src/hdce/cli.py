@@ -436,8 +436,10 @@ def cmd_validate(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     from .diagnostics import HdceError
 
+    command = None
     try:
         args = build_parser().parse_args(argv)
+        command = args.command
         return args.handler(args)
     except (HdceError, OSError, MemoryError, FloatingPointError, ValueError) as exc:
         match exc:
@@ -452,7 +454,9 @@ def main(argv: list[str] | None = None) -> int:
                                     exit_status=EXIT_USAGE)
             case MemoryError():
                 detail = f": {exc}" if str(exc) else ""
-                failure = HdceError(f"out of memory{detail}; a smaller --samples needs less", code="out-of-memory")
+                if command in ("simulate", "predict"):  # the subcommands that draw --samples
+                    detail += "; a smaller --samples needs less"
+                failure = HdceError(f"out of memory{detail}", code="out-of-memory")
             case FloatingPointError():  # the library raises it where a float result overflows
                 failure = HdceError(f"{exc}: {_NON_FINITE_CAUSES}", code="non-finite-result")
             case _:  # any other ValueError the library raises on its input

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isfinite
-from typing import Mapping, Sequence
+from operator import attrgetter, mul, sub, truediv
+from typing import Mapping, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, error
 from .estimation import KINDS, expected_defects_found
 from .model import CausalModel, HistoricalProject, SimulationConfig, analytic_mean, check_portfolio
-from .pvalues import chi_square_sf, doubled_midranks
+from .pvalues import chi_square_sf, sorted_doubled_midranks
 
 # beyond this many nonzero differences, the exact test gives way to the normal
 # approximation; the counts are exact at any size, so this bounds only the time
@@ -50,8 +51,7 @@ _SCALE_TERMS = {
 }
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     project_id: str
     actual: int
     predicted: float
@@ -97,7 +97,7 @@ def mmre(records: Sequence[PredictionRecord]) -> float:
     """Mean magnitude of relative error."""
     if not records:
         raise ValueError("MMRE of an empty record list is undefined")
-    return sum(r.mre for r in records) / len(records)
+    return sum([r.mre for r in records]) / len(records)
 
 
 @lru_cache(maxsize=32)
@@ -131,7 +131,7 @@ def _normal_two_sided(doubled: Sequence[int], w2: int) -> float:
     # in doubled ranks d = 2r and w2 = 2 W+, z^2 = dev4^2 / sum(d^2) exactly, and
     # P(|Z| >= z) = P(chi2_1 >= z^2)
     dev4 = max(abs(2 * w2 - sum(doubled)) - 2, 0)
-    return min(1.0, chi_square_sf(dev4 * dev4, sum(d * d for d in doubled), 1))
+    return min(1.0, chi_square_sf(dev4 * dev4, sum(map(mul, doubled, doubled)), 1))
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResult:
@@ -147,14 +147,14 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
         raise ValueError(f"paired samples must have equal length, got {len(x)} and {len(y)}")
     if not x:
         raise ValueError("paired samples must be non-empty")
-    if not all(isfinite(v) for v in (*x, *y)):
+    if not (all(map(isfinite, x)) and all(map(isfinite, y))):
         raise ValueError("paired samples must be finite")
-    differences = [float(a) - float(b) for a, b in zip(x, y)]
-    nonzero = [d for d in differences if d != 0.0]
+    nonzero = [d for d in map(sub, map(float, x), map(float, y)) if d != 0.0]
     if not nonzero:
         return WilcoxonResult(p_value=1.0, statistic=0.0, n_nonzero=0, method="degenerate")
-    doubled = doubled_midranks([abs(d) for d in nonzero])
-    w2 = sum(r for r, d in zip(doubled, nonzero) if d > 0)
+    nonzero.sort(key=abs)  # equal magnitudes, whatever their signs, share one mid-rank in any order
+    doubled = sorted_doubled_midranks(list(map(abs, nonzero)))
+    w2 = sum([r for r, d in zip(doubled, nonzero) if d > 0])
     if len(nonzero) <= EXACT_ENUMERATION_LIMIT:
         return WilcoxonResult(_exact_two_sided(doubled, w2), w2 / 2, len(nonzero), "exact")
     return WilcoxonResult(_normal_two_sided(doubled, w2), w2 / 2, len(nonzero), "normal-approximation")
@@ -167,40 +167,25 @@ def project_factor_means(model: CausalModel, projects: Sequence[HistoricalProjec
     projects in order and DDIF before EIF, so an invalid input raises the
     first pair's diagnostics.
     """
-    check_portfolio(model, [p.characterization for p in projects], KINDS)
+    characterizations = [p.characterization for p in projects]
+    check_portfolio(model, characterizations, KINDS)
     dc, eff = KINDS
-    return {p.project_id: (analytic_mean(model, p.characterization, dc), analytic_mean(model, p.characterization, eff))
-            for p in projects}
-
-
-def _scale(variant: Variant, project: HistoricalProject, means: Mapping[str, tuple[float, float]]) -> float:
-    keep_size, keep_ddif, keep_eif = _SCALE_TERMS[variant]
-    ddif, eif = means[project.project_id]
-    return expected_defects_found(
-        project.size if keep_size else 1.0, ddif if keep_ddif else 0.0, eif if keep_eif else 0.0
-    )
+    return {ch.project_id: (analytic_mean(model, ch, dc), analytic_mean(model, ch, eff)) for ch in characterizations}
 
 
 def usable_history(
     historical: Sequence[HistoricalProject],
 ) -> tuple[list[HistoricalProject], list[Diagnostic]]:
     """Projects with DF > 0, sorted by id; the rest become exclusion diagnostics."""
-    usable = []
-    excluded = []
-    for p in sorted(historical, key=lambda p: p.project_id):
-        if p.defects_found is None:
-            excluded.append(
-                error("no-defect-data", f"project {p.project_id!r} has no defects_found and is excluded")
-            )
-        elif p.defects_found == 0:
-            excluded.append(
-                error(
-                    "zero-defects",
-                    f"project {p.project_id!r} found 0 defects; relative error is undefined, excluded",
-                )
-            )
-        else:
-            usable.append(p)
+    ordered = sorted(historical, key=attrgetter("characterization.project_id"))  # not the property's Python call
+    usable = [p for p in ordered if p.defects_found]  # defects_found is None or an int >= 0
+    excluded = [
+        error("no-defect-data", f"project {p.project_id!r} has no defects_found and is excluded")
+        if p.defects_found is None
+        else error("zero-defects", f"project {p.project_id!r} found 0 defects; relative error is undefined, excluded")
+        for p in ordered
+        if not p.defects_found
+    ]
     return usable, excluded
 
 
@@ -230,27 +215,37 @@ def loocv(
         )
     if means is None:
         means = project_factor_means(model, usable)
-    scales = [_scale(variant, p, means) for p in usable]
-    ratios = [p.defects_found / scale for p, scale in zip(usable, scales)]
-    medians = _leave_one_out_medians(ratios)
-    predictions = [scale * median for scale, median in zip(scales, medians)]
+    ids = [p.characterization.project_id for p in usable]
+    actuals = [p.defects_found for p in usable]
+    keep_size, keep_ddif, keep_eif = _SCALE_TERMS[variant]
+    scales = [
+        expected_defects_found(p.size if keep_size else 1.0, ddif if keep_ddif else 0.0, eif if keep_eif else 0.0)
+        for p, (ddif, eif) in zip(usable, map(means.__getitem__, ids))
+    ]
+    medians = _leave_one_out_medians(list(map(truediv, actuals, scales)))
+    predictions = list(map(mul, scales, medians))
     if not all(map(isfinite, predictions)):  # Python floats overflow silently: in half a fold's ratios, or a product
         raise FloatingPointError(f"overflow encountered in {'multiply' if all(map(isfinite, medians)) else 'divide'}")
-    records = [PredictionRecord.from_values(p.project_id, p.defects_found, x) for p, x in zip(usable, predictions)]
+    # PredictionRecord.from_values' arithmetic; every usable actual is > 0
+    res = [(x - a) / a for a, x in zip(actuals, predictions)]
+    records = list(map(PredictionRecord._make, zip(ids, actuals, predictions, res, map(abs, res))))
     return records, excluded
 
 
 def _leave_one_out_medians(values: Sequence[float]) -> list[float]:
     """statistics.median of values without its i-th element, for every i, from one sort."""
-    order = sorted(range(len(values)), key=values.__getitem__)
+    n = len(values)
+    order = sorted(range(n), key=values.__getitem__)
     ordered = [values[i] for i in order]
-    half, odd = divmod(len(values) - 1, 2)
-    medians = [0.0] * len(values)
-    for position, i in enumerate(order):
-        # index j of the fold's sorted values is index j, or j + 1 past the target
-        lower = ordered[half - 1 + (half - 1 >= position)]
-        upper = ordered[half + (half >= position)]
-        medians[i] = upper if odd else (lower + upper) / 2
+    half, odd = divmod(n - 1, 2)
+    # without the value at sorted index p, the middle values sit at sorted indexes half - 1 and
+    # half, each one further on if it is p or past it: p below, at or above half gives one of three
+    a, b, c = ordered[half - 1], ordered[half], ordered[half + 1]
+    below, at, above = (c, c, b) if odd else ((b + c) / 2, (a + c) / 2, (a + b) / 2)
+    by_position = [below] * half + [at] + [above] * (n - 1 - half)
+    medians = [0.0] * n
+    for i, median in zip(order, by_position):
+        medians[i] = median
     return medians
 
 
@@ -266,7 +261,7 @@ def compare_variants(
     """Pairwise two-sided Wilcoxon tests on paired per-project MREs."""
     _check_alpha(alpha)
     variants = list(records_by_variant)
-    ordered = {v: sorted(records_by_variant[v], key=lambda r: r.project_id) for v in variants}
+    ordered = {v: sorted(records_by_variant[v], key=attrgetter("project_id")) for v in variants}
     ids = [r.project_id for r in next(iter(ordered.values()), [])]
     for v, records in ordered.items():
         if [r.project_id for r in records] != ids:

@@ -45,6 +45,8 @@ RANKINGS_HEADER = ["expert_id", "kind", "category", "factor_id", "rank"]
 _parsed_digests: dict[str, str] = {}
 # floats per block that write_json turns into text at a time
 FLOAT_BLOCK = 1 << 16
+# the longest input file read; a longer one, or an endless one such as /dev/zero, is an input error
+MAX_INPUT_BYTES = 64 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +110,14 @@ def _apply_unknown_policy(
 
 
 def _read_text(path: str | Path, what: str) -> str:
-    data = Path(path).read_bytes()  # read once: a FIFO or a /dev/fd/N pipe gives its bytes only once
+    # read once, as a FIFO or a /dev/fd/N pipe gives its bytes only once, and a chunk at a time:
+    # read(n) allocates n bytes before it reads any
+    data = bytearray()
+    with open(path, "rb") as handle:
+        while len(data) <= MAX_INPUT_BYTES and (chunk := handle.read(1 << 20)):
+            data += chunk
+    if len(data) > MAX_INPUT_BYTES:
+        raise InputFormatError(f"{what} file {path}: longer than {MAX_INPUT_BYTES} bytes")
     _parsed_digests[str(path)] = hashlib.sha256(data).hexdigest()
     try:
         return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # universal newlines

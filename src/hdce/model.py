@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from .diagnostics import Diagnostic, InputFormatError, ModelValidationError, advisory, error, has_errors
@@ -92,7 +93,16 @@ class CausalModel:
     provenance: str = ""
 
     def factors_of_kind(self, kind: FactorKind) -> tuple[Factor, ...]:
-        return tuple(f for f in self.factors if f.kind == kind)
+        return self._factors_by_kind[kind]
+
+    # computed on first use and kept in the instance's __dict__, outside eq, hash and repr
+    @cached_property
+    def _factors_by_kind(self) -> dict[FactorKind, tuple[Factor, ...]]:
+        return {kind: tuple(f for f in self.factors if f.kind == kind) for kind in FactorKind}
+
+    @cached_property
+    def factor_ids(self) -> frozenset[str]:
+        return frozenset(f.id for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -193,17 +203,18 @@ def validate_model(model: CausalModel, require_quantified: bool = False) -> list
 def validate_characterization(model: CausalModel, ch: ProjectCharacterization) -> list[Diagnostic]:
     """Check that levels cover exactly the model's factor ids with values in 0..3."""
     diagnostics: list[Diagnostic] = []
-    model_ids = {f.id for f in model.factors}
+    model_ids = model.factor_ids
     given_ids = set(ch.levels)
 
-    for factor_id in sorted(model_ids - given_ids):
-        diagnostics.append(
-            error("missing-factor", f"project {ch.project_id!r} gives no level for factor {factor_id!r}")
-        )
-    for factor_id in sorted(given_ids - model_ids):
-        diagnostics.append(
-            error("unknown-factor", f"project {ch.project_id!r} rates factor {factor_id!r} not present in the model")
-        )
+    if given_ids != model_ids:
+        for factor_id in sorted(model_ids - given_ids):
+            diagnostics.append(
+                error("missing-factor", f"project {ch.project_id!r} gives no level for factor {factor_id!r}")
+            )
+        for factor_id in sorted(given_ids - model_ids):
+            diagnostics.append(error(
+                "unknown-factor", f"project {ch.project_id!r} rates factor {factor_id!r} not present in the model"
+            ))
     for factor_id in sorted(given_ids & model_ids):
         level = ch.levels[factor_id]
         if not isinstance(level, int) or isinstance(level, bool) or not MIN_LEVEL <= level <= MAX_LEVEL:
@@ -235,12 +246,12 @@ def check_portfolio(
         ]
         for kind in kinds
     }
+    model_failed = has_errors(model_diagnostics)
     for ch in characterizations:
-        ch_diagnostics = validate_characterization(model, ch)
+        ch_diagnostics = validate_characterization(model, ch)  # errors only, as are the unquantified lists
         for kind in kinds:
-            diagnostics = model_diagnostics + ch_diagnostics + unquantified[kind]
-            if has_errors(diagnostics):
-                raise ModelValidationError(diagnostics)
+            if model_failed or ch_diagnostics or unquantified[kind]:
+                raise ModelValidationError(model_diagnostics + ch_diagnostics + unquantified[kind])
 
 
 def analytic_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorKind) -> float:
@@ -258,8 +269,9 @@ def analytic_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorK
         m = f.multiplier
         if m is None:
             raise ValueError(f"factor {f.id!r} is not quantified")
-        if ch.levels[f.id]:
-            total += (ch.levels[f.id] / MAX_LEVEL) * (m.min + m.most_likely + m.max) / 3.0
+        level = ch.levels[f.id]
+        if level:
+            total += (level / MAX_LEVEL) * (m.min + m.most_likely + m.max) / 3.0
     if not math.isfinite(total):
         raise FloatingPointError("overflow encountered in add")
     return total

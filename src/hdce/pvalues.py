@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
+from operator import eq
 from typing import Sequence
 
 _GUARD_BITS = 128  # fixed-point bits beyond those the tail's own smallness cancels
@@ -32,16 +34,26 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)  # scales a first-order correction 
 
 def doubled_midranks(values: Sequence[float]) -> list[int]:
     """Twice the mid-rank of each value: a tie over sorted positions i+1..j gets i+1+j."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
+    order = sorted(range(len(values)), key=values.__getitem__)
     doubled = [0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i + 1  # not i: NaN != NaN, and the scan must advance past it
-        while j < len(order) and values[order[j]] == values[order[i]]:
-            j += 1
-        for k in range(i, j):
-            doubled[order[k]] = i + 1 + j
-        i = j
+    for k, d in zip(order, sorted_doubled_midranks([values[k] for k in order])):
+        doubled[k] = d
+    return doubled
+
+
+def sorted_doubled_midranks(ranked: Sequence[float]) -> list[int]:
+    """doubled_midranks of values in ascending order, where each run of equal values is adjacent."""
+    n = len(ranked)
+    doubled = list(range(2, 2 * n + 2, 2))  # untied, sorted position k has rank k+1
+    j = 0
+    # each position equal to the next starts or continues a run; operator.eq takes no identity
+    # shortcut, so NaN equals nothing, itself included, and stays alone
+    for i in compress(range(n - 1), map(eq, ranked, ranked[1:])):
+        if i >= j:
+            j = i + 1
+            while j < n and ranked[j] == ranked[i]:
+                j += 1
+            doubled[i:j] = [i + 1 + j] * (j - i)
     return doubled
 
 

@@ -20,7 +20,7 @@ import hdce
 from hdce import evaluation, planning, simulation
 from hdce.cli import main
 from hdce.elicitation import MAX_GROUP_SIZE
-from hdce.io import load_model, load_projects, sha256_file, write_json
+from hdce.io import MAX_INPUT_BYTES, load_model, load_projects, sha256_file, write_json
 from hdce.synthetic import build_synthetic_model, generate_projects
 from helpers import (
     EXPECTED_DC_SELECTION,
@@ -1133,6 +1133,58 @@ class TestSpecialFiles:
         assert capsys.readouterr().err == f"error: [cannot-use] cannot use {fifo}: not a regular file\n"
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([model_file.name, projects_file.name, name])
+
+
+class TestInputBound:
+    """Each input is read to at most io.MAX_INPUT_BYTES + 1 bytes; a longer one is an input error."""
+
+    def test_one_byte_over_the_bound_is_an_input_error_and_writes_nothing(self, projects_file, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        with open(model, "wb") as handle:
+            handle.truncate(MAX_INPUT_BYTES + 1)  # sparse: no disk block is written
+        argv = ["plan", "--model", str(model), "--projects", str(projects_file), "--seed", "1",
+                "--out", str(tmp_path / "chart.csv")]
+        assert main(argv) == 1
+        expected = f"error: [input-format] model file {model}: longer than {MAX_INPUT_BYTES} bytes\n"
+        assert capsys.readouterr().err == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([model.name, projects_file.name])
+
+    def test_an_input_at_the_bound_is_parsed(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        with open(model, "wb") as handle:
+            handle.truncate(MAX_INPUT_BYTES)
+        assert main(["model-check", "--model", str(model)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [input-format] model file {model}: invalid JSON")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_input_ends_in_an_input_error_within_bounded_memory(self):
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = _run_cli(["model-check", "--model", "/dev/zero"], preexec_fn=limit_address_space)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: [input-format] model file /dev/zero: longer than {MAX_INPUT_BYTES} bytes\n"
+
+    @pytest.mark.parametrize("command, hint", [("model-check", False), ("validate", False), ("simulate", True)])
+    def test_out_of_memory_names_samples_only_where_they_are_drawn(
+        self, command, hint, model_file, projects_file, tmp_path, monkeypatch, capsys
+    ):
+        def exhausted(*_args, **_kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(hdce.io, "_read_text", exhausted)
+        argv = {
+            "model-check": ["model-check", "--model", str(model_file)],
+            "validate": ["validate", "--model", str(model_file), "--projects", str(projects_file), "--seed", "1",
+                         "--out", str(tmp_path / "report.json")],
+            "simulate": ["simulate", "--model", str(model_file), "--projects", str(projects_file), "--project", "E1",
+                         "--kind", "dc", "--seed", "1", "--out", str(tmp_path / "ddif.json")],
+        }[command]
+        assert main(argv) == 1
+        expected = "out of memory; a smaller --samples needs less" if hint else "out of memory"
+        assert capsys.readouterr().err == f"error: [out-of-memory] {expected}\n"
 
 
 _IMPORT_PROBE = """

@@ -288,6 +288,43 @@ class TestMidranks:
         assert proc.returncode == 0, proc.stderr
         assert sorted(json.loads(proc.stdout)) == [2, 4, 6]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 7.25]), max_size=60))
+    def test_equals_twice_the_mean_of_the_positions_of_equal_values(self, values):
+        # ties are common: the values come from five distinct ones
+        positions = {v: [k for k, w in enumerate(sorted(values), 1) if w == v] for v in values}
+        assert doubled_midranks(values) == [2 * sum(positions[v]) / len(positions[v]) for v in values]
+
+
+def record_bits(record):
+    return record.project_id, record.actual, *map(float.hex, (record.predicted, record.re, record.mre))
+
+
+class TestRecordsOnePath:
+    """Every LOOCV record is the one PredictionRecord.from_values gives, through run_validation or loocv."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40))
+    def test_records_equal_from_values_field_for_field(self, seed, count):
+        rng = np.random.default_rng(seed)
+        model = build_synthetic_model(rng)
+        projects = generate_projects(model, count, rng, noise_sigma=0.5)
+        cfg = SimulationConfig(seed=1, sample_count=10)
+        report = run_validation(model, projects, cfg)
+        for variant in ALL_VARIANTS:
+            records, _ = loocv(model, projects, variant, cfg)
+            assert list(map(record_bits, report.records[variant])) == list(map(record_bits, records))
+            for r in records:
+                assert type(r) is PredictionRecord
+                assert record_bits(r) == record_bits(PredictionRecord.from_values(r.project_id, r.actual, r.predicted))
+
+    def test_fields_cannot_be_assigned(self):
+        record = PredictionRecord.from_values("p", 10, 12.5)
+        for field in PredictionRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+        assert record == ("p", 10, 12.5, 0.25, 0.25)
+
 
 def mpmath_normal_two_sided(doubled, w2):
     """erfc(sqrt(z^2 / 2)) at 50 digits, at the exact continuity-corrected z^2 = dev4^2 / sum(d^2)."""

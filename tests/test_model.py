@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -266,3 +267,30 @@ class TestSerialization:
         row = {"project_id": "p", "size": 10.0, "defects_found": 10**400, "levels": {}}
         with pytest.raises(InputFormatError, match="within float range"):
             project_from_dict(row, "projects[0]")
+
+
+class TestModelCaches:
+    """factors_of_kind and factor_ids are computed once per model and stay outside eq, hash and repr."""
+
+    def test_factors_of_kind_is_the_model_order_filter_and_computed_once(self):
+        model = reference_model()
+        for kind in FactorKind:
+            assert model.factors_of_kind(kind) == tuple(f for f in model.factors if f.kind == kind)
+            assert model.factors_of_kind(kind) is model.factors_of_kind(kind)
+        assert model.factor_ids == {f.id for f in model.factors}
+        assert model.factor_ids is model.factor_ids
+
+    def test_replaced_model_sees_its_own_factors(self):
+        model = reference_model()
+        model.factors_of_kind(FactorKind.DEFECT_CONTENT), model.factor_ids  # fill the caches
+        effectiveness = model.factors_of_kind(FactorKind.EFFECTIVENESS)
+        replaced = dataclasses.replace(model, factors=effectiveness)
+        assert replaced.factors_of_kind(FactorKind.DEFECT_CONTENT) == ()
+        assert replaced.factors_of_kind(FactorKind.EFFECTIVENESS) == effectiveness
+        assert replaced.factor_ids == {f.id for f in effectiveness}
+
+    def test_filled_cache_leaves_eq_hash_and_repr_alone(self):
+        model, twin = reference_model(), reference_model()
+        model.factors_of_kind(FactorKind.EFFECTIVENESS), model.factor_ids
+        assert model == twin and hash(model) == hash(twin) and repr(model) == repr(twin)
+        assert dataclasses.asdict(model) == dataclasses.asdict(twin)
