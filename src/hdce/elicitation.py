@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 from .diagnostics import Diagnostic, InputFormatError, advisory
@@ -141,9 +143,10 @@ def kendalls_w(sheets: Sequence[RankingSheet]) -> float:
     if n < 2:
         raise ValueError(f"need at least 2 factors, got {n}")
 
-    rank_sums = [sum(sheet.ranks[fid] for sheet in sheets) for fid in factor_ids]
-    mean_sum = sum(rank_sums) / n
-    s = sum((r - mean_sum) ** 2 for r in rank_sums)
+    # plain float additions in order from +0.0 (not sum(), which compensates from Python 3.12 on)
+    rank_sums = [reduce(add, (sheet.ranks[fid] for sheet in sheets), 0.0) for fid in factor_ids]
+    mean_sum = reduce(add, rank_sums, 0.0) / n
+    s = reduce(add, ((r - mean_sum) ** 2 for r in rank_sums), 0.0)
 
     tie_term = 0.0
     for sheet in sheets:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isfinite
-from operator import attrgetter, mul, sub, truediv
+from operator import add, attrgetter, mul, sub, truediv
 from typing import Mapping, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, error
@@ -94,10 +94,11 @@ class ValidationReport:
 
 
 def mmre(records: Sequence[PredictionRecord]) -> float:
-    """Mean magnitude of relative error."""
+    """Mean magnitude of relative error: plain float additions in record order from +0.0 (not
+    sum(), which compensates its additions from Python 3.12 on)."""
     if not records:
         raise ValueError("MMRE of an empty record list is undefined")
-    return sum([r.mre for r in records]) / len(records)
+    return reduce(add, [r.mre for r in records], 0.0) / len(records)
 
 
 @lru_cache(maxsize=32)
@@ -176,7 +177,8 @@ def project_factor_means(model: CausalModel, projects: Sequence[HistoricalProjec
 def usable_history(
     historical: Sequence[HistoricalProject],
 ) -> tuple[list[HistoricalProject], list[Diagnostic]]:
-    """Projects with DF > 0, sorted by id; the rest become exclusion diagnostics."""
+    """Projects with DF > 0, sorted by id; the rest become exclusion diagnostics. Fewer than
+    MIN_HISTORY_FOR_LOOCV such projects leave no leave-one-out fold to fit and raise ValueError."""
     ordered = sorted(historical, key=attrgetter("characterization.project_id"))  # not the property's Python call
     usable = [p for p in ordered if p.defects_found]  # defects_found is None or an int >= 0
     excluded = [
@@ -186,6 +188,8 @@ def usable_history(
         for p in ordered
         if not p.defects_found
     ]
+    if len(usable) < MIN_HISTORY_FOR_LOOCV:
+        raise ValueError(f"leave-one-out needs at least {MIN_HISTORY_FOR_LOOCV} usable projects, got {len(usable)}")
     return usable, excluded
 
 
@@ -209,10 +213,6 @@ def loocv(
     default computes them here); nothing is drawn, so cfg is not read.
     """
     usable, excluded = usable_history(historical)
-    if len(usable) < MIN_HISTORY_FOR_LOOCV:
-        raise ValueError(
-            f"leave-one-out needs at least {MIN_HISTORY_FOR_LOOCV} usable projects, got {len(usable)}"
-        )
     if means is None:
         means = project_factor_means(model, usable)
     ids = [p.characterization.project_id for p in usable]
@@ -300,10 +300,6 @@ def run_validation(
         raise ValueError(f"variants requested more than once: {', '.join(repeated)}")
     _check_alpha(alpha)
     usable, excluded = usable_history(historical)
-    if len(usable) < MIN_HISTORY_FOR_LOOCV:
-        raise ValueError(
-            f"leave-one-out needs at least {MIN_HISTORY_FOR_LOOCV} usable projects, got {len(usable)}"
-        )
     means = project_factor_means(model, usable)
     records: dict[Variant, tuple[PredictionRecord, ...]] = {}
     for variant in variants:

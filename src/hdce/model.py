@@ -277,6 +277,37 @@ def analytic_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorK
     return total
 
 
+def analytic_sd(model: CausalModel, ch: ProjectCharacterization, kind: FactorKind) -> float:
+    """Standard deviation of the simulated sum, the square root of its variance correctly rounded.
+
+    The factors are drawn independently, so the variance is the sum of
+    (level/3)^2 times each triangular variance (a^2 + b^2 + c^2 - ab - ac - bc)/18,
+    (a, c, b) = (min, most_likely, max) (Kotz & van Dorp, Beyond Beta, 2004,
+    ch. 1). It is summed exactly, in Fractions of the float parameters with
+    level-0 factors skipped; the square root then rounds once. The sd of
+    non-negative draws is below their mean, so where the sd would leave the
+    float range analytic_mean has raised first.
+    """
+    from fractions import Fraction  # only simulate needs it, so no other path loads it
+
+    total = Fraction(0)  # the variance times 162 = 3^2 * 18
+    for f in model.factors_of_kind(kind):
+        m = f.multiplier
+        if m is None:
+            raise ValueError(f"factor {f.id!r} is not quantified")
+        level = ch.levels[f.id]
+        if level:
+            a, c, b = Fraction(m.min), Fraction(m.most_likely), Fraction(m.max)
+            total += level * level * (a * a + b * b + c * c - a * b - a * c - b * c)
+    p, q = total.numerator, total.denominator * 162
+    # sqrt(p/q) = sqrt(p * 4^e / q) / 2^e, with e chosen so that the integer root r has at
+    # least 57 bits; 2r plus a sticky bit for an inexact root then rounds as the true value does
+    e = max(0, (114 - p.bit_length() + q.bit_length()) // 2)
+    n, rem = divmod(p << 2 * e, q)
+    r = math.isqrt(n)
+    return (2 * r + (rem != 0 or r * r != n)) / (1 << e + 1)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Seed and sample count of the Monte Carlo draws (hdce.simulation)."""

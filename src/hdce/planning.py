@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 
@@ -72,8 +74,9 @@ def build_risk_chart(
         raise ValueError(f"baseline ids not among charted projects: {sorted(missing)}")
 
     baseline = [(ddif, eif) for pid, ddif, eif in projects if pid in baseline_ids]
-    ddif_avg = sum(d for d, _ in baseline) / len(baseline)
-    eif_avg = sum(e for _, e in baseline) / len(baseline)
+    # plain float additions in order from +0.0 (not sum(), which compensates from Python 3.12 on)
+    ddif_avg = reduce(add, (d for d, _ in baseline), 0.0) / len(baseline)
+    eif_avg = reduce(add, (e for _, e in baseline), 0.0) / len(baseline)
     if not (math.isfinite(ddif_avg) and math.isfinite(eif_avg)):
         raise FloatingPointError("overflow encountered in add")
 

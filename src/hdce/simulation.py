@@ -3,9 +3,10 @@
 Each factor's multiplier is treated as a triangular distribution over its
 (min, most_likely, max) estimate; a project contributes level/3 of each draw and
 contributions add up across the factors of one kind (no interaction terms). The
-mean of such a sum is exactly the sum of level/3 times each triangular mean, so
-every mean is computed, not drawn (analytic_mean); only a distribution's
-samples, sd and quantiles come from draws (draw_vector).
+mean and variance of such a sum are exactly the sums of the factors' weighted
+triangular moments, so both are computed, not drawn (analytic_mean,
+analytic_sd); only a distribution's samples and quantiles come from draws
+(draw_vector).
 
 Sampling is counter-based: the uniform variate for (seed, factor, sample index)
 is derived by hashing, never by advancing shared generator state. Blocked runs
@@ -24,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# SimulationConfig, DEFAULT_SAMPLE_COUNT, check_portfolio and analytic_mean live in
-# model, which loads no numpy; they stay importable from here too
+# SimulationConfig, DEFAULT_SAMPLE_COUNT, check_portfolio, analytic_mean and analytic_sd
+# live in model, which loads no numpy; they stay importable from here too
 from .model import (
     DEFAULT_SAMPLE_COUNT,
     MAX_LEVEL,
@@ -34,6 +35,7 @@ from .model import (
     ProjectCharacterization,
     SimulationConfig,
     analytic_mean,
+    analytic_sd,
     check_portfolio,
 )
 
@@ -163,25 +165,18 @@ class EmpiricalDistribution:
     quantiles: dict[float, float] = field(default_factory=dict)
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, mean: float) -> "EmpiricalDistribution":
-        """sd and quantiles of samples, kept in their order beside their mean as the caller computed
-        it (analytic_mean's exact mean); both read one copy, which draw_vector counts. The sd is
-        np.std's arithmetic on that copy scaled below 1 by a power of two, then scaled back: exact,
-        so np.std's bits wherever no square underflows, and finite where np.std's squares overflow.
-        The quantiles are sorted_quantiles' read of that copy, sorted in place: np.quantile's
-        numbers bit for bit for a vector without -0.0, as the engine's are. Like draw_vector, it
-        runs under np.errstate(over="raise", invalid="raise"): a quantile interpolated past the
-        float range raises FloatingPointError instead of coming out inf."""
+    def from_samples(cls, samples: np.ndarray, mean: float, sd: float) -> "EmpiricalDistribution":
+        """Quantiles of samples, kept in their order beside the mean and sd the caller computed
+        (analytic_mean's and analytic_sd's exact values). The quantiles are sorted_quantiles' read
+        of one copy, which draw_vector counts, sorted in place: np.quantile's numbers bit for bit
+        for a vector without -0.0, as the engine's are. Like draw_vector, it runs under
+        np.errstate(over="raise", invalid="raise"): a quantile interpolated past the float range
+        raises FloatingPointError instead of coming out inf."""
         samples = np.asarray(samples, dtype=np.float64)
         if samples.size == 0:
             raise ValueError("cannot build a distribution from zero samples")
         with np.errstate(over="raise", invalid="raise"):
-            scale = math.ldexp(1.0, -max(math.frexp(max(samples.max(), -samples.min()))[1], 0))
-            copy = np.multiply(samples, scale)
-            copy -= np.add.reduce(copy) / copy.size
-            sd = math.sqrt(np.add.reduce(np.square(copy, out=copy)) / copy.size) / scale
-            np.copyto(copy, samples)
-            values = sorted_quantiles(copy, DEFAULT_QUANTILE_LEVELS)
+            values = sorted_quantiles(samples.copy(), DEFAULT_QUANTILE_LEVELS)
         return cls(
             samples=samples,
             mean=mean,
@@ -311,9 +306,10 @@ def simulate(
     """Simulate the accumulated relative increase (DDIF or EIF) for one project.
 
     Deterministic for fixed (model, characterization, kind, seed, sample_count):
-    the block size never changes the sample vector. The mean is analytic_mean's, exact,
-    taken before any draw, and the one plan, predict and validate use for this project.
+    the block size never changes the sample vector. The mean and sd are analytic_mean's and
+    analytic_sd's, exact and taken before any draw; the mean is the one plan, predict and
+    validate use for this project.
     """
     check_portfolio(model, [ch], (kind,))
-    mean = analytic_mean(model, ch, kind)
-    return EmpiricalDistribution.from_samples(draw_vector(model, ch, (kind,), cfg), mean)
+    mean, sd = analytic_mean(model, ch, kind), analytic_sd(model, ch, kind)
+    return EmpiricalDistribution.from_samples(draw_vector(model, ch, (kind,), cfg), mean, sd)

@@ -1292,7 +1292,8 @@ MODULES_RUN = {
 
 class TestModuleImports:
     """import hdce and import hdce.cli load no other hdce module, each subcommand loads only the
-    modules it runs, and only rank-analyze loads statistics."""
+    modules it runs, only rank-analyze loads statistics, and of the others only simulate loads
+    fractions."""
 
     @pytest.mark.parametrize("command", MODULES_RUN)
     def test_each_subcommand_loads_exactly_its_modules(self, command, tmp_path):
@@ -1308,4 +1309,11 @@ class TestModuleImports:
         others = [name for name in PROBED[2:] if name != "rank-analyze"]
         loaded = probe_imports(tmp_path, "statistics", [*others, "rank-analyze"])
         assert loaded.pop("rank-analyze") == [0, ["statistics"]]
+        assert loaded == {name: [0, []] for name in (*PROBED[:2], *others)}
+
+    def test_of_the_others_only_simulate_loads_fractions(self, tmp_path):
+        # analytic_sd imports it in its body; rank-analyze loads it with statistics
+        others = [name for name in PROBED[2:] if name not in ("rank-analyze", "simulate")]
+        loaded = probe_imports(tmp_path, "fractions", [*others, "simulate"])
+        assert loaded.pop("simulate") == [0, ["fractions"]]
         assert loaded == {name: [0, []] for name in (*PROBED[:2], *others)}

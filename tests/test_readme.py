@@ -1,8 +1,14 @@
-"""The README's "Library use" example runs as written, and the package binds only its names."""
+"""The README's "Command-line tour" and "Library use" example run as written, and the package binds
+only its names."""
 
 import dataclasses
+import json
 import math
+import os
 import re
+import shlex
+import shutil
+import subprocess
 import sys
 import types
 import warnings
@@ -17,6 +23,33 @@ from hdce.evaluation import project_factor_means
 from helpers import readme_error_codes
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def tour_commands() -> list[list[str]]:
+    """The argument lists of the hdce lines in README's "Command-line tour" sh block."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Command-line tour\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hdce ")]
+
+
+@pytest.mark.parametrize("argv", tour_commands(), ids=lambda argv: argv[0])
+def test_command_line_tour_runs_as_written(tmp_path, argv):
+    shutil.copytree(ROOT / "schemas" / "examples", tmp_path / "schemas" / "examples")
+    env = dict(os.environ, PYTHONPATH=str(Path(hdce.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hdce.cli", *argv], cwd=tmp_path, capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    outputs = {argv[i + 1] for i, flag in enumerate(argv) if flag in ("--out", "--svg")}
+    assert all((tmp_path / path).is_file() for path in outputs)
+    if outputs:  # one manifest, beside the --out file, lists every file the run writes
+        manifest = json.loads((tmp_path / f"{argv[argv.index('--out') + 1]}.manifest.json").read_text(encoding="utf-8"))
+        assert outputs <= set(manifest["outputs"])
+        assert all((tmp_path / path).is_file() for path in manifest["outputs"])
+
+
+def test_tour_covers_every_subcommand():
+    assert [argv[0] for argv in tour_commands()] == ["rank-analyze", "model-check", "simulate", "plan", "predict",
+                                                     "validate"]
 
 
 def library_use_code() -> str:

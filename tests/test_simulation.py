@@ -8,6 +8,7 @@ import time
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,6 +24,7 @@ from hdce.simulation import (
     EmpiricalDistribution,
     SimulationConfig,
     analytic_mean,
+    analytic_sd,
     check_portfolio,
     counter_uniforms,
     draw_vector,
@@ -31,6 +33,7 @@ from hdce.simulation import (
 )
 from helpers import (
     characterization,
+    correctly_rounded,
     former_counter_uniforms,
     former_triangular_inverse_cdf,
     reference_model,
@@ -332,21 +335,18 @@ class TestSimulate:
         cfg = SimulationConfig(seed=7, sample_count=4_000)
         dist = simulate(model, ch, FactorKind.EFFECTIVENESS, cfg)
         assert dist.mean == analytic_mean(model, ch, FactorKind.EFFECTIVENESS)
-        recomputed = EmpiricalDistribution.from_samples(dist.samples, dist.mean)
-        assert recomputed.sd == dist.sd
+        recomputed = EmpiricalDistribution.from_samples(dist.samples, dist.mean, dist.sd)
         assert recomputed.quantiles == dist.quantiles
 
     @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_sd_and_quantiles_are_numpys_bit_for_bit(self, level):
-        # the sd is taken over samples scaled by a power of two, which is exact
+    def test_quantiles_are_numpys_bit_for_bit(self, level):
         model = reference_model()
         cfg = SimulationConfig(seed=level, sample_count=3_000)
         rng = np.random.default_rng(level)
         vectors = [simulate(model, characterization(model, level), kind, cfg).samples for kind in FactorKind]
         vectors += [rng.normal(size=n) * 10.0 ** rng.integers(-150, 150) for n in (1, 2, 999)]
         for samples in vectors:
-            dist = EmpiricalDistribution.from_samples(samples, 0.0)
-            assert dist.sd == float(np.std(samples))
+            dist = EmpiricalDistribution.from_samples(samples, 0.0, 0.0)
             assert list(dist.quantiles.values()) == np.quantile(samples, DEFAULT_QUANTILE_LEVELS).tolist()
 
     def test_unquantified_factor_rejected(self):
@@ -410,7 +410,7 @@ class TestPortfolioEngine:
         for kind in FactorKind:
             dist, reference = simulate(model, ch, kind, cfg), reference_samples(model, ch, kind, cfg)
             assert dist.samples.tobytes() == reference.tobytes()
-            assert dist.sd == float(np.std(reference))
+            assert dist.sd == analytic_sd(model, ch, kind)
             assert list(dist.quantiles.values()) == np.quantile(reference, list(dist.quantiles)).tolist()
 
     @pytest.mark.parametrize("block", [None, 7])
@@ -744,6 +744,46 @@ class TestExactMeans:
             simulate(model, ch, FactorKind.DEFECT_CONTENT, SimulationConfig(seed=1, sample_count=10))
 
 
+@st.composite
+def scaled_triples(draw):
+    """ordered_triples times 1, 1e-300, 1.3e153 or a scale between: up to 1.3e154 and into the subnormals."""
+    scale = draw(st.one_of(st.sampled_from([1.0, 1e-300, 1.3e153]), st.floats(min_value=1e-300, max_value=1.3e153)))
+    return tuple(v * scale for v in draw(ordered_triples()))
+
+
+def mpmath_sd(model, ch, kind):
+    """The sd of the sum at 50 digits, from the variances written as squared differences, which do
+    not cancel."""
+    with mpmath.workdps(50):
+        variance = mpmath.mpf(0)
+        for f in model.factors_of_kind(kind):
+            a, c, b = map(mpmath.mpf, (f.multiplier.min, f.multiplier.most_likely, f.multiplier.max))
+            variance += (mpmath.mpf(ch.levels[f.id]) / 3) ** 2 * ((a - b) ** 2 + (a - c) ** 2 + (b - c) ** 2) / 36
+        return mpmath.sqrt(variance)
+
+
+class TestExactSd:
+    """analytic_sd, the one sd: the square root of the exact variance, rounded once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(scaled_triples(), min_size=10, max_size=10), st.lists(st.integers(0, 3), min_size=10, max_size=10))
+    @example([(0.0, 1e154, 1.3e154), (1e-300, 1e-300, 3e-300), (0.2, 0.2, 0.2), (0.0, 5e-324, 1e-323),
+              (0.1, 0.2, 0.3)] * 2, [3, 3, 3, 3, 0, 1, 2, 3, 0, 3])
+    def test_correctly_rounded(self, triples, levels):
+        model = with_multipliers(reference_model(), triples)
+        ch = characterization(model, dict(zip((f.id for f in model.factors), levels)))
+        for kind in FactorKind:
+            assert correctly_rounded(analytic_sd(model, ch, kind), mpmath_sd(model, ch, kind))
+
+    def test_near_the_sample_sd(self):
+        # the factors are drawn independently, so their variances add
+        model = reference_model()
+        ch = characterization(model, 2)
+        for kind in FactorKind:
+            samples = simulate(model, ch, kind, SimulationConfig(seed=3, sample_count=100_000)).samples
+            assert analytic_sd(model, ch, kind) == pytest.approx(float(np.std(samples)), rel=0.02)
+
+
 class TestWideMultipliers:
     """A drawn factor whose triangular kernel products leave the float range raises numpy's own
     error: under numpy's default error state the clip once turned them into wrong draws."""
@@ -815,7 +855,7 @@ class TestSummaryErrorState:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(FloatingPointError, match="^overflow encountered in subtract$"):
-                EmpiricalDistribution.from_samples(np.array([-1.7e308, 1.7e308]), 0.0)
+                EmpiricalDistribution.from_samples(np.array([-1.7e308, 1.7e308]), 0.0, 0.0)
         assert [str(w.message) for w in caught] == []
         assert np.geterr() == before
 
