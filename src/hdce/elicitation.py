@@ -9,14 +9,15 @@ best-ranked factor of each category plus everything within 10% of its mean rank.
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .diagnostics import Diagnostic, InputFormatError, advisory
-from .model import FactorCategory, FactorKind
+from .model import FactorCategory, FactorKind, rounded_sqrt
 from .pvalues import chi_square_sf, doubled_midranks
 
 CategoryKey = tuple[FactorKind, FactorCategory]
@@ -113,17 +114,22 @@ def _check_consistent(sheets: Sequence[RankingSheet]) -> tuple[CategoryKey, list
 
 
 def summarize_ranks(sheets: Sequence[RankingSheet]) -> dict[str, FactorRankStats]:
-    """Per-factor mean/min/max/sd of the ranks given by the experts."""
+    """Per-factor mean/min/max/sd of the ranks given by the experts: statistics.fmean's expression, and
+    the population sd rounded once from the exact variance, as pstdev rounds it from Python 3.11 on."""
     _, factor_ids = _check_consistent(sheets)
     out: dict[str, FactorRankStats] = {}
     for factor_id in factor_ids:
         ranks = [sheet.ranks[factor_id] for sheet in sheets]
+        n = len(ranks)
+        exact = list(map(Fraction, ranks))
+        total = reduce(add, exact)
+        variance = (n * reduce(add, map(mul, exact, exact)) - total * total) / (n * n)
         out[factor_id] = FactorRankStats(
             factor_id=factor_id,
-            mean=statistics.fmean(ranks),
+            mean=math.fsum(ranks) / n,
             min=min(ranks),
             max=max(ranks),
-            sd=statistics.pstdev(ranks),
+            sd=rounded_sqrt(variance.numerator, variance.denominator),
         )
     return out
 

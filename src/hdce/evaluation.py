@@ -3,9 +3,10 @@
 Nothing here draws: every variant is evaluated on the same leave-one-out folds
 with the same exact DDIF/EIF means (project_factor_means), so no seed or sample
 count changes a result, per-project errors stay paired and the exact two-sided
-Wilcoxon signed-rank test applies directly to the MRE differences. That test
-runs in integers: doubled mid-ranks, a count of sign assignments per doubled rank
-sum for the exact p-value, and an exact z^2 for the normal approximation.
+Wilcoxon signed-rank test applies directly to the MRE differences; run_validation
+builds the folds' per-project columns once for all variants. That test runs in
+integers: doubled mid-ranks, a count of sign assignments per doubled rank sum for
+the exact p-value, and an exact z^2 for the normal approximation.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
+from itertools import compress, repeat
 from math import isfinite
-from operator import add, attrgetter, mul, sub, truediv
+from operator import add, attrgetter, gt, mul, sub, truediv
 from typing import Mapping, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, error
@@ -146,16 +148,26 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
     """
     if len(x) != len(y):
         raise ValueError(f"paired samples must have equal length, got {len(x)} and {len(y)}")
+    return _signed_rank(_paired_sample(x), _paired_sample(y))
+
+
+def _paired_sample(x: Sequence[float]) -> list[float]:
+    """x as floats, once checked non-empty and finite as one side of a signed-rank test."""
     if not x:
         raise ValueError("paired samples must be non-empty")
-    if not (all(map(isfinite, x)) and all(map(isfinite, y))):
+    if not all(map(isfinite, x)):
         raise ValueError("paired samples must be finite")
-    nonzero = [d for d in map(sub, map(float, x), map(float, y)) if d != 0.0]
+    return list(map(float, x))
+
+
+def _signed_rank(x: list[float], y: list[float]) -> WilcoxonResult:
+    """wilcoxon_signed_rank on two checked _paired_sample lists of equal length."""
+    nonzero = list(filter(None, map(sub, x, y)))  # a float difference is false exactly when it is 0.0 or -0.0
     if not nonzero:
         return WilcoxonResult(p_value=1.0, statistic=0.0, n_nonzero=0, method="degenerate")
     nonzero.sort(key=abs)  # equal magnitudes, whatever their signs, share one mid-rank in any order
     doubled = sorted_doubled_midranks(list(map(abs, nonzero)))
-    w2 = sum([r for r, d in zip(doubled, nonzero) if d > 0])
+    w2 = sum(compress(doubled, map(gt, nonzero, repeat(0.0))))
     if len(nonzero) <= EXACT_ENUMERATION_LIMIT:
         return WilcoxonResult(_exact_two_sided(doubled, w2), w2 / 2, len(nonzero), "exact")
     return WilcoxonResult(_normal_two_sided(doubled, w2), w2 / 2, len(nonzero), "normal-approximation")
@@ -209,44 +221,47 @@ def loocv(
     w/o_Size, w/o_DDIF and w/o_EIF drop their term, HDCE keeps all three. For
     HDCE the median is the eq. 5 baseline. Each fold takes its median over the
     remaining projects only, so no target leaks into its own prediction.
-    The exact means can be passed in to share them across variants (the
-    default computes them here); nothing is drawn, so cfg is not read.
+    The exact means can be passed in (the default computes them here); nothing
+    is drawn, so cfg is not read. run_validation takes the same path, but
+    builds the folds' columns once and shares them across its variants.
     """
     usable, excluded = usable_history(historical)
     if means is None:
         means = project_factor_means(model, usable)
-    ids = [p.characterization.project_id for p in usable]
-    actuals = [p.defects_found for p in usable]
+    return _variant_records(_fold_columns(usable, means), variant), excluded
+
+
+def _fold_columns(usable: Sequence[HistoricalProject], means: Mapping[str, tuple[float, float]]) -> tuple:
+    """The columns every variant's folds share, in usable's order: ids, actuals, sizes, mean DDIFs, mean EIFs."""
+    ids = list(map(attrgetter("characterization.project_id"), usable))  # not the property's Python call
+    ddifs, eifs = zip(*map(means.__getitem__, ids))
+    return ids, list(map(attrgetter("defects_found"), usable)), list(map(attrgetter("size"), usable)), ddifs, eifs
+
+
+def _variant_records(columns: tuple, variant: Variant) -> list[PredictionRecord]:
+    ids, actuals, sizes, ddifs, eifs = columns
     keep_size, keep_ddif, keep_eif = _SCALE_TERMS[variant]
-    scales = [
-        expected_defects_found(p.size if keep_size else 1.0, ddif if keep_ddif else 0.0, eif if keep_eif else 0.0)
-        for p, (ddif, eif) in zip(usable, map(means.__getitem__, ids))
-    ]
+    # a dropped term repeats its neutral value; the size's repeat is bounded, so DF_only's map ends
+    scales = list(map(expected_defects_found, sizes if keep_size else repeat(1.0, len(ids)),
+                      ddifs if keep_ddif else repeat(0.0), eifs if keep_eif else repeat(0.0)))
     medians = _leave_one_out_medians(list(map(truediv, actuals, scales)))
     predictions = list(map(mul, scales, medians))
     if not all(map(isfinite, predictions)):  # Python floats overflow silently: in half a fold's ratios, or a product
         raise FloatingPointError(f"overflow encountered in {'multiply' if all(map(isfinite, medians)) else 'divide'}")
-    # PredictionRecord.from_values' arithmetic; every usable actual is > 0
-    res = [(x - a) / a for a, x in zip(actuals, predictions)]
-    records = list(map(PredictionRecord._make, zip(ids, actuals, predictions, res, map(abs, res))))
-    return records, excluded
+    # PredictionRecord.from_values' arithmetic, (predicted - actual) / actual; every usable actual is > 0
+    res = list(map(truediv, map(sub, predictions, actuals), actuals))
+    return list(map(tuple.__new__, repeat(PredictionRecord), zip(ids, actuals, predictions, res, map(abs, res))))
 
 
 def _leave_one_out_medians(values: Sequence[float]) -> list[float]:
     """statistics.median of values without its i-th element, for every i, from one sort."""
-    n = len(values)
-    order = sorted(range(n), key=values.__getitem__)
-    ordered = [values[i] for i in order]
-    half, odd = divmod(n - 1, 2)
-    # without the value at sorted index p, the middle values sit at sorted indexes half - 1 and
-    # half, each one further on if it is p or past it: p below, at or above half gives one of three
+    ordered = sorted(values)
+    half, odd = divmod(len(values) - 1, 2)
+    # without a value below, at or above the middle value b, the middle values of the rest are one of
+    # three pairs; which copy of a repeated value leaves makes no difference, so the value decides
     a, b, c = ordered[half - 1], ordered[half], ordered[half + 1]
     below, at, above = (c, c, b) if odd else ((b + c) / 2, (a + c) / 2, (a + b) / 2)
-    by_position = [below] * half + [at] + [above] * (n - 1 - half)
-    medians = [0.0] * n
-    for i, median in zip(order, by_position):
-        medians[i] = median
-    return medians
+    return [below if v < b else above if v > b else at for v in values]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -266,12 +281,13 @@ def compare_variants(
     for v, records in ordered.items():
         if [r.project_id for r in records] != ids:
             raise ValueError(f"variant {v.value} covers a different project set than the others")
-    mres = {v: [r.mre for r in records] for v, records in ordered.items()}
+    # each variant's MREs are checked once, in the order its first test would check them
+    mres = {v: _paired_sample([r.mre for r in ordered[v]]) for v in variants} if len(variants) > 1 else {}
 
     comparisons = []
     for i, a in enumerate(variants):
         for b in variants[i + 1 :]:
-            result = wilcoxon_signed_rank(mres[a], mres[b])
+            result = _signed_rank(mres[a], mres[b])
             comparisons.append(
                 VariantComparison(
                     variant_a=a,
@@ -291,7 +307,7 @@ def run_validation(
     variants: Sequence[Variant] = ALL_VARIANTS,
     alpha: float = 0.05,
 ) -> ValidationReport:
-    """LOOCV over all requested variants with shared exact means; nothing is drawn, so cfg is not read."""
+    """loocv of every requested variant over one shared set of fold columns; nothing is drawn, so cfg is not read."""
     if not variants:
         raise ValueError("no variants requested")
     variants = tuple(variants)
@@ -300,11 +316,8 @@ def run_validation(
         raise ValueError(f"variants requested more than once: {', '.join(repeated)}")
     _check_alpha(alpha)
     usable, excluded = usable_history(historical)
-    means = project_factor_means(model, usable)
-    records: dict[Variant, tuple[PredictionRecord, ...]] = {}
-    for variant in variants:
-        variant_records, _ = loocv(model, usable, variant, cfg, means=means)
-        records[variant] = tuple(variant_records)
+    columns = _fold_columns(usable, project_factor_means(model, usable))
+    records = {variant: tuple(_variant_records(columns, variant)) for variant in variants}
     return ValidationReport(
         variants=variants,
         records=records,

@@ -23,6 +23,8 @@ from .diagnostics import Diagnostic, InputFormatError, ModelValidationError, adv
 MIN_LEVEL = 0
 MAX_LEVEL = 3
 SCALE_SIZE = MAX_LEVEL - MIN_LEVEL + 1
+_LEVELS = frozenset(range(MIN_LEVEL, MAX_LEVEL + 1))
+_INT = frozenset((int,))
 # recommended factor count per kind; outside this band is an advisory, not an error
 RECOMMENDED_FACTOR_RANGE = (4, 6)
 DEFAULT_SAMPLE_COUNT = 10_000
@@ -202,9 +204,15 @@ def validate_model(model: CausalModel, require_quantified: bool = False) -> list
 
 def validate_characterization(model: CausalModel, ch: ProjectCharacterization) -> list[Diagnostic]:
     """Check that levels cover exactly the model's factor ids with values in 0..3."""
-    diagnostics: list[Diagnostic] = []
+    levels = ch.levels
     model_ids = model.factor_ids
-    given_ids = set(ch.levels)
+    # a valid map passes three C-level tests: exact ids, exact int type (first, so that nothing unhashable
+    # is hashed; a bool, numpy integer or 2.0 fails it) and range; any other map takes the full scan
+    values = levels.values()
+    if levels.keys() == model_ids and _INT.issuperset(map(type, values)) and _LEVELS.issuperset(values):
+        return []
+    diagnostics: list[Diagnostic] = []
+    given_ids = set(levels)
 
     if given_ids != model_ids:
         for factor_id in sorted(model_ids - given_ids):
@@ -299,7 +307,11 @@ def analytic_sd(model: CausalModel, ch: ProjectCharacterization, kind: FactorKin
         if level:
             a, c, b = Fraction(m.min), Fraction(m.most_likely), Fraction(m.max)
             total += level * level * (a * a + b * b + c * c - a * b - a * c - b * c)
-    p, q = total.numerator, total.denominator * 162
+    return rounded_sqrt(total.numerator, total.denominator * 162)
+
+
+def rounded_sqrt(p: int, q: int) -> float:
+    """The square root of p/q (p >= 0, q > 0) correctly rounded: one rounding, on any Python version."""
     # sqrt(p/q) = sqrt(p * 4^e / q) / 2^e, with e chosen so that the integer root r has at
     # least 57 bits; 2r plus a sticky bit for an inexact root then rounds as the true value does
     e = max(0, (114 - p.bit_length() + q.bit_length()) // 2)

@@ -11,8 +11,10 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
+from hdce.diagnostics import Diagnostic, error
 from hdce.model import (
     MAX_LEVEL,
+    MIN_LEVEL,
     CausalModel,
     Factor,
     FactorCategory,
@@ -212,6 +214,34 @@ def former_prediction(
     per_sample = expected_defects_found(target.size, ddif.samples, eif.samples, baseline.estimate)
     low, high = np.quantile(per_sample, list(quantile_pair))
     return point, (float(low), float(high)), ddif.mean, eif.mean
+
+
+def former_validate_characterization(model: CausalModel, ch: ProjectCharacterization) -> list[Diagnostic]:
+    """validate_characterization as it was before its fast path: the full scan for every map."""
+    diagnostics: list[Diagnostic] = []
+    model_ids = model.factor_ids
+    given_ids = set(ch.levels)
+
+    if given_ids != model_ids:
+        for factor_id in sorted(model_ids - given_ids):
+            diagnostics.append(
+                error("missing-factor", f"project {ch.project_id!r} gives no level for factor {factor_id!r}")
+            )
+        for factor_id in sorted(given_ids - model_ids):
+            diagnostics.append(error(
+                "unknown-factor", f"project {ch.project_id!r} rates factor {factor_id!r} not present in the model"
+            ))
+    for factor_id in sorted(given_ids & model_ids):
+        level = ch.levels[factor_id]
+        if not isinstance(level, int) or isinstance(level, bool) or not MIN_LEVEL <= level <= MAX_LEVEL:
+            diagnostics.append(
+                error(
+                    "bad-level",
+                    f"project {ch.project_id!r} factor {factor_id!r} level {level!r} "
+                    f"is not an integer in {MIN_LEVEL}..{MAX_LEVEL}",
+                )
+            )
+    return diagnostics
 
 
 def exact_model() -> CausalModel:

@@ -365,18 +365,18 @@ class TestOneMeanPerProject:
             simulated.append(read_json(out)["mean"])
         assert tuple(simulated) == exact["review-c"]
         charted, validated = {}, []
-        build_risk_chart, loocv = planning.build_risk_chart, evaluation.loocv
+        build_risk_chart, fold_columns = planning.build_risk_chart, evaluation._fold_columns
 
         def recorded_chart(triples, *args, **kwargs):
             charted.update((pid, (ddif, eif)) for pid, ddif, eif in triples)
             return build_risk_chart(triples, *args, **kwargs)
 
-        def recorded_loocv(*args, means, **kwargs):
+        def recorded_fold_columns(usable, means):
             validated.append(dict(means))
-            return loocv(*args, means=means, **kwargs)
+            return fold_columns(usable, means)
 
         monkeypatch.setattr(planning, "build_risk_chart", recorded_chart)
-        monkeypatch.setattr(evaluation, "loocv", recorded_loocv)
+        monkeypatch.setattr(evaluation, "_fold_columns", recorded_fold_columns)
         assert main(["plan", *files, *seeded, "--out", str(tmp_path / "chart.csv")]) == 0
         assert charted == exact
         for target in ("review-c", "review-next"):
@@ -386,7 +386,7 @@ class TestOneMeanPerProject:
             assert (predicted["ddif_mean"], predicted["eif_mean"]) == exact[target]
         assert main(["validate", *files, *seeded, "--out", str(tmp_path / "report.json")]) == 0
         history = {pid: pair for pid, pair in exact.items() if pid != "review-next"}
-        assert validated == [history] * len(evaluation.ALL_VARIANTS)
+        assert validated == [history]  # one set of fold columns, shared by every variant
 
 
 class TestExactMeans:
@@ -1292,8 +1292,8 @@ MODULES_RUN = {
 
 class TestModuleImports:
     """import hdce and import hdce.cli load no other hdce module, each subcommand loads only the
-    modules it runs, only rank-analyze loads statistics, and of the others only simulate loads
-    fractions."""
+    modules it runs, none loads statistics, and of the others than rank-analyze only simulate
+    loads fractions."""
 
     @pytest.mark.parametrize("command", MODULES_RUN)
     def test_each_subcommand_loads_exactly_its_modules(self, command, tmp_path):
@@ -1304,15 +1304,13 @@ class TestModuleImports:
             command: [0, sorted(["hdce", "hdce.cli", *(f"hdce.{m}" for m in MODULES_RUN[command])])],
         }
 
-    def test_only_rank_analyze_loads_statistics(self, tmp_path):
-        # loading only grows, so nothing loaded after the others have run means none of them loads it
-        others = [name for name in PROBED[2:] if name != "rank-analyze"]
-        loaded = probe_imports(tmp_path, "statistics", [*others, "rank-analyze"])
-        assert loaded.pop("rank-analyze") == [0, ["statistics"]]
-        assert loaded == {name: [0, []] for name in (*PROBED[:2], *others)}
+    def test_no_subcommand_loads_statistics(self, tmp_path):
+        # loading only grows, so nothing loaded after every subcommand has run means none loads it
+        loaded = probe_imports(tmp_path, "statistics", PROBED[2:])
+        assert loaded == {name: [0, []] for name in PROBED}
 
     def test_of_the_others_only_simulate_loads_fractions(self, tmp_path):
-        # analytic_sd imports it in its body; rank-analyze loads it with statistics
+        # analytic_sd imports it in its body; rank-analyze's summarize_ranks sums its variance in it
         others = [name for name in PROBED[2:] if name not in ("rank-analyze", "simulate")]
         loaded = probe_imports(tmp_path, "fractions", [*others, "simulate"])
         assert loaded.pop("simulate") == [0, ["fractions"]]

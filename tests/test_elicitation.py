@@ -1,5 +1,7 @@
 import math
+import statistics
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -99,6 +101,34 @@ class TestSummarize:
         group = sheets_from_rows(rows, factors, kind=DC, category=PRODUCT)
         stats = summarize_ranks(group)
         assert stats["f0"].mean == pytest.approx(4.143, abs=5e-4)
+
+    def test_sd_rounds_once_where_a_twice_rounded_root_is_one_ulp_off(self):
+        # a's ranks 2.5, 6, 1: sqrt(float(variance)), as statistics.pstdev computes it before Python 3.11,
+        # gives 2.0949675149960894, one ulp above the correctly rounded root
+        group = [
+            sheet("e1", {"a": 2.5, "b": 2.5, "c": 1, "d": 4, "e": 5, "f": 6}),
+            sheet("e2", {"a": 6, "b": 1, "c": 2, "d": 3, "e": 4, "f": 5}),
+            sheet("e3", {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5, "f": 6}),
+        ]
+        assert summarize_ranks(group)["a"].sd == 2.094967514996089
+        assert math.sqrt(float(Fraction(79, 18))) == 2.0949675149960894  # the exact variance, rounded first
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([(1, 2, 3, 4), (1, 2.5, 2.5, 4), (1.5, 1.5, 3, 4), (2, 2, 2, 4), (2.5,) * 4]),
+                    min_size=1, max_size=12),
+           st.randoms(use_true_random=False))
+    def test_mean_is_fsum_over_n_and_sd_correctly_rounded(self, patterns, rng):
+        rows = [rng.sample(pattern, len(pattern)) for pattern in patterns]
+        factors = ["a", "b", "c", "d"]
+        stats = summarize_ranks(sheets_from_rows(rows, factors))
+        for i, fid in enumerate(factors):
+            ranks = [row[i] for row in rows]
+            exact = [Fraction(r) for r in ranks]
+            mean = sum(exact) / len(exact)
+            variance = sum((r - mean) ** 2 for r in exact) / len(exact)
+            assert stats[fid].mean == math.fsum(ranks) / len(ranks) == statistics.fmean(ranks)
+            with mpmath.workdps(100):
+                assert correctly_rounded(stats[fid].sd, mpmath.sqrt(mpmath.mpf(variance.numerator) / variance.denominator))
 
     def test_inconsistent_factor_sets_rejected(self):
         group = [sheet("e1", {"a": 1, "b": 2}), sheet("e2", {"a": 1, "c": 2})]

@@ -301,7 +301,8 @@ def record_bits(record):
 
 
 class TestRecordsOnePath:
-    """Every LOOCV record is the one PredictionRecord.from_values gives, through run_validation or loocv."""
+    """Every LOOCV record is the one PredictionRecord.from_values gives, through run_validation or loocv,
+    and every comparison the one public wilcoxon_signed_rank gives on the two variants' MREs."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 40))
@@ -317,6 +318,21 @@ class TestRecordsOnePath:
             for r in records:
                 assert type(r) is PredictionRecord
                 assert record_bits(r) == record_bits(PredictionRecord.from_values(r.project_id, r.actual, r.predicted))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.sampled_from([0.0, 0.5, 2.0]))
+    def test_comparisons_equal_wilcoxon_signed_rank_bit_for_bit(self, seed, count, noise_sigma):
+        # up to 20 projects the tests are exact, beyond that normal approximations; no noise ties MREs
+        rng = np.random.default_rng(seed)
+        model = build_synthetic_model(rng)
+        projects = generate_projects(model, count, rng, noise_sigma=noise_sigma)
+        report = run_validation(model, projects, SimulationConfig(seed=1, sample_count=10))
+        pairs = [(c.variant_a, c.variant_b) for c in report.comparisons]
+        assert pairs == list(itertools.combinations(ALL_VARIANTS, 2))
+        for c in report.comparisons:
+            result = wilcoxon_signed_rank(*([r.mre for r in report.records[v]] for v in (c.variant_a, c.variant_b)))
+            assert (c.p_value.hex(), c.method) == (result.p_value.hex(), result.method)
+            assert c.significant == (result.p_value <= report.alpha)
 
     def test_fields_cannot_be_assigned(self):
         record = PredictionRecord.from_values("p", 10, 12.5)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,14 @@ from hdce.model import (
     validate_characterization,
     validate_model,
 )
-from helpers import characterization, model_to_dict, project_to_dict, reference_model, scale_for
+from helpers import (
+    characterization,
+    former_validate_characterization,
+    model_to_dict,
+    project_to_dict,
+    reference_model,
+    scale_for,
+)
 
 
 def errors_of(diagnostics):
@@ -160,6 +168,59 @@ class TestValidateCharacterization:
         levels["not-a-factor"] = 2
         diagnostics = validate_characterization(model, characterization(model, levels))
         assert any(d.code == "unknown-factor" for d in diagnostics)
+
+
+class Level(int):
+    """An int subclass: not exactly int, so it takes the full scan, which accepts it."""
+
+
+MODEL_IDS = sorted(f.id for f in reference_model().factors)
+# values that equal a valid level, or lie next to the range, in every type a level map can hold
+LEVEL_VALUES = st.one_of(
+    st.integers(-2, 5),
+    st.booleans(),
+    st.integers(-1, 4).map(np.int64),
+    st.integers(-1, 4).map(Level),
+    st.sampled_from([2.0, 1.5, None, "2", [2], {}]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def level_maps(draw):
+    """The model's exact id set, a subset, a superset with unknown ids, or the empty map."""
+    ids = draw(st.one_of(
+        st.just(MODEL_IDS),
+        st.lists(st.sampled_from(MODEL_IDS), unique=True),
+        st.lists(st.sampled_from([*MODEL_IDS, "not-a-factor", "zz-extra"]), unique=True),
+        st.just([]),
+    ))
+    valid = draw(st.booleans())  # half the maps hold only exact ints in range, the fast path's case
+    return {i: draw(st.integers(0, 3) if valid else LEVEL_VALUES) for i in ids}
+
+
+class TestValidateCharacterizationFastPath:
+    """The fast path for a valid level map returns exactly what the full scan returned, for every map."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(level_maps())
+    def test_same_diagnostics_as_the_full_scan(self, levels):
+        model = reference_model()
+        ch = ProjectCharacterization("P1", levels)
+        assert validate_characterization(model, ch) == former_validate_characterization(model, ch)
+
+    @pytest.mark.parametrize("value", [True, False, np.int64(2), Level(2), 2.0, 4, -1, [2]])
+    def test_each_lookalike_of_a_valid_level(self, value):
+        model = reference_model()
+        levels = {i: 1 for i in MODEL_IDS}
+        levels[MODEL_IDS[0]] = value
+        ch = ProjectCharacterization("P1", levels)
+        assert validate_characterization(model, ch) == former_validate_characterization(model, ch)
+
+    def test_empty_map_against_an_empty_model(self):
+        model = CausalModel(context="empty", factors=())
+        ch = ProjectCharacterization("P1", {})
+        assert validate_characterization(model, ch) == former_validate_characterization(model, ch) == []
 
 
 class TestProjectTypes:

@@ -6,7 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from hdce.evaluation import ALL_VARIANTS, run_validation
+from hdce.model import SimulationConfig
+from hdce.synthetic import build_synthetic_model, generate_projects
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 RECORDED = Path(__file__).with_name("artifact_digests.txt")
@@ -100,3 +105,25 @@ for _name in {NUDGED!r}:
     recorded = dict(line.split("  ")[::-1] for line in RECORDED.read_text(encoding="utf-8").splitlines())
     assert [label for _, label in lines] == [label for label in recorded if label.split("/")[0] in P_VALUE_RUNS]
     assert [label for digest, label in lines if recorded[label] != digest] == LIBM_DEPENDENT
+
+
+def test_synthetic_study_prints_every_variant_and_writes_the_in_process_mmres(tmp_path):
+    out = tmp_path / "study.json"
+    src = str(SCRIPTS.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_synthetic_study.py"), "--replications", "3", "--projects", "8",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[0] for line in proc.stdout.splitlines()[2:2 + len(ALL_VARIANTS)]]
+    assert rows == [v.value for v in ALL_VARIANTS]
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert len(written["replications"]) == 3
+    # the script's defaults: base seed 1000, replication r on seed 1000 + r, noise sigma 0.2
+    for rep, row in enumerate(written["replications"]):
+        rng = np.random.default_rng(1000 + rep)
+        model = build_synthetic_model(rng)
+        report = run_validation(model, generate_projects(model, 8, rng, noise_sigma=0.2), SimulationConfig(seed=1000))
+        assert row["mmre"] == {v.value: report.mmre[v] for v in ALL_VARIANTS}
