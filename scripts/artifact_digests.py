@@ -3,10 +3,13 @@
 
 Runs `python -m hdce.cli` on the sample inputs in schemas/examples/, and on a
 synthetic portfolio of SYNTHETIC_PROJECTS historical projects of the sample
-model, one subprocess per run, in a temporary directory, with the hdce package
-of this checkout. The synthetic portfolio is large enough that `validate`'s
-Wilcoxon tests take the normal approximation, which the sample projects never
-reach. The script then prints `<sha256>  <run>/<name>` in a fixed order for:
+model, and on a rankings file whose one group has two factors, one subprocess per
+run, in a temporary directory, with the hdce package of this checkout. The
+synthetic portfolio is large enough that `validate`'s Wilcoxon tests take the
+normal approximation, which the sample projects never reach; the 2-factor group
+takes `rank-analyze` through the 1-dof chi-square tail, which the sample
+rankings (4 to 12 factors per group) never reach. The script then prints
+`<sha256>  <run>/<name>` in a fixed order for:
 
 - every file the run writes;
 - its stderr;
@@ -42,6 +45,17 @@ SYNTHETIC = "synthetic-projects.json"
 SYNTHETIC_PROJECTS = 30
 SYNTHETIC_SEED = 20241
 
+TWO_FACTORS = "rankings-2-factors.csv"
+# three experts, two of whom agree: Kendall's W is 1/9, chi-square 1/3 at 1 dof
+TWO_FACTOR_RANKINGS = """expert_id,kind,category,factor_id,rank
+expert-1,DefectContent,Product,autonomous,1
+expert-1,DefectContent,Product,novelty-to-developer,2
+expert-2,DefectContent,Product,autonomous,1
+expert-2,DefectContent,Product,novelty-to-developer,2
+expert-3,DefectContent,Product,autonomous,2
+expert-3,DefectContent,Product,novelty-to-developer,1
+"""
+
 
 def _seeded(samples: int) -> list[str]:
     return ["--seed", "7", "--samples", str(samples)]
@@ -70,6 +84,7 @@ RUNS: tuple[tuple[str, list[str]], ...] = (
                                "--svg", "chart.svg"]),
     (f"validate-synthetic-{SYNTHETIC_PROJECTS}", ["validate", "--model", "model.json", "--projects", SYNTHETIC,
                                                   *_seeded(10_000), "--out", "report.json"]),
+    ("rank-analyze-2-factors", ["rank-analyze", "--rankings", TWO_FACTORS, "--out", "analysis.json"]),
 )
 
 
@@ -110,8 +125,8 @@ def _artifact_bytes(path: Path) -> bytes:
 
 
 def digest_run(name: str, argv: list[str], workdir: Path) -> list[tuple[str, str]]:
-    """Run `hdce <argv>` in workdir/name over copies of the sample inputs and the
-    synthetic portfolio; (digest, label) pairs."""
+    """Run `hdce <argv>` in workdir/name over copies of the sample inputs, the
+    synthetic portfolio and the 2-factor rankings; (digest, label) pairs."""
     rundir = workdir / name
     rundir.mkdir()
     for example in EXAMPLES.iterdir():
@@ -119,6 +134,7 @@ def digest_run(name: str, argv: list[str], workdir: Path) -> list[tuple[str, str
     model = json.loads((EXAMPLES / "model.json").read_text(encoding="utf-8"))
     portfolio = synthetic_projects(model, SYNTHETIC_PROJECTS, SYNTHETIC_SEED)
     (rundir / SYNTHETIC).write_text(json.dumps(portfolio, indent=2) + "\n", encoding="utf-8")
+    (rundir / TWO_FACTORS).write_text(TWO_FACTOR_RANKINGS, encoding="utf-8")
     inputs = {p.name for p in rundir.iterdir()}
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

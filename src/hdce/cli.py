@@ -82,8 +82,6 @@ def _parse_variants(text: str) -> tuple[Variant, ...]:
         if variant in variants:
             raise argparse.ArgumentTypeError(f"variant {name!r} is listed more than once")
         variants.append(variant)
-    if not variants:
-        raise argparse.ArgumentTypeError("empty variant list")
     return tuple(variants)
 
 
@@ -326,7 +324,7 @@ def cmd_simulate(args) -> int:
 def cmd_plan(args) -> int:
     from . import io, planning
     from .diagnostics import HdceError
-    from .evaluation import project_factor_means
+    from .model import project_factor_means
 
     model, projects = _load_checked(args)
     baseline_ids = {p.project_id for p in projects if p.defects_found is not None}
@@ -349,8 +347,7 @@ def cmd_predict(args) -> int:
     from . import io
     from .diagnostics import HdceError
     from .estimation import DEFAULT_PREDICTION_QUANTILES, estimate_baseline, predict_defects_found
-    from .evaluation import project_factor_means
-    from .model import SimulationConfig
+    from .model import SimulationConfig, project_factor_means
 
     quantiles = DEFAULT_PREDICTION_QUANTILES if args.quantiles is None else args.quantiles
     model, projects = _load_checked(args)

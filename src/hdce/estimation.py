@@ -5,7 +5,8 @@ defect content = size * DD_base * (1 + DDIF) and
 effectiveness = Eff_base * (1 + EIF).
 
 Only the product DD_base * Eff_base is estimable from measured data; it is
-backed out per historical project and aggregated by the median (robust against
+backed out per historical project at its exact (DDIF, EIF) means, which
+model.project_factor_means gives, and aggregated by the median (robust against
 the outliers a small project base cannot absorb); a prediction's samples are
 then drawn at that baseline.
 """
@@ -17,12 +18,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .diagnostics import Diagnostic, advisory
-from .model import CausalModel, FactorKind, HistoricalProject, SimulationConfig, check_portfolio
+from .model import KINDS, CausalModel, HistoricalProject, SimulationConfig, check_portfolio
 
 DEFAULT_PREDICTION_QUANTILES = (0.10, 0.90)
 # below this many historical projects the baseline is shaky
 RECOMMENDED_MIN_HISTORY = 4
-KINDS = (FactorKind.DEFECT_CONTENT, FactorKind.EFFECTIVENESS)  # the order of every (DDIF, EIF) pair
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def estimate_baseline(
     """Median of the per-project eq. 5 values; even counts average the middle two.
 
     means maps each project id to its exact (DDIF, EIF) means, as returned by
-    evaluation.project_factor_means.
+    model.project_factor_means.
     """
     if not historical:
         raise ValueError("cannot estimate a baseline from an empty history")

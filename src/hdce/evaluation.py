@@ -20,8 +20,8 @@ from operator import add, attrgetter, gt, mul, sub, truediv
 from typing import Mapping, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, error
-from .estimation import KINDS, expected_defects_found
-from .model import CausalModel, HistoricalProject, SimulationConfig, analytic_mean, check_portfolio
+from .estimation import expected_defects_found
+from .model import CausalModel, HistoricalProject, SimulationConfig, project_factor_means
 from .pvalues import chi_square_sf, sorted_doubled_midranks
 
 # beyond this many nonzero differences, the exact test gives way to the normal
@@ -171,19 +171,6 @@ def _signed_rank(x: list[float], y: list[float]) -> WilcoxonResult:
     if len(nonzero) <= EXACT_ENUMERATION_LIMIT:
         return WilcoxonResult(_exact_two_sided(doubled, w2), w2 / 2, len(nonzero), "exact")
     return WilcoxonResult(_normal_two_sided(doubled, w2), w2 / 2, len(nonzero), "normal-approximation")
-
-
-def project_factor_means(model: CausalModel, projects: Sequence[HistoricalProject]) -> dict[str, tuple[float, float]]:
-    """Map project_id -> (mean DDIF, mean EIF), each model.analytic_mean, exact; nothing is drawn.
-
-    Every (project, kind) pair is checked once first (check_portfolio),
-    projects in order and DDIF before EIF, so an invalid input raises the
-    first pair's diagnostics.
-    """
-    characterizations = [p.characterization for p in projects]
-    check_portfolio(model, characterizations, KINDS)
-    dc, eff = KINDS
-    return {ch.project_id: (analytic_mean(model, ch, dc), analytic_mean(model, ch, eff)) for ch in characterizations}
 
 
 def usable_history(

@@ -1,12 +1,14 @@
 """File formats and canonical serialization.
 
-Inputs: model JSON, projects JSON, rankings CSV. Outputs: JSON (json.dump, in
-the caller's key order, streamed to the file) and CSV, both with Python's
-shortest round-trip floats, so identical runs are byte-identical and every
-float reads back as the same double, and text (the SVG chart); every output has
-LF line endings on every platform. Every run's outputs get a sidecar run
-manifest carrying the input digests, seed, and tool version (the timestamp
-lives only there), and RunOutputs writes them all or none.
+Inputs: model JSON, projects JSON, rankings CSV, each read, shape-checked and
+turned into records here; model's validate_* functions judge their meaning.
+Outputs: JSON (json.dump, in the caller's key order, streamed to the file) and
+CSV, both with Python's shortest round-trip floats, so identical runs are
+byte-identical and every float reads back as the same double, and text (the
+SVG chart); every output has LF line endings on every platform. Every run's
+outputs get a sidecar run manifest carrying the input digests, seed, and tool
+version (the timestamp lives only there), and RunOutputs writes them all or
+none.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import hashlib
 import json
 import math
 import os
+import sys
 from contextlib import AbstractContextManager
 from datetime import datetime, timezone
+from enum import Enum
 from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -26,13 +30,16 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .diagnostics import Diagnostic, EmptyInputError, InputFormatError, warning
 from .model import (
+    SCALE_SIZE,
     CausalModel,
+    Factor,
     FactorCategory,
     FactorKind,
+    FactorScale,
     HistoricalProject,
+    Multiplier,
+    ProjectCharacterization,
     is_token,
-    model_from_dict,
-    projects_from_list,
 )
 
 if TYPE_CHECKING:
@@ -135,6 +142,161 @@ def _load_json_file(path: str | Path, what: str):
         raise InputFormatError(f"{what} file {path}: invalid JSON (nested too deeply)") from None
 
 
+# ---------------------------------------------------------------------------
+# JSON records: each schema's shape here, its meaning in model's validate_*
+# ---------------------------------------------------------------------------
+
+_MODEL_KEYS = {"context", "factors", "provenance"}
+_FACTOR_KEYS = {"id", "name", "kind", "category", "scale", "multiplier"}
+_MULTIPLIER_KEYS = {"min", "most_likely", "max"}
+_PROJECT_KEYS = {"project_id", "size", "defects_found", "levels"}
+
+
+def _object(data: object, where: str, what: str, keys: set[str]) -> list[str]:
+    """The paths of data's fields outside keys, once data is checked to be an object."""
+    if not isinstance(data, dict):
+        raise InputFormatError(f"{where}: {what} must be an object")
+    return [f"{where}.{k}" for k in sorted(set(data) - keys)]
+
+
+def _member(enum: type[Enum], text: str, where: str, what: str):
+    """The member of enum (FactorKind or FactorCategory) whose value is text, in a model or rankings file."""
+    try:
+        return enum(text)
+    except ValueError:
+        raise InputFormatError(f"{where}: unknown {what} {text!r}; expected one of {[m.value for m in enum]}") from None
+
+
+def _require(data: dict, key: str, where: str):
+    if key not in data:
+        raise InputFormatError(f"{where}: missing required field {key!r}")
+    return data[key]
+
+
+def _as_number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputFormatError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        # json reads NaN, Infinity and 1e400 as non-finite floats
+        raise InputFormatError(f"{where}: expected a finite number, got {number}")
+    return number
+
+
+def _as_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise InputFormatError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def multiplier_from_dict(data: object, where: str, unknown: list[str]) -> Multiplier:
+    unknown.extend(_object(data, where, "multiplier", _MULTIPLIER_KEYS))
+    return Multiplier(
+        min=_as_number(_require(data, "min", where), f"{where}.min"),
+        most_likely=_as_number(_require(data, "most_likely", where), f"{where}.most_likely"),
+        max=_as_number(_require(data, "max", where), f"{where}.max"),
+    )
+
+
+def factor_from_dict(data: object, where: str, unknown: list[str]) -> Factor:
+    unknown.extend(_object(data, where, "factor", _FACTOR_KEYS))
+    kind_text = _as_str(_require(data, "kind", where), f"{where}.kind")
+    kind = _member(FactorKind, kind_text, f"{where}.kind", "kind")
+    category_text = _as_str(_require(data, "category", where), f"{where}.category")
+    category = _member(FactorCategory, category_text, f"{where}.category", "category")
+    scale_raw = _require(data, "scale", where)
+    if not isinstance(scale_raw, list) or not all(isinstance(s, str) for s in scale_raw):
+        raise InputFormatError(f"{where}.scale: expected a list of {SCALE_SIZE} strings")
+    multiplier_raw = data.get("multiplier")
+    multiplier = (
+        None
+        if multiplier_raw is None
+        else multiplier_from_dict(multiplier_raw, f"{where}.multiplier", unknown)
+    )
+    return Factor(
+        id=_as_str(_require(data, "id", where), f"{where}.id"),
+        name=_as_str(_require(data, "name", where), f"{where}.name"),
+        kind=kind,
+        category=category,
+        scale=FactorScale(tuple(scale_raw)),
+        multiplier=multiplier,
+    )
+
+
+def model_from_dict(data: object) -> tuple[CausalModel, list[str]]:
+    """Build a model from parsed JSON; returns (model, unknown-field paths).
+
+    Shape violations raise InputFormatError; semantic problems (bad multiplier
+    ordering, duplicate ids, ...) are left for validate_model to report.
+    """
+    unknown = _object(data, "model", "top level", _MODEL_KEYS)
+    factors_raw = _require(data, "factors", "model")
+    if not isinstance(factors_raw, list):
+        raise InputFormatError("model.factors: expected a list")
+    factors = tuple(
+        factor_from_dict(f, f"model.factors[{i}]", unknown) for i, f in enumerate(factors_raw)
+    )
+    provenance = data.get("provenance", "")
+    model = CausalModel(
+        context=_as_str(_require(data, "context", "model"), "model.context"),
+        factors=factors,
+        provenance=_as_str(provenance, "model.provenance"),
+    )
+    return model, unknown
+
+
+def project_from_dict(data: object, where: str) -> tuple[HistoricalProject, list[str]]:
+    unknown = _object(data, where, "project", _PROJECT_KEYS)
+    project_id = _as_str(_require(data, "project_id", where), f"{where}.project_id")
+    if not is_token(project_id):
+        raise InputFormatError(f"{where}.project_id: {project_id!r} is not a valid token")
+    size = _as_number(_require(data, "size", where), f"{where}.size")
+    if not size > 0:
+        raise InputFormatError(f"{where}.size: must be > 0, got {size}")
+    df_raw = data.get("defects_found")
+    defects_found = None if df_raw is None else _as_int(df_raw, f"{where}.defects_found")
+    if defects_found is not None and not 0 <= defects_found <= sys.float_info.max:
+        raise InputFormatError(f"{where}.defects_found: must be >= 0 and within float range, got {defects_found}")
+    levels_raw = _require(data, "levels", where)
+    if not isinstance(levels_raw, dict):
+        raise InputFormatError(f"{where}.levels: expected an object mapping factor ids to levels")
+    levels = {
+        _as_str(k, f"{where}.levels key"): _as_int(v, f"{where}.levels[{k!r}]")
+        for k, v in levels_raw.items()
+    }
+    project = HistoricalProject(
+        characterization=ProjectCharacterization(project_id=project_id, levels=levels),
+        size=size,
+        defects_found=defects_found,
+    )
+    return project, unknown
+
+
+def projects_from_list(data: object) -> tuple[list[HistoricalProject], list[str]]:
+    if not isinstance(data, list):
+        raise InputFormatError("projects: top level must be an array")
+    projects: list[HistoricalProject] = []
+    unknown: list[str] = []
+    seen: set[str] = set()
+    for i, entry in enumerate(data):
+        project, extra = project_from_dict(entry, f"projects[{i}]")
+        if project.project_id in seen:
+            raise InputFormatError(f"projects[{i}]: duplicate project_id {project.project_id!r}")
+        seen.add(project.project_id)
+        projects.append(project)
+        unknown.extend(extra)
+    return projects, unknown
+
+
 def load_model(
     path: str | Path, strict: bool = False, diagnostics: list[Diagnostic] | None = None
 ) -> CausalModel:
@@ -178,14 +340,8 @@ def load_rankings(path: str | Path) -> list[RankingSheet]:
         expert_id, kind_text, category_text, factor_id, rank_text = (c.strip() for c in row)
         if not is_token(expert_id) or not is_token(factor_id):
             raise InputFormatError(f"{path}:{line_no}: expert_id and factor_id must be tokens")
-        try:
-            kind = FactorKind(kind_text)
-        except ValueError:
-            raise InputFormatError(f"{path}:{line_no}: unknown kind {kind_text!r}") from None
-        try:
-            category = FactorCategory(category_text)
-        except ValueError:
-            raise InputFormatError(f"{path}:{line_no}: unknown category {category_text!r}") from None
+        kind = _member(FactorKind, kind_text, f"{path}:{line_no}", "kind")
+        category = _member(FactorCategory, category_text, f"{path}:{line_no}", "category")
         try:
             rank = float(rank_text)
         except ValueError:

@@ -1,24 +1,24 @@
-"""Causal-model domain types: factors, rating scales, multipliers, and project records.
+"""Causal-model domain types, their semantic checks, and a portfolio's exact DDIF/EIF moments.
 
 A causal model holds the expert-judgment half of the hybrid method: influencing
 factors on defect content and QA effectiveness, each with a 0..3 rating scale and
 (once quantified) a three-point impact multiplier. Historical projects hold the
 measurement half: a characterization against the model, artifact size, and the
-number of defects found.
+number of defects found. The validate_* functions report what is wrong with them
+(io reads their files), and project_factor_means gives a portfolio's exact means.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .diagnostics import Diagnostic, InputFormatError, ModelValidationError, advisory, error, has_errors
+from .diagnostics import Diagnostic, ModelValidationError, advisory, error, has_errors
 
 MIN_LEVEL = 0
 MAX_LEVEL = 3
@@ -41,6 +41,9 @@ class FactorCategory(str, Enum):
     PRODUCT = "Product"
     PROJECT = "Project"
     PROCESS_PERSONNEL = "ProcessPersonnel"
+
+
+KINDS = (FactorKind.DEFECT_CONTENT, FactorKind.EFFECTIVENESS)  # the order of every (DDIF, EIF) pair
 
 
 def is_token(value: object) -> bool:
@@ -285,6 +288,19 @@ def analytic_mean(model: CausalModel, ch: ProjectCharacterization, kind: FactorK
     return total
 
 
+def project_factor_means(model: CausalModel, projects: Sequence[HistoricalProject]) -> dict[str, tuple[float, float]]:
+    """Map project_id -> (mean DDIF, mean EIF), each analytic_mean, exact; nothing is drawn.
+
+    Every (project, kind) pair is checked once first (check_portfolio),
+    projects in order and DDIF before EIF, so an invalid input raises the
+    first pair's diagnostics.
+    """
+    characterizations = [p.characterization for p in projects]
+    check_portfolio(model, characterizations, KINDS)
+    dc, eff = KINDS
+    return {ch.project_id: (analytic_mean(model, ch, dc), analytic_mean(model, ch, eff)) for ch in characterizations}
+
+
 def analytic_sd(model: CausalModel, ch: ProjectCharacterization, kind: FactorKind) -> float:
     """Standard deviation of the simulated sum, the square root of its variance correctly rounded.
 
@@ -332,162 +348,3 @@ class SimulationConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not isinstance(self.sample_count, int) or self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count!r}")
-
-
-# ---------------------------------------------------------------------------
-# dict conversion (file schemas live in io.py; these are the structural halves)
-# ---------------------------------------------------------------------------
-
-_MODEL_KEYS = {"context", "factors", "provenance"}
-_FACTOR_KEYS = {"id", "name", "kind", "category", "scale", "multiplier"}
-_MULTIPLIER_KEYS = {"min", "most_likely", "max"}
-_PROJECT_KEYS = {"project_id", "size", "defects_found", "levels"}
-
-
-def _require(data: dict, key: str, where: str):
-    if key not in data:
-        raise InputFormatError(f"{where}: missing required field {key!r}")
-    return data[key]
-
-
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputFormatError(f"{where}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        # json reads NaN, Infinity and 1e400 as non-finite floats
-        raise InputFormatError(f"{where}: expected a finite number, got {number}")
-    return number
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputFormatError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise InputFormatError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def multiplier_from_dict(data: object, where: str, unknown: list[str]) -> Multiplier:
-    if not isinstance(data, dict):
-        raise InputFormatError(f"{where}: multiplier must be an object")
-    unknown.extend(f"{where}.{k}" for k in sorted(set(data) - _MULTIPLIER_KEYS))
-    return Multiplier(
-        min=_as_number(_require(data, "min", where), f"{where}.min"),
-        most_likely=_as_number(_require(data, "most_likely", where), f"{where}.most_likely"),
-        max=_as_number(_require(data, "max", where), f"{where}.max"),
-    )
-
-
-def factor_from_dict(data: object, where: str, unknown: list[str]) -> Factor:
-    if not isinstance(data, dict):
-        raise InputFormatError(f"{where}: factor must be an object")
-    unknown.extend(f"{where}.{k}" for k in sorted(set(data) - _FACTOR_KEYS))
-    kind_text = _as_str(_require(data, "kind", where), f"{where}.kind")
-    try:
-        kind = FactorKind(kind_text)
-    except ValueError:
-        raise InputFormatError(
-            f"{where}.kind: unknown kind {kind_text!r}; expected one of {[k.value for k in FactorKind]}"
-        ) from None
-    category_text = _as_str(_require(data, "category", where), f"{where}.category")
-    try:
-        category = FactorCategory(category_text)
-    except ValueError:
-        raise InputFormatError(
-            f"{where}.category: unknown category {category_text!r}; "
-            f"expected one of {[c.value for c in FactorCategory]}"
-        ) from None
-    scale_raw = _require(data, "scale", where)
-    if not isinstance(scale_raw, list) or not all(isinstance(s, str) for s in scale_raw):
-        raise InputFormatError(f"{where}.scale: expected a list of {SCALE_SIZE} strings")
-    multiplier_raw = data.get("multiplier")
-    multiplier = (
-        None
-        if multiplier_raw is None
-        else multiplier_from_dict(multiplier_raw, f"{where}.multiplier", unknown)
-    )
-    return Factor(
-        id=_as_str(_require(data, "id", where), f"{where}.id"),
-        name=_as_str(_require(data, "name", where), f"{where}.name"),
-        kind=kind,
-        category=category,
-        scale=FactorScale(tuple(scale_raw)),
-        multiplier=multiplier,
-    )
-
-
-def model_from_dict(data: object) -> tuple[CausalModel, list[str]]:
-    """Build a model from parsed JSON; returns (model, unknown-field paths).
-
-    Shape violations raise InputFormatError; semantic problems (bad multiplier
-    ordering, duplicate ids, ...) are left for validate_model to report.
-    """
-    if not isinstance(data, dict):
-        raise InputFormatError("model: top level must be an object")
-    unknown: list[str] = [f"model.{k}" for k in sorted(set(data) - _MODEL_KEYS)]
-    factors_raw = _require(data, "factors", "model")
-    if not isinstance(factors_raw, list):
-        raise InputFormatError("model.factors: expected a list")
-    factors = tuple(
-        factor_from_dict(f, f"model.factors[{i}]", unknown) for i, f in enumerate(factors_raw)
-    )
-    provenance = data.get("provenance", "")
-    model = CausalModel(
-        context=_as_str(_require(data, "context", "model"), "model.context"),
-        factors=factors,
-        provenance=_as_str(provenance, "model.provenance"),
-    )
-    return model, unknown
-
-
-def project_from_dict(data: object, where: str) -> tuple[HistoricalProject, list[str]]:
-    if not isinstance(data, dict):
-        raise InputFormatError(f"{where}: project must be an object")
-    unknown = [f"{where}.{k}" for k in sorted(set(data) - _PROJECT_KEYS)]
-    project_id = _as_str(_require(data, "project_id", where), f"{where}.project_id")
-    if not is_token(project_id):
-        raise InputFormatError(f"{where}.project_id: {project_id!r} is not a valid token")
-    size = _as_number(_require(data, "size", where), f"{where}.size")
-    if not size > 0:
-        raise InputFormatError(f"{where}.size: must be > 0, got {size}")
-    df_raw = data.get("defects_found")
-    defects_found = None if df_raw is None else _as_int(df_raw, f"{where}.defects_found")
-    if defects_found is not None and not 0 <= defects_found <= sys.float_info.max:
-        raise InputFormatError(f"{where}.defects_found: must be >= 0 and within float range, got {defects_found}")
-    levels_raw = _require(data, "levels", where)
-    if not isinstance(levels_raw, dict):
-        raise InputFormatError(f"{where}.levels: expected an object mapping factor ids to levels")
-    levels = {
-        _as_str(k, f"{where}.levels key"): _as_int(v, f"{where}.levels[{k!r}]")
-        for k, v in levels_raw.items()
-    }
-    project = HistoricalProject(
-        characterization=ProjectCharacterization(project_id=project_id, levels=levels),
-        size=size,
-        defects_found=defects_found,
-    )
-    return project, unknown
-
-
-def projects_from_list(data: object) -> tuple[list[HistoricalProject], list[str]]:
-    if not isinstance(data, list):
-        raise InputFormatError("projects: top level must be an array")
-    projects: list[HistoricalProject] = []
-    unknown: list[str] = []
-    seen: set[str] = set()
-    for i, entry in enumerate(data):
-        project, extra = project_from_dict(entry, f"projects[{i}]")
-        if project.project_id in seen:
-            raise InputFormatError(f"projects[{i}]: duplicate project_id {project.project_id!r}")
-        seen.add(project.project_id)
-        projects.append(project)
-        unknown.extend(extra)
-    return projects, unknown

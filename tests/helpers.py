@@ -23,9 +23,9 @@ from hdce.model import (
     HistoricalProject,
     Multiplier,
     ProjectCharacterization,
+    project_factor_means,
 )
 from hdce.estimation import estimate_baseline, expected_defects_found
-from hdce.evaluation import project_factor_means
 from hdce.simulation import SimulationConfig, counter_uniforms, factor_stream, simulate
 
 DC = FactorKind.DEFECT_CONTENT

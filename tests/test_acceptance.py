@@ -14,9 +14,9 @@ from hdce import simulation
 from hdce.cli import main
 from hdce.elicitation import RankingSheet, kendalls_w, select_factors
 from hdce.estimation import estimate_baseline, predict_defects_found
-from hdce.evaluation import Variant, project_factor_means, run_validation, wilcoxon_signed_rank
+from hdce.evaluation import Variant, run_validation, wilcoxon_signed_rank
 from hdce.io import write_json
-from hdce.model import FactorKind
+from hdce.model import FactorKind, project_factor_means
 from hdce.planning import build_risk_chart
 from hdce.simulation import SimulationConfig, analytic_mean, simulate
 from hdce.synthetic import build_synthetic_model, generate_projects

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import hdce
+import hdce.model
 from hdce import evaluation, planning, simulation
 from hdce.cli import main
 from hdce.elicitation import MAX_GROUP_SIZE
@@ -302,7 +303,7 @@ class TestPlan:
         def no_draw(*_args):
             raise AssertionError("plan draws nothing for a portfolio without history")
 
-        monkeypatch.setattr(evaluation, "project_factor_means", no_draw)
+        monkeypatch.setattr(hdce.model, "project_factor_means", no_draw)
         out = tmp_path / "chart.csv"
         code = main([
             "plan", "--model", str(model_file), "--projects", str(projects),
@@ -1284,8 +1285,8 @@ MODULES_RUN = {
     "rank-analyze": {*_EVERY_RUN, "elicitation", "pvalues"},
     "model-check": {*_EVERY_RUN},
     "simulate": {*_EVERY_RUN, "simulation"},
-    "plan": {*_EVERY_RUN, "estimation", "evaluation", "pvalues", "planning"},
-    "predict": {*_EVERY_RUN, "estimation", "evaluation", "pvalues", "simulation"},
+    "plan": {*_EVERY_RUN, "planning"},
+    "predict": {*_EVERY_RUN, "estimation", "simulation"},
     "validate": {*_EVERY_RUN, "estimation", "evaluation", "pvalues"},
 }
 

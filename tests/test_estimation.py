@@ -16,8 +16,7 @@ from hdce.estimation import (
     predict_defects_found,
 )
 from hdce.diagnostics import ModelValidationError
-from hdce.evaluation import project_factor_means
-from hdce.model import CausalModel, Factor, HistoricalProject, ProjectCharacterization
+from hdce.model import CausalModel, Factor, HistoricalProject, ProjectCharacterization, project_factor_means
 from hdce.simulation import SimulationConfig
 from helpers import characterization, exact_model, reference_model
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hdce
-from hdce.diagnostics import InputFormatError
+from hdce.diagnostics import InputFormatError, has_errors
 from hdce.io import (
     RunOutputs,
     format_float,
@@ -20,7 +20,10 @@ from hdce.io import (
     write_csv,
     write_json,
 )
-from helpers import exact_projects, model_to_dict, project_to_dict, reference_model, write_rankings_csv
+from hdce.model import validate_characterization, validate_model
+from helpers import exact_model, exact_projects, model_to_dict, project_to_dict, reference_model, write_rankings_csv
+
+SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
 
 
 @pytest.fixture
@@ -190,6 +193,149 @@ class TestProjectFiles:
             load_projects(path)
 
 
+def _edit(path: tuple, value=None, delete: bool = False):
+    """A change to a document: the value at path set, or deleted."""
+    def apply(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if delete:
+            del doc[last]
+        else:
+            doc[last] = value
+    return apply
+
+
+# where a loader deliberately differs from its schema, and whether it then accepts the document
+UNKNOWN_FIELDS = "unknown fields only warn unless --strict is set"
+DIVERGENCES = {
+    UNKNOWN_FIELDS: True,
+    "duplicate ids": False,  # the schemas cannot state that project ids are unique
+    "finite numbers and the float range": False,  # json reads NaN and 1e400, and the schemas' numbers take them
+    "integral floats": False,  # a draft-07 integer may be written 3.0; the loader takes only 3
+    # the loader checks the shape, and validate_model or validate_characterization reject these
+    "factor-id tokens": True,
+    "scale completeness": True,
+    "multiplier sign and order": True,
+    "level range": True,
+    "factors per kind": True,
+}
+_F0 = ("factors", 0)
+_M0 = (*_F0, "multiplier")
+# (case id, model or projects, change to the valid document (None: none), divergence or None)
+SCHEMA_CASES = [
+    ("model-valid", "model", None, None),
+    *[(f"model-missing-{key}", "model", _edit((key,), delete=True), None) for key in ("context", "factors")],
+    *[(f"factor-missing-{key}", "model", _edit((*_F0, key), delete=True), None)
+      for key in ("id", "name", "kind", "category", "scale")],
+    *[(f"multiplier-missing-{key}", "model", _edit((*_M0, key), delete=True), None)
+      for key in ("min", "most_likely", "max")],
+    ("model-not-an-object", "model", lambda doc: [doc], None),
+    *[(f"model-{key}-wrong-type", "model", _edit((key,), value), None)
+      for key, value in [("context", 1), ("provenance", 1), ("factors", {})]],
+    ("factor-not-an-object", "model", _edit(_F0, "factor"), None),
+    *[(f"factor-{key}-wrong-type", "model", _edit((*_F0, key), value), None)
+      for key, value in [("id", 1), ("name", None), ("kind", 1), ("category", ["Product"]), ("scale", "0123"),
+                         ("multiplier", [0.1, 0.2, 0.3])]],
+    ("factor-scale-entry-wrong-type", "model", _edit((*_F0, "scale", 0), 0), None),
+    *[(f"multiplier-{key}-wrong-type", "model", _edit((*_M0, key), value), None)
+      for key, value in [("min", "0.1"), ("most_likely", None), ("max", True)]],
+    ("factor-unknown-kind", "model", _edit((*_F0, "kind"), "Mystery"), None),
+    ("factor-unknown-category", "model", _edit((*_F0, "category"), "People"), None),
+    ("model-extra-field", "model", _edit(("vendor",), 1), UNKNOWN_FIELDS),
+    ("factor-extra-field", "model", _edit((*_F0, "vendor"), 1), UNKNOWN_FIELDS),
+    ("multiplier-extra-field", "model", _edit((*_M0, "vendor"), 1), UNKNOWN_FIELDS),
+    ("multiplier-null", "model", _edit(_M0, None), None),
+    ("multiplier-absent", "model", _edit(_M0, delete=True), None),
+    ("multiplier-out-of-order", "model", _edit((*_M0, "min"), 0.9), None),  # neither checks the order
+    ("factor-id-with-a-space", "model", _edit((*_F0, "id"), "exact dc 1"), "factor-id tokens"),
+    ("factor-id-duplicate", "model", _edit((*_F0, "id"), "exact-dc-2"), None),  # validate_model's to report
+    ("scale-of-3", "model", _edit((*_F0, "scale"), ["low", "mid", "high"]), "scale completeness"),
+    ("scale-entry-empty", "model", _edit((*_F0, "scale", 0), ""), "scale completeness"),
+    ("model-of-1-factor", "model", lambda doc: {**doc, "factors": doc["factors"][:1]}, "factors per kind"),
+    ("multiplier-min-negative", "model", _edit((*_M0, "min"), -0.25), "multiplier sign and order"),
+    ("multiplier-max-0", "model", _edit(_M0, {"min": 0, "most_likely": 0, "max": 0}), "multiplier sign and order"),
+    ("multiplier-max-nan", "model", _edit((*_M0, "max"), math.nan), "finite numbers and the float range"),
+    ("multiplier-max-1e400", "model", _edit((*_M0, "max"), "@1e400@"), "finite numbers and the float range"),
+    ("projects-valid", "projects", None, None),
+    ("projects-empty", "projects", lambda doc: doc.clear(), None),
+    *[(f"project-missing-{key}", "projects", _edit((0, key), delete=True), None)
+      for key in ("project_id", "size", "levels")],
+    ("projects-not-an-array", "projects", lambda doc: {"projects": doc}, None),
+    ("project-not-an-object", "projects", _edit((0,), "E1"), None),
+    *[(f"project-{key}-wrong-type", "projects", _edit((0, key), value), None)
+      for key, value in [("project_id", 1), ("size", "64"), ("defects_found", "20"), ("levels", [])]],
+    ("project-size-bool", "projects", _edit((0, "size"), True), None),
+    ("project-defects-found-fraction", "projects", _edit((0, "defects_found"), 2.5), None),
+    ("project-level-wrong-type", "projects", _edit((0, "levels", "exact-dc-1"), "3"), None),
+    ("project-level-fraction", "projects", _edit((0, "levels", "exact-dc-1"), 1.5), None),
+    ("project-extra-field", "projects", _edit((0, "vendor"), 1), UNKNOWN_FIELDS),
+    ("project-defects-found-null", "projects", _edit((0, "defects_found"), None), None),
+    ("project-id-with-a-space", "projects", _edit((0, "project_id"), "E 1"), None),
+    ("project-size-0", "projects", _edit((0, "size"), 0), None),
+    ("project-size-negative", "projects", _edit((0, "size"), -64.0), None),
+    ("project-defects-found-negative", "projects", _edit((0, "defects_found"), -1), None),
+    ("project-level-7", "projects", _edit((0, "levels", "exact-dc-1"), 7), "level range"),
+    ("project-level-negative", "projects", _edit((0, "levels", "exact-dc-1"), -1), "level range"),
+    ("project-id-duplicate", "projects", lambda doc: [*doc, doc[0]], "duplicate ids"),
+    ("project-size-nan", "projects", _edit((0, "size"), math.nan), "finite numbers and the float range"),
+    ("project-size-1e400", "projects", _edit((0, "size"), "@1e400@"), "finite numbers and the float range"),
+    ("project-defects-found-1e400-integer", "projects", _edit((0, "defects_found"), 10**400),
+     "finite numbers and the float range"),
+    ("project-defects-found-20.0", "projects", _edit((0, "defects_found"), 20.0), "integral floats"),
+    ("project-level-3.0", "projects", _edit((0, "levels", "exact-dc-1"), 3.0), "integral floats"),
+]
+
+
+class TestSchemas:
+    """The loaders accept a document if and only if its published schema does (jsonschema's
+    Draft7Validator), except where DIVERGENCES says the loader deliberately differs."""
+
+    @staticmethod
+    def validator(which: str):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((SCHEMAS / f"{which}.schema.json").read_text(encoding="utf-8"))
+        jsonschema.Draft7Validator.check_schema(schema)
+        return jsonschema.Draft7Validator(schema)
+
+    @staticmethod
+    def loaded(path: Path, which: str, strict: bool):
+        """What the loader makes of the file, or None if it rejects it."""
+        try:
+            return (load_model if which == "model" else load_projects)(path, strict=strict)
+        except InputFormatError:
+            return None
+
+    @pytest.mark.parametrize("case_id, which, change, divergence", SCHEMA_CASES, ids=[c[0] for c in SCHEMA_CASES])
+    def test_loader_accepts_what_the_schema_accepts(self, tmp_path, case_id, which, change, divergence):
+        validator = self.validator(which)
+        doc = model_to_dict(exact_model()) if which == "model" else [project_to_dict(p) for p in exact_projects()]
+        if change is not None:
+            doc = change(doc) or doc  # a change edits the document in place or returns another one
+        text = json.dumps(doc).replace('"@1e400@"', "1e400")  # json.dumps would write inf as Infinity
+        path = tmp_path / f"{which}.json"
+        path.write_text(text, encoding="utf-8")
+        schema_accepts = validator.is_valid(json.loads(text))
+        loose, strict = self.loaded(path, which, strict=False), self.loaded(path, which, strict=True)
+        if divergence is None:
+            assert (loose is not None, strict is not None) == (schema_accepts, schema_accepts)
+            return
+        # a listed divergence must still be one: when the loader comes to agree, it leaves the list
+        assert schema_accepts is not DIVERGENCES[divergence]
+        assert (loose is not None) is DIVERGENCES[divergence]
+        assert (strict is not None) is (DIVERGENCES[divergence] and divergence != UNKNOWN_FIELDS)
+        if divergence != UNKNOWN_FIELDS and loose is not None:  # what the shape check lets through, meaning rejects
+            diagnostics = (validate_model(loose) if which == "model" else
+                           [d for p in loose for d in validate_characterization(exact_model(), p.characterization)])
+            assert has_errors(diagnostics)
+
+    @pytest.mark.parametrize("which", ["model", "projects"])
+    def test_examples_meet_their_schema(self, which):
+        path = SCHEMAS / "examples" / f"{which}.json"
+        assert self.validator(which).is_valid(json.loads(path.read_text(encoding="utf-8")))
+        assert self.loaded(path, which, strict=True) is not None
+
+
 class TestRankingsCsv:
     def test_load_full_fixture(self, tmp_path):
         path = tmp_path / "rankings.csv"
@@ -231,15 +377,22 @@ class TestRankingsCsv:
         with pytest.raises(InputFormatError, match=":2:.*not a number"):
             load_rankings(path)
 
-    def test_unknown_kind_rejected(self, tmp_path):
+    @staticmethod
+    def rejection(tmp_path, row: str) -> str:
         path = tmp_path / "rankings.csv"
-        path.write_text(
-            "expert_id,kind,category,factor_id,rank\n"
-            "e1,Speed,Product,f1,1\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(InputFormatError, match="unknown kind"):
+        path.write_text(f"expert_id,kind,category,factor_id,rank\n{row}\n", encoding="utf-8")
+        with pytest.raises(InputFormatError) as caught:
             load_rankings(path)
+        return str(caught.value).replace(f"{path}:2: ", "", 1)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        # the model file's message, with the line in place of the field path
+        assert self.rejection(tmp_path, "e1,Speed,Product,f1,1") == (
+            "unknown kind 'Speed'; expected one of ['DefectContent', 'Effectiveness']")
+
+    def test_unknown_category_rejected(self, tmp_path):
+        assert self.rejection(tmp_path, "e1,DefectContent,People,f1,1") == (
+            "unknown category 'People'; expected one of ['Product', 'Project', 'ProcessPersonnel']")
 
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "rankings.csv"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdce.diagnostics import InputFormatError, Severity, has_errors
+from hdce.io import model_from_dict, project_from_dict
 from hdce.model import (
     CausalModel,
     Factor,
@@ -16,8 +17,6 @@ from hdce.model import (
     HistoricalProject,
     Multiplier,
     ProjectCharacterization,
-    model_from_dict,
-    project_from_dict,
     validate_characterization,
     validate_model,
 )

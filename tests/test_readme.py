@@ -19,7 +19,7 @@ import pytest
 import hdce
 import hdce.io
 from hdce.estimation import estimate_baseline
-from hdce.evaluation import project_factor_means
+from hdce.model import project_factor_means
 from helpers import readme_error_codes
 
 ROOT = Path(__file__).resolve().parents[1]

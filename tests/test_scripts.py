@@ -47,6 +47,7 @@ def test_artifact_digests_prints_one_line_per_artifact():
         ("rank-analyze-threshold-1.5", ["analysis.json", "analysis.json.manifest.json"]),
         ("plan-scale-factor-0.5", ["chart.csv", "chart.csv.manifest.json", "chart.svg"]),
         ("validate-synthetic-30", ["report.json", "report.json.manifest.json", "report.json.re.csv"]),
+        ("rank-analyze-2-factors", ["analysis.json", "analysis.json.manifest.json"]),
     ]:
         expected += [f"{run}/{name}" for name in outputs] + [f"{run}/stderr", f"{run}/exit"]
     lines = proc.stdout.splitlines()
@@ -78,9 +79,12 @@ def test_artifact_digests_synthetic_validate_takes_the_normal_approximation(tmp_
 
 
 # the digest runs that hold a p-value, and the lines that a math function one ulp off moves: only the
-# 1-dof tails of the Wilcoxon normal approximation take math.erfc and math.exp from the C library
-P_VALUE_RUNS = ("rank-analyze", "rank-analyze-threshold-1.5", "validate", "validate-150000", "validate-synthetic-30")
-LIBM_DEPENDENT = ["validate-synthetic-30/report.json", "validate-synthetic-30/report.json.manifest.json"]
+# 1-dof tails, of the Wilcoxon normal approximation and of a 2-factor rankings group, take math.erfc
+# and math.exp from the C library
+P_VALUE_RUNS = ("rank-analyze", "rank-analyze-threshold-1.5", "validate", "validate-150000", "validate-synthetic-30",
+                "rank-analyze-2-factors")
+LIBM_DEPENDENT = ["validate-synthetic-30/report.json", "validate-synthetic-30/report.json.manifest.json",
+                  "rank-analyze-2-factors/analysis.json", "rank-analyze-2-factors/analysis.json.manifest.json"]
 NUDGED = ("erfc", "erf", "exp", "expm1", "log", "log1p", "log2", "log10", "pow", "lgamma", "gamma")
 
 

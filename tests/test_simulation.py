@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from hdce import simulation
 from hdce.diagnostics import ModelValidationError
-from hdce.evaluation import project_factor_means
-from hdce.model import CausalModel, Factor, FactorKind, Multiplier
+from hdce.model import CausalModel, Factor, FactorKind, Multiplier, project_factor_means
 from hdce.simulation import (
     BLOCK_SIZE,
     DEFAULT_QUANTILE_LEVELS,
